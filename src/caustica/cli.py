@@ -2,22 +2,22 @@
 
 Each subcommand wraps one library capability and writes a single
 artifact.  Output is deterministic: the same configuration and seed
-produce byte-identical files, numeric CSV columns carry 17 significant
-digits, and scans may run on a thread pool (--threads, or the
-CAUSTICA_THREADS environment variable) without changing a byte because
-results are merged in input order.  A JSON config file (--config) can
+produce byte-identical files and numeric CSV columns carry 17
+significant digits.  --threads (or the CAUSTICA_THREADS environment
+variable) is validated and accepted, and changes no byte: every scan runs
+in input order on one thread.  A JSON config file (--config) can
 supply any flag, with explicit flags taking precedence.  Precondition
 violations exit with status 2 and a machine-readable JSON object on
 standard error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .birkhoff import birkhoff_sum, moebius_fit, symmetric_sum
@@ -60,22 +60,18 @@ def _opt(args, key, default=None, required=False):
     return val
 
 
-def _threads(args):
+def _check_threads(args):
+    """Validate --threads (or CAUSTICA_THREADS), kept for compatibility.
+
+    The scans are Python code that holds the interpreter lock, so they
+    run on one thread: on 2 cores, --threads 2 made count-periodic,
+    betti-scan and birkhoff 4-14% slower than --threads 1.
+    """
     val = _opt(args, "threads")
     if val is None:
         val = os.environ.get("CAUSTICA_THREADS", "1")
-    k = int(val)
-    if k < 1:
+    if int(val) < 1:
         raise ValueError("--threads must be >= 1")
-    return k
-
-
-def _parallel(fn, items, k):
-    """Map preserving input order, so thread count never changes bytes."""
-    if k <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))
 
 
 def _csv(args, command, seed, header, rows):
@@ -127,7 +123,8 @@ def _cmd_betti_scan(args):
     if num < 2:
         raise ValueError("--num must be >= 2")
     lams = [lmin + (lmax - lmin) * j / (num - 1) for j in range(num)]
-    coords = _parallel(lambda lam: betti_billiard(e, lam), lams, _threads(args))
+    _check_threads(args)
+    coords = [betti_billiard(e, lam) for lam in lams]
     rows = [",".join([_fmt(lam), _fmt(bc.beta1), _fmt(bc.beta2)])
             for lam, bc in zip(lams, coords)]
     _csv(args, "betti-scan", _seed(args), "lambda,beta1,beta2", rows)
@@ -146,7 +143,8 @@ def _cmd_count_periodic(args):
         return ",".join([str(n), "odd" if n % 2 else "even",
                          str(count), _fmt(pred)])
 
-    rows = _parallel(row, range(nmin, nmax + 1), _threads(args))
+    _check_threads(args)
+    rows = [row(n) for n in range(nmin, nmax + 1)]
     _csv(args, "count-periodic", _seed(args), "n,parity,count,predicted", rows)
     return 0
 
@@ -233,7 +231,8 @@ def _cmd_birkhoff(args):
             val = symmetric_sum(e, x, int(window))
         return ",".join([_fmt(x.x), _fmt(x.y), _fmt(val)])
 
-    rows = _parallel(row, thetas, _threads(args))
+    _check_threads(args)
+    rows = [row(theta) for theta in thetas]
     _csv(args, "birkhoff", _seed(args), "x,y,sum", rows)
     return 0
 
@@ -290,8 +289,9 @@ def _cmd_scan_angle_pair(args):
     alpha = _opt(args, "alpha", required=True)
     nmax = int(_opt(args, "nmax", required=True))
     tol = _opt(args, "tol", 1e-6)
+    # Accepted and recorded for compatibility; the pair search is exact.
     grid = int(_opt(args, "grid", 4096))
-    pairs = angle_pair_scan(e, p, alpha, nmax, tol, grid)
+    pairs = angle_pair_scan(e, p, alpha, nmax, tol)
     recs = [{"dir1": list(t.dir1), "dir2": list(t.dir2),
              "period1": t.period1, "period2": t.period2} for t in pairs]
     _json_out(args, "scan-angle-pair", _seed(args),
@@ -438,7 +438,8 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=None,
                     help="seed for any randomized stage, recorded in output")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads for scans (CAUSTICA_THREADS fallback)")
+                    help="accepted for compatibility; scans run on one "
+                         "thread (CAUSTICA_THREADS fallback)")
 
 
 def _float(sp, *names, **kw):
@@ -446,7 +447,10 @@ def _float(sp, *names, **kw):
         sp.add_argument(name, type=float, default=None, **kw)
 
 
+@functools.cache
 def build_parser():
+    """The caustica argument parser, built once per process: it holds no
+    append actions or mutable defaults, so parses do not share state."""
     ap = argparse.ArgumentParser(
         prog="caustica",
         description="Elliptical billiards, caustics and exact orbit search")

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy.integrate import quad
 
 # Below this squared-distance threshold the two intersection roots are
@@ -31,6 +32,9 @@ TANGENCY_EPS = 1e-12
 
 # Relative tolerance used to classify nearly degenerate caustics.
 DEGENERACY_RTOL = 1e-9
+
+# Largest boundary residual accepted at a reflection point.
+_REFLECT_TOL = 1e-9
 
 
 class CausticKind(enum.Enum):
@@ -179,7 +183,7 @@ def caustic_of_line(e, p, slope):
     return classify_caustic(e, s)
 
 
-def reflect(e, q, v_in, tol=1e-9):
+def reflect(e, q, v_in, tol=_REFLECT_TOL):
     """Specular reflection of v_in at boundary point q."""
     x, y = q
     if abs(e.boundary_residual(x, y)) > tol:
@@ -190,21 +194,24 @@ def reflect(e, q, v_in, tol=1e-9):
     return v_in[0] - 2.0 * d * nx, v_in[1] - 2.0 * d * ny
 
 
-def _chord_exit(e, x, y, vx, vy):
-    """Parameter t > 0 of the next intersection of (x,y) + t(vx,vy) with C.
+def _step(b2, x, y, vx, vy):
+    """One bounce from (x, y) along the unit direction (vx, vy) on the
+    table with squared semi-minor axis b2: the next boundary point and
+    the reflected direction, as floats.
 
-    Returns 0.0 for a tangent (grazing) shot or when no intersection
-    lies ahead.  The current point may be on the boundary (one root
-    near 0, excluded by the tangency threshold) or interior (one root
-    of each sign; the positive one is the first hit).
+    The exit parameter t > 0 is the root of the chord quadratic ahead of
+    the current point: a point on the boundary has one root near 0,
+    excluded by the tangency threshold, an interior one has a root of
+    each sign.  A tangent (grazing) shot, or one with no root ahead,
+    returns its state unchanged.  advance_batch repeats these operations
+    in this order, so both agree bit for bit.
     """
-    b2 = e.b2
     A = vx * vx + vy * vy / b2
     B = 2.0 * (x * vx + y * vy / b2)
     C = x * x + y * y / b2 - 1.0
     disc = B * B - 4.0 * A * C
     if disc <= 0.0:
-        return 0.0
+        return x, y, vx, vy
     sq = math.sqrt(disc)
     # Stable pair of roots: the subtraction-free one first, its partner
     # from the product of roots.
@@ -213,10 +220,67 @@ def _chord_exit(e, x, y, vx, vy):
     else:
         t1 = (-B + sq) / (2.0 * A)
     t2 = C / (A * t1) if t1 != 0.0 else 0.0
-    ahead = [t for t in (t1, t2) if t > TANGENCY_EPS]
-    if not ahead:
-        return 0.0
-    return min(ahead)
+    if t1 > TANGENCY_EPS:
+        t = min(t1, t2) if t2 > TANGENCY_EPS else t1
+    elif t2 > TANGENCY_EPS:
+        t = t2
+    else:
+        return x, y, vx, vy
+    # Radial projection controls drift off the boundary.
+    px = x + t * vx
+    py = y + t * vy
+    r = math.sqrt(px * px + py * py / b2)
+    qx = px / r
+    qy = py / r
+    if abs(qx * qx + qy * qy / b2 - 1.0) > _REFLECT_TOL:
+        raise ValueError("reflection point off the boundary")
+    ny = qy / b2
+    d = (vx * qx + vy * ny) / (qx * qx + ny * ny)
+    wx = vx - 2.0 * d * qx
+    wy = vy - 2.0 * d * ny
+    # sqrt of the sum of squares, not hypot: np.hypot and math.hypot
+    # differ in the last bit, and the batched step must match this one.
+    n = math.sqrt(wx * wx + wy * wy)
+    return qx, qy, wx / n, wy / n
+
+
+def advance_batch(e, x, y, vx, vy):
+    """advance/first_hit on float arrays of k shots at once.
+
+    Row i of the result is bit for bit the scalar step from
+    (x[i], y[i], vx[i], vy[i]): the same operations in the same order,
+    with grazing rows returned unchanged.  Raises ValueError if any
+    moving row lands off the boundary.
+    """
+    b2 = e.b2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        A = vx * vx + vy * vy / b2
+        B = 2.0 * (x * vx + y * vy / b2)
+        C = x * x + y * y / b2 - 1.0
+        disc = B * B - 4.0 * A * C
+        sq = np.sqrt(disc)
+        t1 = np.where(B >= 0.0, -B - sq, -B + sq) / (2.0 * A)
+        t2 = np.where(t1 != 0.0, C / (A * t1), 0.0)
+        ahead1 = t1 > TANGENCY_EPS
+        ahead2 = t2 > TANGENCY_EPS
+        t = np.where(ahead1, np.where(ahead2, np.minimum(t1, t2), t1),
+                     np.where(ahead2, t2, 0.0))
+        moving = (disc > 0.0) & (t != 0.0)
+        px = x + t * vx
+        py = y + t * vy
+        r = np.sqrt(px * px + py * py / b2)
+        qx = px / r
+        qy = py / r
+        off = np.abs(qx * qx + qy * qy / b2 - 1.0) > _REFLECT_TOL
+        if np.any(off & moving):
+            raise ValueError("reflection point off the boundary")
+        ny = qy / b2
+        d = (vx * qx + vy * ny) / (qx * qx + ny * ny)
+        wx = vx - 2.0 * d * qx
+        wy = vy - 2.0 * d * ny
+        n = np.sqrt(wx * wx + wy * wy)
+        return (np.where(moving, qx, x), np.where(moving, qy, y),
+                np.where(moving, wx / n, vx), np.where(moving, wy / n, vy))
 
 
 def advance(e, x):
@@ -225,25 +289,13 @@ def advance(e, x):
     The next point is the root of the chord quadratic distinct from the
     current one; a tangent shot returns the same point unchanged.
     """
-    t = _chord_exit(e, x.x, x.y, x.vx, x.vy)
-    if t == 0.0:
-        return x
-    qx, qy = e.project_to_boundary(x.x + t * x.vx, x.y + t * x.vy)
-    wx, wy = reflect(e, (qx, qy), (x.vx, x.vy))
-    wx, wy = unit(wx, wy)
-    return PhasePoint(qx, qy, wx, wy)
+    return PhasePoint(*_step(e.b2, x.x, x.y, x.vx, x.vy))
 
 
 def first_hit(e, sh):
-    """PhasePoint at the first boundary hit of a shot."""
-    t = _chord_exit(e, sh.x, sh.y, sh.vx, sh.vy)
-    if t == 0.0:
-        # Already on the boundary moving tangentially.
-        return PhasePoint(sh.x, sh.y, sh.vx, sh.vy)
-    qx, qy = e.project_to_boundary(sh.x + t * sh.vx, sh.y + t * sh.vy)
-    wx, wy = reflect(e, (qx, qy), (sh.vx, sh.vy))
-    wx, wy = unit(wx, wy)
-    return PhasePoint(qx, qy, wx, wy)
+    """PhasePoint at the first boundary hit of a shot (the shot itself
+    when it is already on the boundary moving tangentially)."""
+    return PhasePoint(*_step(e.b2, sh.x, sh.y, sh.vx, sh.vy))
 
 
 def simulate(e, sh, n):

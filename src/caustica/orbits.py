@@ -36,8 +36,8 @@ import numpy as np
 from scipy.optimize import brentq, fsolve, minimize_scalar
 
 from .conics import (CausticKind, CausticParam, PhasePoint, Shot, Trajectory,
-                     advance, caustic_of_line, classify_caustic, first_hit,
-                     unit)
+                     advance, advance_batch, caustic_of_line,
+                     classify_caustic, first_hit, unit)
 from .periods import BettiModel
 
 # Certification bound on the phase-space closure defect of a returned
@@ -166,6 +166,18 @@ def branch_intervals(e, p):
     return out
 
 
+def _cross(p, x, y, wx, wy):
+    """Signed distance of p from the line through (x, y) along the unit
+    (wx, wy); floats or arrays alike."""
+    return wx * (p[1] - y) - wy * (p[0] - x)
+
+
+def _defect(p, vx, vy, x, y, wx, wy):
+    """Distance of p from the line through (x, y) along the unit (wx, wy)
+    plus the mismatch of (wx, wy) with the start direction (vx, vy)."""
+    return abs(_cross(p, x, y, wx, wy)) + math.hypot(wx - vx, wy - vy)
+
+
 def closure_error(e, p, v, n):
     """Phase-space defect of the claim "the shot (p, v) has period n":
     distance of p from the outgoing line after n bounces plus the
@@ -174,13 +186,30 @@ def closure_error(e, p, v, n):
     x = first_hit(e, Shot(p[0], p[1], vx, vy))
     for _ in range(n - 1):
         x = advance(e, x)
-    cross = x.vx * (p[1] - x.y) - x.vy * (p[0] - x.x)
-    return abs(cross) + math.hypot(x.vx - vx, x.vy - vy)
+    return _defect(p, vx, vy, x.x, x.y, x.vx, x.vy)
+
+
+def _closure_errors(e, p, dirs, n):
+    """closure_error for every direction in dirs, the shots run in
+    lockstep through advance_batch; only the final states are kept."""
+    units = [unit(vx, vy) for vx, vy in dirs]
+    if not units:
+        return []
+    vx = np.array([u[0] for u in units])
+    vy = np.array([u[1] for u in units])
+    x = np.full(len(units), p[0], dtype=float)
+    y = np.full(len(units), p[1], dtype=float)
+    wx, wy = vx, vy
+    for _ in range(n):
+        x, y, wx, wy = advance_batch(e, x, y, wx, wy)
+    ends = zip(x.tolist(), y.tolist(), wx.tolist(), wy.tolist())
+    return [_defect(p, *u, *end) for u, end in zip(units, ends)]
 
 
 def _axis_directions(e, p, n):
-    """Two-bounce axis orbits through p, which close for every even n.
-    A boundary p contributes only its inward axis direction."""
+    """Two-bounce axis orbits through p, which close for every even n,
+    as (direction, caustic) candidates.  A boundary p contributes only
+    its inward axis direction."""
     if n % 2:
         return []
     a, b = p
@@ -192,20 +221,12 @@ def _axis_directions(e, p, n):
     out = []
     if abs(b) <= _AXIS_TOL and abs(a) <= 1.0:
         caustic = classify_caustic(e, e.c2)
-        for vx in (1.0, -1.0):
-            if not inward_ok(vx, 0.0):
-                continue
-            err = closure_error(e, p, (vx, 0.0), n)
-            if err < CERT_TOL:
-                out.append(PeriodicDirection((vx, 0.0), n, caustic, err))
+        out += [((vx, 0.0), caustic) for vx in (1.0, -1.0)
+                if inward_ok(vx, 0.0)]
     if abs(a) <= _AXIS_TOL and abs(b) <= math.sqrt(e.b2):
         caustic = classify_caustic(e, 0.0)
-        for vy in (1.0, -1.0):
-            if not inward_ok(0.0, vy):
-                continue
-            err = closure_error(e, p, (0.0, vy), n)
-            if err < CERT_TOL:
-                out.append(PeriodicDirection((0.0, vy), n, caustic, err))
+        out += [((0.0, vy), caustic) for vy in (1.0, -1.0)
+                if inward_ok(0.0, vy)]
     return out
 
 
@@ -288,26 +309,27 @@ def _line_roots(e, p, n):
 
 
 def _certified(e, p, n, roots):
-    out = list(_axis_directions(e, p, n))
+    """Axis orbits and both orientations of every root line whose
+    closure error after n bounces is below CERT_TOL, sorted by angle."""
+    cands = _axis_directions(e, p, n)
     for phi, s in roots:
         caustic = classify_caustic(e, s)
         for ang in (phi, phi + math.pi):
-            v = (math.cos(ang), math.sin(ang))
-            err = closure_error(e, p, v, n)
-            if err < CERT_TOL:
-                out.append(PeriodicDirection(v, n, caustic, err))
+            cands.append(((math.cos(ang), math.sin(ang)), caustic))
+    errs = _closure_errors(e, p, [v for v, _ in cands], n)
+    out = [PeriodicDirection(v, n, caustic, err)
+           for (v, caustic), err in zip(cands, errs) if err < CERT_TOL]
     out.sort(key=lambda d: math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi))
     return out
 
 
-def find_periodic_directions(e, p, n, grid=DEFAULT_GRID):
+def find_periodic_directions(e, p, n):
     """All certified unit directions from p with orbit period dividing
     n, both orientations of every tangent line, sorted by angle.
 
     Directions whose caustics fall in the focal boundary layer are not
     representable and are omitted here; count_periodic adds their exact
-    number.  grid is accepted for interface compatibility; the search
-    is exact on monotone slope pieces.
+    number.  The search is exact on monotone slope pieces.
     """
     if n < 2:
         raise ValueError("period search needs n >= 2")
@@ -315,7 +337,7 @@ def find_periodic_directions(e, p, n, grid=DEFAULT_GRID):
     return _certified(e, p, n, roots)
 
 
-def count_periodic(e, p, n, grid=DEFAULT_GRID):
+def count_periodic(e, p, n):
     """Number of periodic directions (period dividing n) from p:
     certified directions plus the exact count of focal-layer levels
     (two directions per unrepresentable tangent line)."""
@@ -495,9 +517,48 @@ def segment_caustics(e, vertices):
 def _passage(x, p):
     """Signed distance of p from the line of the outgoing segment at x,
     and the position of the foot along the direction."""
-    cross = x.vx * (p[1] - x.y) - x.vy * (p[0] - x.x)
     along = (p[0] - x.x) * x.vx + (p[1] - x.y) * x.vy
-    return cross, along
+    return _cross(p, x.x, x.y, x.vx, x.vy), along
+
+
+def _shoot(e, p, phi, n):
+    """The first n bounce states of the shot from p at angle phi."""
+    x = first_hit(e, Shot(p[0], p[1], math.cos(phi), math.sin(phi)))
+    out = [x]
+    for _ in range(n - 1):
+        x = advance(e, x)
+        out.append(x)
+    return out
+
+
+def _passage_at(phi, e, p, q, k):
+    """Signed distance of q from the outgoing line of bounce state k of
+    the shot from p at angle phi; simulates only the k + 1 states read."""
+    return _passage(_shoot(e, p, phi, k + 1)[k], q)[0]
+
+
+def _grid_passages(e, p, q, thetas, n_max):
+    """_passage_at for every angle in thetas and every state k in
+    1..n_max-1 (row k-1), all shots stepped at once in advance_batch."""
+    k = len(thetas)
+    x = np.full(k, p[0], dtype=float)
+    y = np.full(k, p[1], dtype=float)
+    vx = np.array([math.cos(t) for t in thetas])
+    vy = np.array([math.sin(t) for t in thetas])
+    x, y, vx, vy = advance_batch(e, x, y, vx, vy)
+    rows = []
+    for _ in range(n_max - 1):
+        x, y, vx, vy = advance_batch(e, x, y, vx, vy)
+        rows.append(_cross(q, x, y, vx, vy))
+    return rows
+
+
+def _sign_changes(vals):
+    """Cells j whose values vals[j], vals[j + 1] (cyclically) change
+    sign; a cell whose left value is exactly zero is skipped, and a NaN
+    product counts as a change (the test is "not >= 0")."""
+    nxt = np.roll(vals, -1)
+    return np.flatnonzero((vals != 0.0) & ~(vals * nxt >= 0.0))
 
 
 def boomerang_scan(e, p, n_max, tol, grid=DEFAULT_GRID):
@@ -510,32 +571,17 @@ def boomerang_scan(e, p, n_max, tol, grid=DEFAULT_GRID):
     if a * a + b * b / e.b2 >= 1.0 - 1e-12:
         raise ValueError("point must be strictly interior")
 
-    def segments(phi):
-        x = first_hit(e, Shot(a, b, math.cos(phi), math.sin(phi)))
-        out = [x]
-        for _ in range(n_max - 1):
-            x = advance(e, x)
-            out.append(x)
-        return out
-
-    def dk(phi, k):
-        return _passage(segments(phi)[k], p)[0]
-
     hits = []
     thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
-    segs = [segments(t) for t in thetas[:-1]]
-    for k in range(1, n_max):
-        vals = [_passage(s[k], p)[0] for s in segs]
-        for j in range(grid):
-            v0, v1 = vals[j], vals[(j + 1) % grid]
-            if v0 == 0.0 or v0 * v1 >= 0.0:
-                continue
-            lo, hi = thetas[j], thetas[j + 1]
+    rows = _grid_passages(e, p, p, thetas[:-1], n_max)
+    for k, vals in enumerate(rows, start=1):
+        for j in _sign_changes(vals):
             try:
-                phi = brentq(lambda t: dk(t, k), lo, hi, xtol=1e-14)
+                phi = brentq(_passage_at, thetas[j], thetas[j + 1],
+                             args=(e, p, p, k), xtol=1e-14)
             except ValueError:
                 continue
-            seg = segments(phi)[k]
+            seg = _shoot(e, p, phi, k + 1)[k]
             cross, along = _passage(seg, p)
             nxt = advance(e, seg)
             seg_len = math.hypot(nxt.x - seg.x, nxt.y - seg.y)
@@ -573,31 +619,18 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
         raise ValueError("p1, p2 are the foci: excluded exceptional case")
     if abs(e.boundary_residual(h[0], h[1])) > 1e-9:
         raise ValueError("h must lie on the boundary")
-    a, b = p1
-
-    def segments(phi):
-        x = first_hit(e, Shot(a, b, math.cos(phi), math.sin(phi)))
-        out = [x]
-        for _ in range(n_max - 1):
-            x = advance(e, x)
-            out.append(x)
-        return out
 
     hits = []
     thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
-    segs = [segments(t) for t in thetas[:-1]]
-    for m in range(1, n_max):
-        vals = [_passage(s[m], p2)[0] for s in segs]
-        for j in range(grid):
-            v0, v1 = vals[j], vals[(j + 1) % grid]
-            if v0 == 0.0 or v0 * v1 >= 0.0:
-                continue
+    rows = _grid_passages(e, p1, p2, thetas[:-1], n_max)
+    for m, vals in enumerate(rows, start=1):
+        for j in _sign_changes(vals):
             try:
-                phi = brentq(lambda t: _passage(segments(t)[m], p2)[0],
-                             thetas[j], thetas[j + 1], xtol=1e-14)
+                phi = brentq(_passage_at, thetas[j], thetas[j + 1],
+                             args=(e, p1, p2, m), xtol=1e-14)
             except ValueError:
                 continue
-            orbit = segments(phi)
+            orbit = _shoot(e, p1, phi, n_max)
             cross, along = _passage(orbit[m], p2)
             nxt = advance(e, orbit[m])
             seg_len = math.hypot(nxt.x - orbit[m].x, nxt.y - orbit[m].y)
@@ -613,7 +646,7 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
     return hits
 
 
-def angle_pair_scan(e, p, alpha, n_max, tol, grid=DEFAULT_GRID):
+def angle_pair_scan(e, p, alpha, n_max, tol):
     """Pairs of periodic directions from p separated by exactly the
     angle alpha, assembled from the certified period-dividing-n lists
     for n <= n_max; both members close within tol."""
@@ -621,7 +654,7 @@ def angle_pair_scan(e, p, alpha, n_max, tol, grid=DEFAULT_GRID):
         raise ValueError("alpha must lie in (0, pi)")
     found = {}
     for n in range(2, n_max + 1):
-        for d in find_periodic_directions(e, p, n, grid):
+        for d in find_periodic_directions(e, p, n):
             ang = math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi)
             key = round(ang / 1e-9)
             if key not in found or found[key][1] > n:

@@ -8,7 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from caustica.cli import main
+from caustica.cli import build_parser, main
 from caustica.conics import Ellipse
 from caustica.orbits import find_periodic_directions
 
@@ -54,6 +54,32 @@ def test_thread_count_never_changes_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("CAUSTICA_THREADS", "3")
     env = run_to(tmp_path, "te.csv", argv)
     assert env == one
+    assert main(argv + ["--threads", "0"]) == 2
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path):
+    # One process runs several subcommands on the cached parser; each
+    # artifact equals a run on a freshly built parser, so no flag value
+    # (here the seed of the first run) leaks into a later parse.
+    jobs = [
+        ["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3",
+         "--slope", "0.7", "--bounces", "5", "--seed", "9"],
+        ["find-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3",
+         "--n", "5"],
+        ["simulate", "--c", "0.5", "--x", "0.1", "--y", "0.0",
+         "--slope", "1.3", "--bounces", "4"],
+        ["scan-angle-pair", "--c", "0.6", "--px", "0.2", "--py", "0.3",
+         "--alpha", "2.6608", "--nmax", "4", "--grid", "64"],
+        ["betti-scan", "--c", "0.6", "--lmin", "0.4", "--lmax", "1.2",
+         "--num", "4"],
+    ]
+    reused = [run_to(tmp_path, f"r{i}", argv) for i, argv in enumerate(jobs)]
+    assert b"seed=9" not in reused[2]
+    fresh = []
+    for i, argv in enumerate(jobs):
+        build_parser.cache_clear()
+        fresh.append(run_to(tmp_path, f"f{i}", argv))
+    assert reused == fresh
 
 
 def test_betti_scan_header_and_monotone(tmp_path):

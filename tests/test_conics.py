@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from caustica import conics
 from caustica import Ellipse, Shot, caustic_phase_point, classify_caustic, first_hit, inward, simulate
-from caustica.conics import (CausticKind, PhasePoint, advance, arc_measure,
-                             boundary_caustic_intersection, caustic_of_line,
+from caustica.conics import (CausticKind, PhasePoint, advance, advance_batch,
+                             arc_measure, boundary_caustic_intersection, caustic_of_line,
                              chord_dual, dual_tangency_residual,
                              invariant_density, phase_invariant, point_of_z,
                              reflect, slope_of, tangent_slopes, unit,
@@ -157,6 +160,57 @@ def test_advance_from_boundary_moves():
     y = advance(E, x)
     assert math.hypot(y.x - x.x, y.y - x.y) > 1e-3
     assert abs(E.boundary_residual(y.x, y.y)) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.floats(0.05, 0.95), rho=st.one_of(st.just(1.0), st.floats(0.0, 1.3)),
+       theta=st.floats(0.0, 2.0 * math.pi),
+       angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=12),
+       bounces=st.integers(1, 12))
+@example(c=0.6, rho=1.0, theta=0.0, angles=[math.pi], bounces=3)
+def test_advance_batch_matches_scalar_bitwise(c, rho, theta, angles, bounces):
+    # Rows of the batched step equal first_hit/advance states bit for
+    # bit.  rho = 1 starts on the boundary, where the two tangent shots
+    # graze (at the vertex example, exactly: the row stays in place);
+    # rho > 1 starts outside, where both chord roots can lie ahead or a
+    # shot can miss the table.
+    e = Ellipse(c)
+    bx, by = e.boundary_point(theta)
+    x0, y0 = rho * bx, rho * by
+    tx, ty = unit(-math.sin(theta), math.sqrt(e.b2) * math.cos(theta))
+    dirs = [(math.cos(a), math.sin(a)) for a in angles] + [(tx, ty), (-tx, -ty)]
+    k = len(dirs)
+    x, y = np.full(k, x0), np.full(k, y0)
+    vx = np.array([d[0] for d in dirs])
+    vy = np.array([d[1] for d in dirs])
+    rows = [first_hit(e, Shot(x0, y0, dx, dy)) for dx, dy in dirs]
+    for _ in range(bounces):
+        x, y, vx, vy = advance_batch(e, x, y, vx, vy)
+        got = list(zip(x.tolist(), y.tolist(), vx.tolist(), vy.tolist()))
+        assert got == [(r.x, r.y, r.vx, r.vy) for r in rows]
+        rows = [advance(e, r) for r in rows]
+
+
+def test_grazing_shot_stays_put():
+    x = PhasePoint(1.0, 0.0, 0.0, 1.0)  # tangent at the vertex
+    assert advance(E, x) == x
+    assert first_hit(E, Shot(1.0, 0.0, 0.0, 1.0)) == x
+    out = advance_batch(E, np.array([1.0]), np.array([0.0]),
+                        np.array([0.0]), np.array([1.0]))
+    assert [float(a[0]) for a in out] == [1.0, 0.0, 0.0, 1.0]
+
+
+def test_off_boundary_landing_raises_in_both_steps(monkeypatch):
+    # A landing point that fails the boundary check raises in the scalar
+    # and the batched step alike; a negative tolerance fails every one.
+    monkeypatch.setattr(conics, "_REFLECT_TOL", -1.0)
+    with pytest.raises(ValueError, match="off the boundary"):
+        advance(E, caustic_phase_point(E, 0.8, 0.3))
+    with pytest.raises(ValueError, match="off the boundary"):
+        first_hit(E, Shot(0.1, 0.2, 0.6, 0.8))
+    with pytest.raises(ValueError, match="off the boundary"):
+        advance_batch(E, np.array([0.1, 0.0]), np.array([0.2, 0.0]),
+                      np.array([0.6, 1.0]), np.array([0.8, 0.0]))
 
 
 def test_z_parameter_roundtrip():

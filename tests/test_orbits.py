@@ -65,6 +65,16 @@ def test_find_periodic_directions_certified():
             assert not d.caustic.is_degenerate
 
 
+def test_batched_certification_matches_scalar_closure_error():
+    # Certification runs every candidate in lockstep; its errors are the
+    # scalar closure_error bit for bit, axis orbits included.
+    for p, n in ((P, 7), (P, 12), (P, 31), ((0.0, 0.3), 12)):
+        dirs = find_periodic_directions(E, p, n)
+        assert dirs
+        for d in dirs:
+            assert d.closure_error == closure_error(E, p, d.direction, n)
+
+
 def test_count_periodic_frozen_values():
     for n, expect in COUNTS.items():
         bd = count_periodic(E, P, n)
