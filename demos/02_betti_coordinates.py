@@ -3,8 +3,8 @@
 A caustic with parameter s corresponds to lambda = s/c^2 on a Legendre
 curve, and the fraction of the boundary swept per bounce is the period
 ratio beta2(lambda).  The script compares the direct quadrature, the
-cached spline model, and a long-run orbit average, then walks lambda to
-its distinguished limits.
+closed form in Carlson's R_F, and a long-run orbit average, then walks
+lambda to its distinguished limits.
 """
 
 import math
@@ -22,7 +22,7 @@ b_model = BettiModel(e).beta2(lam)
 b_orbit = rotation_number(e, s, 200000)
 print(f"lambda = {lam:.6f}")
 print(f"beta2 by quadrature   {b_quad:.10f}")
-print(f"beta2 by spline model {b_model:.10f}")
+print(f"beta2 by closed form  {b_model:.10f}")
 print(f"orbit average         {b_orbit:.10f}")
 print(f"largest disagreement  {max(abs(b_quad - b_model), abs(b_quad - b_orbit)):.2e}")
 

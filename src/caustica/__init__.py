@@ -36,7 +36,6 @@ from .legendre import (
     add,
     billiard_section,
     conjugation_defect,
-    iota_images,
     j_invariant,
     lambda_of,
     masser_point,

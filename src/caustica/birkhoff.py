@@ -48,17 +48,6 @@ class MoebiusFit:
         return (self.a * t + self.b) / (self.c * t + self.d)
 
 
-_MODELS = {}
-
-
-def _betti_model(e):
-    model = _MODELS.get(e.c)
-    if model is None:
-        model = BettiModel(e)
-        _MODELS[e.c] = model
-    return model
-
-
 def h_weight(e, p):
     """Boundary weight h(p) = 1/(1 - c^2 x^2)."""
     x, y = p
@@ -113,7 +102,7 @@ def _window_value(e, sv, theta, m):
 
 
 def _check_not_periodic(e, sv, n):
-    beta = _betti_model(e).beta2(sv / e.c2)
+    beta = BettiModel(e).beta2(sv / e.c2)
     frac = abs(n * beta - round(n * beta))
     if frac < PERIOD_GUARD:
         raise ValueError("caustic is periodic of order dividing n; "

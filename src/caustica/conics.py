@@ -302,6 +302,8 @@ def simulate(e, sh, n):
     """Trajectory of n bounces; focal shots are tagged, not rejected."""
     if n < 1:
         raise ValueError("need at least one bounce")
+    if sh.vx == 0.0 and sh.vy == 0.0:
+        raise ValueError("shot direction must be nonzero")
     caustic = caustic_of_line(e, (sh.x, sh.y), slope_of(sh.vx, sh.vy))
     pts = [first_hit(e, sh)]
     for _ in range(n - 1):

@@ -188,23 +188,6 @@ def masser_point(e, L):
     return LegendrePoint(h, k)
 
 
-def iota_images(e, s):
-    """Image (x0', y0') on C of the branch point (x0, y0) under the flip
-    of tangents, computed from the closed form; lies on C."""
-    sv = s.s if isinstance(s, CausticParam) else s
-    c2 = e.c2
-    den = 1.0 + (c2 - 2.0) * sv
-    if abs(den) < 1e-14:
-        raise ValueError("degenerate caustic parameter for the tangent flip")
-    x0 = math.sqrt(sv) / e.c
-    y0 = cmath.sqrt(e.b2 * (c2 - sv) / c2)
-    x0p = x0 * (1.0 - 2.0 * c2 + c2 * sv) / den
-    y0p = y0 * (1.0 - c2 * sv) / den
-    if y0.imag == 0.0:
-        y0p = y0p.real
-    return x0p, y0p
-
-
 def _w_from_line(e, sv, x, y0, z):
     """Sheet coordinate w of the phase point x via its dual line.
 

@@ -96,24 +96,17 @@ class AnglePair:
     period2: int
 
 
-_MODELS = {}
-
-
-def _betti_model(e):
-    model = _MODELS.get(e.c)
-    if model is None:
-        model = BettiModel(e)
-        _MODELS[e.c] = model
-    return model
+def _require_interior(e, p):
+    if p[0] * p[0] + p[1] * p[1] / e.b2 >= 1.0 - 1e-12:
+        raise ValueError("point must be strictly interior")
 
 
 def caustic_extrema(e, p):
     """Parameters of the two confocal conics through interior p: the
     roots of s^2 - (a^2+b^2+c^2) s + a^2 c^2 = 0, which are the max M
     (elliptic) and min m (hyperbolic) of s over all shot slopes."""
+    _require_interior(e, p)
     a, b = p
-    if a * a + b * b / e.b2 >= 1.0 - 1e-12:
-        raise ValueError("point must be strictly interior")
     tr = a * a + b * b + e.c2
     det = a * a * e.c2
     disc = max(0.0, tr * tr - 4.0 * det)
@@ -240,7 +233,7 @@ def _monotone_pieces(e, p):
     """
     a, b = p
     c2 = e.c2
-    model = _betti_model(e)
+    model = BettiModel(e)
 
     def lam(phi):
         return _s_of_phi(a, b, c2, phi) / c2
@@ -274,7 +267,7 @@ def _line_roots(e, p, n):
     unreachable in double precision."""
     a, b = p
     c2 = e.c2
-    model = _betti_model(e)
+    model = BettiModel(e)
     pieces, sides = _monotone_pieces(e, p)
     odd = bool(n % 2)
 
@@ -358,7 +351,7 @@ def predicted_count(e, p, n):
     if math.hypot(a - e.c, b) < 1e-9 or math.hypot(a + e.c, b) < 1e-9:
         raise ValueError("prediction undefined at a focus")
     ex = caustic_extrema(e, p)
-    model = _betti_model(e)
+    model = BettiModel(e)
     odd = bool(n % 2)
     generic = abs(a) > 1e-9 and abs(b) > 1e-9
     if generic:
@@ -375,18 +368,18 @@ def predicted_count(e, p, n):
 
 def _betti_variation(e, p):
     """Total variation of beta2 over the elliptic and hyperbolic slope
-    arcs, each monotone piece contributing |1/2 - extreme value|."""
+    arcs, each monotone piece contributing |1/2 - extreme value|.
+
+    s(phi) is monotone on every arc (branch_intervals cuts at the
+    critical slopes), so its extreme is an endpoint value: the larger
+    on elliptic arcs, the smaller on hyperbolic ones."""
     a, b = p
     c2 = e.c2
-    model = _betti_model(e)
+    model = BettiModel(e)
     tv = {CausticKind.ELLIPTIC: 0.0, CausticKind.HYPERBOLIC: 0.0}
     for lo, hi, kind in branch_intervals(e, p):
-        res = minimize_scalar(
-            lambda t: (1.0 if kind is CausticKind.ELLIPTIC else -1.0)
-            * -_s_of_phi(a, b, c2, t),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12})
-        s_ext = _s_of_phi(a, b, c2, res.x)
+        ends = (_s_of_phi(a, b, c2, lo), _s_of_phi(a, b, c2, hi))
+        s_ext = max(ends) if kind is CausticKind.ELLIPTIC else min(ends)
         lam = s_ext / c2
         if abs(lam - 1.0) < 1e-9:
             continue
@@ -475,9 +468,14 @@ def connecting_trajectory(e, p1, p2, n, seed=0, starts=8, max_sweeps=400):
         return max(reflection_residual(e, chain[j], chain[j + 1], chain[j + 2])
                    for j in range(n - 1))
 
-    sol, _, ier, _ = fsolve(grad, best_th, full_output=True, xtol=1e-13)
-    if ier == 1 and worst_residual(list(sol)) < worst_residual(best_th):
-        best_th = list(sol)
+    # The residual gate decides, not fsolve's status: from a candidate
+    # just above the gate it can reach a residual near 1e-16 and still
+    # report no progress at xtol=1e-13.  full_output keeps that report
+    # off stderr.
+    sol = list(fsolve(grad, best_th, full_output=True, xtol=1e-13)[0])
+    if (all(map(math.isfinite, sol))
+            and worst_residual(sol) < worst_residual(best_th)):
+        best_th = sol
 
     pts = []
     verts = [e.boundary_point(t) for t in best_th]
@@ -567,10 +565,7 @@ def boomerang_scan(e, p, n_max, tol, grid=DEFAULT_GRID):
     the other tangent line (kind 3).  Sign changes of the passage
     distance over a direction grid are refined by bisection and each
     hit is certified by re-simulation."""
-    a, b = p
-    if a * a + b * b / e.b2 >= 1.0 - 1e-12:
-        raise ValueError("point must be strictly interior")
-
+    _require_interior(e, p)
     hits = []
     thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
     rows = _grid_passages(e, p, p, thetas[:-1], n_max)
@@ -619,6 +614,8 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
         raise ValueError("p1, p2 are the foci: excluded exceptional case")
     if abs(e.boundary_residual(h[0], h[1])) > 1e-9:
         raise ValueError("h must lie on the boundary")
+    _require_interior(e, p1)
+    _require_interior(e, p2)
 
     hits = []
     thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)

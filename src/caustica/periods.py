@@ -10,7 +10,10 @@ and are evaluated here through the arithmetic-geometric mean, with
 quadrature as an independent cross-check.  The billiard section B(lambda)
 has Betti coordinates (beta1, beta2); beta2 is the ratio of an incomplete
 period integral to omega2 and coincides with the rotation number of the
-billiard circle map on elliptic caustics.  Both Gauss-Legendre operator
+billiard circle map on elliptic caustics.  BettiModel evaluates beta2 in
+closed form through Carlson's R_F (B. C. Carlson, Numer. Algorithms 10
+(1995)); betti_billiard evaluates the same integrals by adaptive
+quadrature and is the independent reference.  Both Gauss-Legendre operator
 residuals (on omega2 itself and on the elliptic logarithm of B) are
 provided as finite-difference checks; the second has the closed value
 2c sqrt(1-c^2) (1-c^2 lambda)^(-3/2), which is nonzero and so certifies
@@ -23,10 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
+from scipy.special import elliprf
 
-from .conics import CausticParam, CausticKind, advance, caustic_phase_point, classify_caustic
+from .conics import CausticParam, CausticKind, _step, caustic_phase_point, classify_caustic
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
@@ -193,49 +196,38 @@ def betti_billiard(e, lam):
 
 
 class BettiModel:
-    """Cached fast evaluator of beta2 across both branches.
+    """Closed-form beta2 across both branches, in Carlson's symmetric
+    elliptic integral R_F.
 
-    Writes beta2 = 1/2 - S(lambda)/(2 omega2(lambda)) with
-    S(lambda) = I_{1/c^2}(lambda), valid on both branches since the
-    incomplete elliptic numerator equals omega2 - S above lambda = 1.
-    S has a square-root branch at lambda = 1/c^2, so it is tabulated on
-    a cubic spline in sigma = sqrt(1/c^2 - lambda); omega2 stays on the
-    microsecond AGM route.  Grid scans and direction root-finds go
-    through this model; betti_billiard remains the direct-quadrature
-    reference.
+    beta2 = 1/2 - I_U(lambda)/(2 omega2(lambda)) with U = 1/c^2 and
+
+        I_U(lambda) = 2 R_F(U, U-1, U-lambda),
+        omega2 = 2 R_F(1, 0, 1-lambda) (lambda < 1),
+                 2 R_F(lambda, lambda-1, 0) (lambda > 1),
+
+    valid on both branches since the incomplete elliptic numerator
+    equals omega2 - I_U above lambda = 1.  Grid scans and direction
+    root-finds go through this model; betti_billiard remains the
+    direct-quadrature reference.
     """
 
-    def __init__(self, e, nodes=481):
-        self.e = e
-        U = 1.0 / e.c2
-        self.U = U
-        sig_max = math.sqrt(U)
-        sig = np.linspace(0.0, sig_max, nodes)
-        vals = np.empty(nodes)
-        vals[0] = math.pi / _agm(math.sqrt(U), math.sqrt(U - 1.0))
-        for j in range(1, nodes):
-            vals[j] = integral_I(U, U - sig[j] ** 2)
-        self._spline = CubicSpline(sig, vals)
-
-    def S(self, lam):
-        if not -1e-12 <= self.U - lam <= self.U:
-            raise ValueError("lambda outside the tabulated range")
-        return float(self._spline(math.sqrt(max(0.0, self.U - lam))))
+    def __init__(self, e):
+        self.U = 1.0 / e.c2
 
     def beta2(self, lam):
         if lam == 1.0:
             # Continuous limit from both sides (the period diverges).
             return 0.5
+        if lam <= 0.0:
+            raise ValueError("lambda must be positive")
+        U = self.U
+        if lam - U > 1e-12:
+            raise ValueError("lambda must not exceed 1/c^2")
         if lam < 1.0:
-            if lam <= 0.0:
-                raise ValueError("lambda must be positive")
-            w2 = omega2(lam)
+            half_w2 = elliprf(1.0, 0.0, 1.0 - lam)
         else:
-            w2 = omega2_above_one(lam)
-        return 0.5 - self.S(lam) / (2.0 * w2)
-
-    def beta_coords(self, lam):
-        return BettiCoords(0.5 if lam < 1.0 else 0.0, self.beta2(lam))
+            half_w2 = elliprf(lam, lam - 1.0, 0.0)
+        return float(0.5 - elliprf(U, U - 1.0, max(0.0, U - lam)) / (2.0 * half_w2))
 
 
 def betti_scan(e, lambdas):
@@ -252,14 +244,13 @@ def lambda_for_beta2(e, target, xtol=1e-13):
 
     beta2 decreases from 1/2 to 0 as lambda runs over (1, 1/c^2), so any
     target in (0, 1/2) has a unique preimage, found by bracketed root
-    finding on betti_billiard.
+    finding on the closed-form BettiModel.
     """
     if not 0.0 < target < 0.5:
         raise ValueError("target beta2 must lie in (0, 1/2)")
-    lo = 1.0 + 1e-12
-    hi = 1.0 / e.c2 - 1e-12
-    return brentq(lambda lam: betti_billiard(e, lam).beta2 - target,
-                  lo, hi, xtol=xtol)
+    model = BettiModel(e)
+    return brentq(lambda lam: model.beta2(lam) - target,
+                  1.0 + 1e-12, model.U - 1e-12, xtol=xtol)
 
 
 def rotation_number(e, s, n_iter):
@@ -272,13 +263,15 @@ def rotation_number(e, s, n_iter):
     if cp.kind is not CausticKind.ELLIPTIC:
         raise ValueError("rotation number needs an elliptic caustic")
     x = caustic_phase_point(e, cp.s, 0.3)
-    rb2 = math.sqrt(e.b2)
-    th_prev = math.atan2(x.y / rb2, x.x)
+    qx, qy, vx, vy = x.x, x.y, x.vx, x.vy
+    b2 = e.b2
+    rb2 = math.sqrt(b2)
+    th_prev = math.atan2(qy / rb2, qx)
     total = 0.0
     two_pi = 2.0 * math.pi
     for _ in range(n_iter):
-        x = advance(e, x)
-        th = math.atan2(x.y / rb2, x.x)
+        qx, qy, vx, vy = _step(b2, qx, qy, vx, vy)
+        th = math.atan2(qy / rb2, qx)
         d = math.fmod(th - th_prev, two_pi)
         if d > 0.0:
             d -= two_pi

@@ -314,6 +314,13 @@ def test_invalid_parameters_exit_two(capsys):
     assert err["message"]
     assert main(["moebius-fit", "--c", "0.6", "--s", "0.62"]) == 2  # no --n
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert main(["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3",
+                 "--vx", "0", "--vy", "0", "--bounces", "3"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert main(["scan-hole", "--c", "0.6", "--x1", "1.5", "--y1", "0.0",
+                 "--x2", "-0.3", "--y2", "0.1", "--hx", "1.0", "--hy", "0.0",
+                 "--nmax", "4", "--tol", "0.05"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 def test_console_script_installed(tmp_path):

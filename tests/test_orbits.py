@@ -99,6 +99,19 @@ def test_predicted_count_linear_law():
         predicted_count(E, (E.c, 0.0), 3)
 
 
+def test_predicted_count_on_the_axes():
+    # Axis points fall back to the total variation of beta2 over the
+    # slope arcs; values frozen from a bounded scalar search for the
+    # extreme of s on every arc.
+    frozen = {(0.8, 0.0): (6.305869077489944, 4.203912718326629),
+              (0.3, 0.0): (0.0, 3.104464685269276),
+              (0.0, 0.4): (5.057139677334722, 6.648750686742616),
+              (0.0, 0.7): (8.559349486564134, 8.98355722622889)}
+    for p, (odd, even) in frozen.items():
+        assert predicted_count(E, p, 3) == pytest.approx(odd, abs=1e-9)
+        assert predicted_count(E, p, 4) == pytest.approx(even, abs=1e-9)
+
+
 def test_closure_error_separates_periodic_from_generic():
     d = find_periodic_directions(E, P, 3)[0]
     assert closure_error(E, P, d.direction, 3) < 1e-8
@@ -117,6 +130,16 @@ def test_connecting_trajectory_contract():
     caus = segment_caustics(E, chain)
     assert len(caus) == n
     assert float(np.var(caus)) < 1e-12
+
+
+def test_connecting_trajectory_keeps_polish_that_passes_the_gate():
+    # The best ascent candidate misses the 1e-8 residual gate (1.26e-8);
+    # the Newton polish reaches ~1e-16 while fsolve reports no progress.
+    e = Ellipse(0.581618)
+    p1, p2 = (0.142828747, -0.2331292), (0.214014181, -0.111429673)
+    traj = connecting_trajectory(e, p1, p2, 3, seed=46)
+    chain = [p1] + [q.p for q in traj] + [p2]
+    assert max(reflection_residual(e, *chain[j:j + 3]) for j in range(2)) < 1e-12
 
 
 def test_connecting_trajectory_deterministic_in_seed():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from caustica import Ellipse, betti_billiard, lambda_for_beta2, omega2, rotation_number
+from caustica.conics import advance, caustic_phase_point
 from caustica.periods import (BettiModel, betti_scan, manin_residual, omega1,
                               omega1_quadrature, omega2_above_one,
                               omega2_above_one_quadrature, omega2_quadrature,
@@ -98,6 +99,24 @@ def test_rotation_number_matches_beta2():
     rot = rotation_number(E, s, 200000)
     b2 = betti_billiard(E, s / E.c2).beta2
     assert rot == pytest.approx(b2, abs=1e-4)
+
+
+def test_rotation_number_is_the_advance_loop():
+    # The lean float loop must reproduce the PhasePoint loop bit for bit.
+    s, n_iter = 0.8, 5000
+    x = caustic_phase_point(E, s, 0.3)
+    rb2 = math.sqrt(E.b2)
+    th_prev = math.atan2(x.y / rb2, x.x)
+    total = 0.0
+    for _ in range(n_iter):
+        x = advance(E, x)
+        th = math.atan2(x.y / rb2, x.x)
+        d = math.fmod(th - th_prev, 2.0 * math.pi)
+        if d > 0.0:
+            d -= 2.0 * math.pi
+        total += d
+        th_prev = th
+    assert rotation_number(E, s, n_iter) == -total / (2.0 * math.pi * n_iter)
 
 
 def test_rotation_number_needs_elliptic_caustic():
