@@ -17,6 +17,16 @@ ratios (prime exponent vectors for rational ratios, norm and trace
 arguments for quadratic ones).  Infinite families among the hits are
 detected by exact pattern fits: lines in Z^2 and exponential families
 m = A lambda^n + B n + C with lambda taken from the spectrum.
+
+The orbit search runs on Python integers.  beta and its adjugate are
+rescaled once to integer matrices, and the shifted lines are stepped
+as coprime integer rows.  With w(n) = L1 x r3(n), the determinant of
+cell (m, n) is -r2(m) . w(n); every cell is first screened modulo one
+prime below 2^30 as an int64 matrix product, in blocks of rows, and
+each cell that vanishes there is re-checked exactly in integers.  An
+exact zero is zero modulo p, so the screen cannot lose a hit.  The
+family fits hold lambda^x as an integer pair and solve by Cramer's rule
+on integer rows.
 """
 
 import enum
@@ -43,23 +53,25 @@ def _frac(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _primitive(v, multiple=0):
+    """Divide an integer triple by its gcd, first nonzero entry > 0.
+
+    A known small multiple of the gcd, if given, makes the gcd of long
+    entries cheap: each step is then a remainder by a small number.
+    """
+    g = math.gcd(multiple, *v)
+    if g == 0:
+        raise ValueError("zero vector has no projective class")
+    if (v[0] or v[1] or v[2]) < 0:
+        g = -g
+    return (v[0] // g, v[1] // g, v[2] // g)
+
+
 def _canon(v):
     """Scale a rational triple to coprime integers, first nonzero > 0."""
     v = tuple(_frac(x) for x in v)
-    if all(x == 0 for x in v):
-        raise ValueError("zero vector has no projective class")
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    den = math.lcm(*(x.denominator for x in v))
+    return _primitive([int(x * den) for x in v])
 
 
 def _mat_mul(A, B):
@@ -69,10 +81,6 @@ def _mat_mul(A, B):
 
 def _vec_mat(v, A):
     return tuple(sum(v[k] * A[k][j] for k in range(3)) for j in range(3))
-
-
-def _mat_vec(A, v):
-    return tuple(sum(A[i][k] * v[k] for k in range(3)) for i in range(3))
 
 
 def _det3(A):
@@ -132,13 +140,21 @@ class ProjectiveMap:
         object.__setattr__(self, "matrix", m)
 
     def power(self, k):
-        """beta^k up to scale, by repeated multiplication with gcd
-        stripping (entry bit-size linear in |k|)."""
+        """beta^k up to scale, by square-and-multiply with gcd stripping
+        after every product (entry bit-size linear in |k|).  Each
+        stripped factor is a positive multiple of a power of the base,
+        so the result is the unique coprime integer matrix that is a
+        positive multiple of base^|k|, whatever the order of products."""
         base = self.matrix if k >= 0 else _adjugate(self.matrix)
         out = tuple(tuple(Fraction(int(i == j)) for j in range(3))
                     for i in range(3))
-        for _ in range(abs(k)):
-            out = _strip_mat(_mat_mul(out, base))
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = _strip_mat(_mat_mul(out, base))
+            k >>= 1
+            if k:
+                base = _strip_mat(_mat_mul(base, base))
         return out
 
     def true_power(self, k):
@@ -401,21 +417,32 @@ def det_condition(beta, L1, L2, L3, m, n):
     return _det3((r1, r2, r3))
 
 
-def _shift_rows(beta, L, N):
-    """Canonical rows L.beta^k for k = -N..N, computed incrementally."""
-    fwd = beta.matrix
-    bwd = _adjugate(beta.matrix)
+# The modular screen of the cell test.  Residues are below 2^30, so a
+# sum of three products of residues stays below 2^62 and one int64
+# matrix product screens a block of cells without overflow.
+_SCREEN_PRIME = 1073741789  # the largest prime below 2^30
+_SCREEN_ROWS = 256  # values of m screened at once: memory O(rows * N)
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _shift_rows(fwd, bwd, L, N):
+    """Canonical rows L.beta^k for k = -N..N, stepped as coprime integer
+    rows; fwd and bwd are integer matrices of beta and beta^-1.
+
+    For a coprime row r and an integer matrix A, r.A.adj(A) = det(A) r,
+    so the gcd of r.A divides det(A).
+    """
     rows = {0: _canon(L.coeffs)}
-    r = tuple(Fraction(x) for x in rows[0])
-    for k in range(1, N + 1):
-        r = _vec_mat(r, fwd)
-        rows[k] = _canon(r)
-        r = tuple(Fraction(x) for x in rows[k])
-    r = tuple(Fraction(x) for x in rows[0])
-    for k in range(1, N + 1):
-        r = _vec_mat(r, bwd)
-        rows[-k] = _canon(r)
-        r = tuple(Fraction(x) for x in rows[-k])
+    for sign, A in ((1, fwd), (-1, bwd)):
+        d = _det3(A)
+        c0, c1, c2 = zip(*A)
+        r = rows[0]
+        for k in range(1, N + 1):
+            r = _primitive((_dot(r, c0), _dot(r, c1), _dot(r, c2)), d)
+            rows[sign * k] = r
     return rows
 
 
@@ -428,9 +455,18 @@ def triple_orbit_search(beta, L1, L2, L3, N):
     lines (k = 0) are allowed, since the example families of interest
     live exactly there, and then hits with equal shifted rows are
     resolved against L1.  Output is sorted by (m, n).
+
+    The shifted lines are coprime integer rows r2(m), r3(n).  With
+    w(n) = L1 x r3(n) precomputed, the cell determinant is -r2(m).w(n).
+    All (2N + 1)^2 cells are screened modulo _SCREEN_PRIME as a numpy
+    product of residue tables, _SCREEN_ROWS values of m at a time, and
+    every cell that vanishes modulo the prime is re-checked exactly in
+    integers.  An exact zero is zero modulo the prime, so no hit is
+    lost; a false candidate fails the re-check.
     """
-    lines = (L1, L2, L3)
-    shifts = [_shift_rows(beta, L, 2 * N) for L in lines]
+    fwd = tuple(tuple(int(x) for x in r) for r in _strip_mat(beta.matrix))
+    bwd = _adjugate(fwd)
+    shifts = [_shift_rows(fwd, bwd, L, 2 * N) for L in (L1, L2, L3)]
     for i in range(3):
         for j in range(i + 1, 3):
             target = shifts[j][0]
@@ -441,29 +477,32 @@ def triple_orbit_search(beta, L1, L2, L3, N):
                         f"(shift {k}, checked |k| <= {2 * N}); "
                         "distinct-orbit hypothesis violated")
 
-    row1 = tuple(Fraction(x) for x in _canon(L1.coeffs))
+    row1 = shifts[0][0]
+    ks = range(-N, N + 1)
+    r2s = [shifts[1][m] for m in ks]
+    r3s = [shifts[2][n] for n in ks]
+    ws = [_cross(row1, r3) for r3 in r3s]
+    p = _SCREEN_PRIME
+    R2 = np.array([[x % p for x in r] for r in r2s], dtype=np.int64)
+    W = np.array([[x % p for x in w] for w in ws], dtype=np.int64).T
     hits = []
-    for m in range(-N, N + 1):
-        r2 = tuple(Fraction(x) for x in shifts[1][m])
-        for n in range(-N, N + 1):
-            r3 = tuple(Fraction(x) for x in shifts[2][n])
-            cr = _cross(r2, r3)
-            det = sum(row1[j] * cr[j] for j in range(3))
-            if det != 0:
-                continue
-            if any(x != 0 for x in cr):
-                P = cr
-            else:
+    for lo in range(0, len(ks), _SCREEN_ROWS):
+        screen = (R2[lo:lo + _SCREEN_ROWS] @ W) % p == 0
+        for i, j in zip(*(a.tolist() for a in np.nonzero(screen))):
+            r2, r3 = r2s[lo + i], r3s[j]
+            if _dot(r2, ws[j]) != 0:
+                continue  # zero modulo the prime only
+            P = _cross(r2, r3)
+            if not any(P):
                 # r2 and r3 are the same line; intersect with L1.
                 P = _cross(row1, r2)
-                if all(x == 0 for x in P):
+                if not any(P):
                     continue  # L1 coincides with the shifted line
-            P = _canon(P)
-            Pf = tuple(Fraction(x) for x in P)
-            assert sum(row1[j] * Pf[j] for j in range(3)) == 0
-            assert sum(r2[j] * Pf[j] for j in range(3)) == 0
-            assert sum(r3[j] * Pf[j] for j in range(3)) == 0
-            hits.append(OrbitHit(m, n, P))
+            P = _primitive(P)
+            assert _dot(row1, P) == 0
+            assert _dot(r2, P) == 0
+            assert _dot(r3, P) == 0
+            hits.append(OrbitHit(ks[lo + i], ks[j], P))
     hits.sort(key=lambda h: (h.m, h.n))
     return hits
 
@@ -572,7 +611,7 @@ def _line_candidates(hits):
         if g == 0 and h == 0:
             continue
         c = -(g * h1.m + h * h1.n)
-        key = _canon((Fraction(g), Fraction(h), Fraction(c)))
+        key = _primitive((g, h, c))
         if key not in cands:
             support = tuple(ht for ht in hits
                             if key[0] * ht.m + key[1] * ht.n + key[2] == 0)
@@ -580,47 +619,58 @@ def _line_candidates(hits):
     return cands
 
 
-def _exponential_candidates(hits, bases):
-    """Exact fits m = A lam^n + B n + C (and with m, n exchanged)."""
-    out = []
-    pool = hits if len(hits) <= 12 else hits[:12]
-    for lam in bases:
-        for swap in (False, True):
-            pts = [(h.n, h.m) if not swap else (h.m, h.n) for h in pool]
-            for trip in itertools.combinations(range(len(pts)), 3):
-                xs = [pts[t][0] for t in trip]
-                ys = [pts[t][1] for t in trip]
-                if len(set(xs)) < 3:
-                    continue
-                sol = _solve_exponential(lam, xs, ys)
-                if sol is None or sol[0] == 0:
-                    continue
-                A, B, C = sol
-                support = tuple(
-                    h for h in hits
-                    if _exp_covers(lam, A, B, C, h, swap))
-                key = (lam, A, B, C, swap)
-                out.append((key, support))
+def _power_pairs(lam, xs):
+    """lam^x as an integer pair (u, v), v > 0, for each x in xs."""
+    p, q = lam.numerator, lam.denominator
+    out = {}
+    for x in xs:
+        u, v = (p ** x, q ** x) if x >= 0 else (q ** -x, p ** -x)
+        out[x] = (u, v) if v > 0 else (-u, -v)
     return out
 
 
-def _solve_exponential(lam, xs, ys):
-    rows = [[lam ** x, Fraction(x), Fraction(1)] for x in xs]
-    det = _det3(tuple(tuple(r) for r in rows))
-    if det == 0:
-        return None
-    sol = []
-    for col in range(3):
-        M = [list(r) for r in rows]
-        for i in range(3):
-            M[i][col] = Fraction(ys[i])
-        sol.append(_det3(tuple(tuple(r) for r in M)) / det)
-    return tuple(sol)
+def _exponential_candidates(hits, bases):
+    """Exact fits m = A lam^n + B n + C (and with m, n exchanged).
 
-
-def _exp_covers(lam, A, B, C, hit, swap):
-    x, y = (hit.m, hit.n) if swap else (hit.n, hit.m)
-    return A * lam ** x + B * x + C == y
+    With lam^x = u_x / v_x, the fit through three points solves the
+    integer rows (u_x, x v_x, v_x | y v_x) by Cramer's rule, giving
+    (A, B, C) = (a, b, c) / d.  Collinear triples are skipped: they fit
+    only with A = 0, which is discarded.  A point is covered exactly
+    when a u_x + (b x + c - d y) v_x = 0.  Each (lam, A, B, C, swap)
+    appears once, in order of its first fit.
+    """
+    out = []
+    for lam in bases:
+        pw = _power_pairs(lam, {h.m for h in hits} | {h.n for h in hits})
+        for swap in (False, True):
+            pts = [(h.m, h.n) if swap else (h.n, h.m) for h in hits]
+            seen = set()
+            for trip in itertools.combinations(pts[:12], 3):
+                (x0, y0), (x1, y1), (x2, y2) = trip
+                if (x1 - x0) * (y2 - y0) == (x2 - x0) * (y1 - y0):
+                    continue
+                aug = [(pw[x][0], x * pw[x][1], pw[x][1], y * pw[x][1])
+                       for x, y in trip]
+                d = _det3(aug)
+                if d == 0:
+                    continue
+                a, b, c = (_det3([[r[3] if k == col else r[k]
+                                   for k in range(3)] for r in aug])
+                           for col in range(3))
+                if a == 0:
+                    continue
+                g = math.gcd(a, b, c, d) * (1 if d > 0 else -1)
+                a, b, c, d = a // g, b // g, c // g, d // g
+                if (a, b, c, d) in seen:
+                    continue
+                seen.add((a, b, c, d))
+                support = tuple(
+                    h for h, (x, y) in zip(hits, pts)
+                    if a * pw[x][0] + (b * x + c - d * y) * pw[x][1] == 0)
+                key = (lam, Fraction(a, d), Fraction(b, d), Fraction(c, d),
+                       swap)
+                out.append((key, support))
+    return out
 
 
 def family_detect(hits, beta, lines=None):

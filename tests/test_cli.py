@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +279,18 @@ def test_dml_search_cli(tmp_path):
     fam = doc["family"]
     assert fam["kind"] == "ExponentialFamily"
     assert (fam["A"], fam["lambda"], fam["B"], fam["C"]) == ("1", "2", "1", "0")
+
+
+DML_DATA = Path(__file__).parent / "data" / "dml"
+
+
+@pytest.mark.parametrize("name", ["exponential", "antidiagonal", "sparse"])
+def test_dml_search_bytes_frozen(tmp_path, name):
+    # The criterion-9 inputs; the expected bytes were written by the
+    # Fraction-based search, the reference for the integer one.
+    raw = run_to(tmp_path, "s.json", [
+        "dml", "search", "--input", str(DML_DATA / f"{name}.input.json")])
+    assert raw == (DML_DATA / f"{name}.search.json").read_bytes()
 
 
 def test_dml_search_input_validation(tmp_path, capsys):

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from caustica import dml
 from caustica.dml import (ExponentialFamily, FiniteSet, GroupKind, LineFamily,
                           OrbitHit, ProjectiveLine, ProjectiveMap, classify,
                           det_condition, family_detect, fixed_point_check,
                           recurrence_zeros, triple_orbit_search,
-                          _mat_mul, _strip_mat)
+                          _det3, _mat_mul, _strip_mat)
 
 # beta with a unipotent block on eigenvalue 1 and a second eigenvalue 2;
 # the three lines y-z, x+y, x+y+z produce the exponential hit family
@@ -62,6 +65,26 @@ def test_power_two_evaluation_orders_agree():
         direct = BETA_EXP.power(a + b)
         split = _strip_mat(_mat_mul(BETA_EXP.power(a), BETA_EXP.power(b)))
         assert direct == split
+
+
+def test_power_equals_repeated_stripped_products():
+    # Reference: |k| stripped products, one per step.
+    rng = np.random.default_rng(3)
+    maps = [BETA_EXP, BETA_REC]
+    while len(maps) < 6:
+        A = [[int(rng.integers(-3, 4)) for _ in range(3)] for _ in range(3)]
+        if _det3(A) != 0:
+            maps.append(ProjectiveMap(A))
+    for M in maps:
+        for k in range(-13, 14):
+            out = tuple(tuple(Fraction(int(i == j)) for j in range(3))
+                        for i in range(3))
+            base = M.matrix if k >= 0 else dml._adjugate(M.matrix)
+            for _ in range(abs(k)):
+                out = _strip_mat(_mat_mul(out, base))
+            P = M.power(k)
+            assert P == out
+            assert all(type(x) is Fraction for r in P for x in r)
 
 
 def test_power_matches_true_power_up_to_scale():
@@ -142,6 +165,94 @@ def test_search_refuses_shared_orbit():
     shifted = ProjectiveLine(apply_line(L2, BETA_EXP, 2))
     with pytest.raises(ValueError, match="orbit"):
         triple_orbit_search(BETA_EXP, L_EXP[0], L2, shifted, 5)
+
+
+def test_search_hits_are_python_ints():
+    # A numpy integer in a hit would make the JSON artifact unwritable.
+    cases = ((BETA_EXP, L_EXP, 25), (BETA_REC, L_REC, 8),
+             (ProjectiveMap([[2, 0, 0], [0, 3, 0], [0, 0, 1]]),
+              (ProjectiveLine([1, 2, -3]), ProjectiveLine([1, 1, -5]),
+               ProjectiveLine([1, -1, 5])), 40))
+    for beta, lines, N in cases:
+        hits = triple_orbit_search(beta, *lines, N)
+        assert hits
+        for h in hits:
+            assert type(h.m) is int and type(h.n) is int
+            assert type(h.P) is tuple
+            assert all(type(x) is int for x in h.P)
+
+
+def test_search_row_blocks_do_not_change_hits(monkeypatch):
+    whole = [triple_orbit_search(BETA_EXP, *L_EXP, 25),
+             triple_orbit_search(BETA_REC, *L_REC, 8)]
+    monkeypatch.setattr(dml, "_SCREEN_ROWS", 4)
+    assert [triple_orbit_search(BETA_EXP, *L_EXP, 25),
+            triple_orbit_search(BETA_REC, *L_REC, 8)] == whole
+
+
+small = st.integers(-3, 3)
+rows3 = st.tuples(small, small, small)
+maps = st.tuples(rows3, rows3, rows3).filter(lambda A: _det3(A) != 0)
+lines3 = st.tuples(*(rows3.filter(any),) * 3)
+
+
+def _search_or_none(beta, lines, N):
+    try:
+        return triple_orbit_search(beta, *lines, N)
+    except ValueError:  # the lines share an orbit
+        return None
+
+
+def _det_zero_cells(beta, lines, N):
+    """Cells where det_condition vanishes, on the power() route; the
+    one cell where all three lines coincide has no point to report."""
+    cells = {(m, n) for m in range(-N, N + 1) for n in range(-N, N + 1)
+             if det_condition(beta, *lines, m, n) == 0}
+    if len({L.canonical() for L in lines}) == 1:
+        cells.discard((0, 0))
+    return cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=maps, rows=lines3, N=st.integers(1, 5))
+def test_search_matches_det_condition(A, rows, N):
+    beta = ProjectiveMap(A)
+    lines = [ProjectiveLine(r) for r in rows]
+    hits = _search_or_none(beta, lines, N)
+    assume(hits is not None)
+    assert {(h.m, h.n) for h in hits} == _det_zero_cells(beta, lines, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=maps, rows=lines3, N=st.integers(1, 5))
+def test_search_with_tiny_screen_prime(A, rows, N):
+    # Modulo 3 about a third of the nonzero cells pass the screen, so
+    # the exact re-check must reject them.
+    beta = ProjectiveMap(A)
+    lines = [ProjectiveLine(r) for r in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dml, "_SCREEN_PRIME", 3)
+        hits = _search_or_none(beta, lines, N)
+    assume(hits is not None)
+    assert {(h.m, h.n) for h in hits} == _det_zero_cells(beta, lines, N)
+    assert hits == triple_orbit_search(beta, *lines, N)
+
+
+nonzero_q = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                      st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=maps, rows=lines3, N=st.integers(1, 5), s=nonzero_q,
+       t=st.tuples(nonzero_q, nonzero_q, nonzero_q))
+def test_search_invariant_under_rescaling(A, rows, N, s, t):
+    hits = _search_or_none(ProjectiveMap(A),
+                           [ProjectiveLine(r) for r in rows], N)
+    assume(hits is not None)
+    scaled = triple_orbit_search(
+        ProjectiveMap([[s * x for x in r] for r in A]),
+        *(ProjectiveLine([k * x for x in r]) for k, r in zip(t, rows)), N)
+    assert scaled == hits
 
 
 def test_classify_diagonal_cases():
