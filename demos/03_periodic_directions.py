@@ -1,10 +1,10 @@
 """Counting the periodic trajectories through a fixed interior point.
 
 For each period n the directions at p whose orbit closes after n bounces
-form a finite set D(n).  Each one is found by a bisection in the caustic
-parameter along a monotone branch and certified by re-simulation.  The
-count grows linearly with a slope set by the extreme caustics visible
-from p.
+form a finite set D(n).  Each level k/n of the Betti coordinate beta2 is
+inverted once for its caustic, whose two tangent lines through p are
+written down in closed form and certified by re-simulation.  The count
+grows linearly with a slope set by the extreme caustics visible from p.
 """
 
 import numpy as np

@@ -2,22 +2,24 @@
 
 A shot from p = (a, b) with direction angle phi rides the caustic
 
-    s(phi) = c^2 cos^2 phi + (a sin phi - b cos phi)^2,
+    s(phi) = c^2 cos^2 phi + (a sin phi - b cos phi)^2
+           = P + rho cos(2 phi - delta),
 
+with P = (c^2+a^2+b^2)/2 and rho e^(i delta) = (c^2+b^2-a^2)/2 - i ab,
 and is periodic with period dividing n exactly when the Betti
 coordinate beta2(s/c^2) is a multiple of 1/n (odd n forces an elliptic
-caustic).  The slope circle splits at the focal transitions s = c^2
-(slopes tan phi = b/(a -+ c)) and at the critical slopes
-tan 2phi = 2ab/(a^2-b^2-c^2), where s reaches the parameters M, m of
-the two confocal conics through p; on each remaining arc beta2 is
-strictly monotone, so every level k/n is found by bracketed
-root-finding and certified by simulating the n bounces.  Levels with
-1 - lambda below a resolution band correspond to caustics within
-~4^(-n) of the focal degeneration; they are provably present by
-monotonicity and the exact limit beta2 -> 1/2 and are counted by
-integer arithmetic, since no double-precision direction can represent
-them.  The resulting direction counts grow linearly in n, with odd
-slope 2 - 4 beta2(M/c^2).
+caustic).  s sweeps the range [m, M] between the parameters of the two
+confocal conics through p twice per half-turn of directions, so every
+caustic level has exactly two tangent lines through p, in closed form.
+beta2 is strictly monotone in lambda = s/c^2 on each side of the focal
+transition lambda = 1, so each level k/n is inverted once for its
+lambda_k; both lines tangent to s = c^2 lambda_k are then certified by
+simulating the n bounces.  Levels with |1 - lambda| below a resolution
+band correspond to caustics within ~4^(-n) of the focal degeneration;
+they are provably present by monotonicity and the exact limit
+beta2 -> 1/2 and are counted by integer arithmetic, since no
+double-precision direction can represent them.  The resulting direction
+counts grow linearly in n, with odd slope 2 - 4 beta2(M/c^2).
 
 Connecting trajectories between two interior points are found by
 maximizing total length over bounce angles (the maximum satisfies the
@@ -38,7 +40,7 @@ from scipy.optimize import brentq, fsolve, minimize_scalar
 from .conics import (CausticKind, CausticParam, PhasePoint, Shot, Trajectory,
                      advance, advance_batch, caustic_of_line,
                      classify_caustic, first_hit, unit)
-from .periods import BettiModel
+from .periods import BettiModel, _beta2_inverse
 
 # Certification bound on the phase-space closure defect of a returned
 # periodic direction.
@@ -49,6 +51,10 @@ LAYER_BAND = 1e-6
 # Default number of direction cells for the passage scans.
 DEFAULT_GRID = 4096
 _AXIS_TOL = 1e-12
+# Random starts and the cap on coordinate-ascent sweeps per start of
+# connecting_trajectory.
+_CONNECT_STARTS = 8
+_CONNECT_SWEEPS = 400
 
 
 @dataclass(frozen=True)
@@ -223,81 +229,53 @@ def _axis_directions(e, p, n):
     return out
 
 
-def _monotone_pieces(e, p):
-    """Monotone-beta2 slope pieces trimmed at the focal boundary layer.
+def _line_roots(e, p, n):
+    """Tangent lines from p to the caustics of the levels beta2 = k/n,
+    as (phi, s) with phi in [0, pi), plus the exact number of layer
+    lines.
 
-    Returns (pieces, sides): pieces are (phi_lo, phi_hi, kind) with
-    |lambda - 1| >= LAYER_BAND throughout; sides are (kind, beta_edge)
-    records of every trimmed approach to a focal transition, for the
-    exact counting of the layer levels between beta_edge and 1/2.
+    On the elliptic range lambda in (1, M/c^2), and for even n on the
+    hyperbolic range (m/c^2, 1), beta2 runs monotonically from its value
+    at the extreme to 1/2 at the focal transition.  A level strictly
+    between beta2 at the extreme and at the layer edge (the nearer of
+    1 +- LAYER_BAND and the extreme) is inverted once for lambda_k, and
+    its caustic s_k = c^2 lambda_k touches the two lines through p at
+    phi = (delta +- arccos((s_k - P)/rho))/2.  The levels between the
+    layer edge and 1/2 are counted by integer arithmetic, two lines
+    each.
     """
     a, b = p
     c2 = e.c2
+    ex = caustic_extrema(e, p)
     model = BettiModel(e)
-
-    def lam(phi):
-        return _s_of_phi(a, b, c2, phi) / c2
-
-    pieces = []
-    sides = []
-    for lo, hi, kind in branch_intervals(e, p):
-        target = 1.0 + LAYER_BAND if kind is CausticKind.ELLIPTIC else 1.0 - LAYER_BAND
-        g = lambda phi: lam(phi) - target
-        llo, lhi = lo, hi
-        glo, ghi = g(lo), g(hi)
-        gmid = g(0.5 * (lo + hi))
-        if gmid == 0.0 or (gmid > 0) != (kind is CausticKind.ELLIPTIC):
-            # The whole arc sits inside the layer (p near a focal line).
-            sides.append((kind, model.beta2(lam(0.5 * (lo + hi)))))
-            continue
-        if (glo > 0) != (gmid > 0):
-            llo = brentq(g, lo, 0.5 * (lo + hi), xtol=1e-14)
-            sides.append((kind, model.beta2(lam(llo))))
-        if (ghi > 0) != (gmid > 0):
-            lhi = brentq(g, 0.5 * (lo + hi), hi, xtol=1e-14)
-            sides.append((kind, model.beta2(lam(lhi))))
-        if lhi - llo > 1e-13:
-            pieces.append((llo, lhi, kind))
-    return pieces, sides
-
-
-def _line_roots(e, p, n):
-    """Slope roots of beta2(lambda(phi)) = k/n on the monotone pieces,
-    with their caustics, plus the exact count of layer levels (lines)
-    unreachable in double precision."""
-    a, b = p
-    c2 = e.c2
-    model = BettiModel(e)
-    pieces, sides = _monotone_pieces(e, p)
-    odd = bool(n % 2)
-
-    def beta_at(phi):
-        return model.beta2(_s_of_phi(a, b, c2, phi) / c2)
-
+    P = 0.5 * (c2 + a * a + b * b)
+    Q = 0.5 * (c2 + b * b - a * a)
+    rho = math.hypot(Q, a * b)
+    delta = math.atan2(-a * b, Q)
+    # c^2 lies in [m, M] and is an end exactly when b = 0 (the product
+    # (c^2 - M)(c^2 - m) is -b^2 c^2); that kind then has no lines.
+    ranges = []
+    if b != 0.0 or abs(a) > e.c:
+        ranges.append((ex.M / c2, min(ex.M / c2, 1.0 + LAYER_BAND)))
+    if n % 2 == 0 and (b != 0.0 or abs(a) < e.c):
+        # m = 0 when a = 0; beta2 at the smallest positive lambda is its
+        # lambda -> 0+ limit to the last bit.
+        lam_m = max(ex.m / c2, math.ulp(0.0))
+        ranges.append((lam_m, max(lam_m, 1.0 - LAYER_BAND)))
     roots = []
-    for lo, hi, kind in pieces:
-        if odd and kind is not CausticKind.ELLIPTIC:
-            continue
-        vlo, vhi = beta_at(lo), beta_at(hi)
-        va, vb = min(vlo, vhi), max(vlo, vhi)
-        kmin = int(math.floor(va * n)) + 1
-        kmax = int(math.ceil(vb * n)) - 1
-        for k in range(kmin, kmax + 1):
-            if k <= 0 or 2 * k >= n:
-                continue
-            tgt = k / n
-            if not va < tgt < vb:
-                continue
-            phi = brentq(lambda t: beta_at(t) - tgt, lo, hi, xtol=1e-13)
-            s = _s_of_phi(a, b, c2, phi)
-            roots.append((phi, s))
     layer_lines = 0
-    for kind, edge in sides:
-        if odd and kind is not CausticKind.ELLIPTIC:
-            continue
-        kmin = int(math.floor(edge * n)) + 1
-        kmax = (n - 1) // 2
-        layer_lines += max(0, kmax - kmin + 1)
+    for ext, edge in ranges:
+        b_ext, b_edge = model.beta2(ext), model.beta2(edge)
+        k_edge = math.floor(b_edge * n)
+        layer_lines += 2 * max(0, (n - 1) // 2 - k_edge)
+        lo, hi = sorted((ext, edge))
+        for k in range(math.floor(b_ext * n) + 1, k_edge + 1):
+            if not b_ext < k / n < b_edge:
+                continue
+            s = c2 * _beta2_inverse(model, k / n, lo, hi)
+            half = 0.5 * math.acos(max(-1.0, min(1.0, (s - P) / rho)))
+            roots += [((0.5 * delta + half) % math.pi, s),
+                      ((0.5 * delta - half) % math.pi, s)]
     return roots, layer_lines
 
 
@@ -320,9 +298,10 @@ def find_periodic_directions(e, p, n):
     """All certified unit directions from p with orbit period dividing
     n, both orientations of every tangent line, sorted by angle.
 
-    Directions whose caustics fall in the focal boundary layer are not
-    representable and are omitted here; count_periodic adds their exact
-    number.  The search is exact on monotone slope pieces.
+    Every level k/n of beta2 is inverted once in lambda and its two
+    tangent lines through p follow in closed form.  Directions whose
+    caustics fall in the focal boundary layer are not representable and
+    are omitted here; count_periodic adds their exact number.
     """
     if n < 2:
         raise ValueError("period search needs n >= 2")
@@ -401,11 +380,11 @@ def _path_length(e, p1, p2, thetas):
                for q, r in zip(pts, pts[1:]))
 
 
-def connecting_trajectory(e, p1, p2, n, seed=0, starts=8, max_sweeps=400):
+def connecting_trajectory(e, p1, p2, n, seed=0):
     """Billiard path p1 -> (n-1 bounces) -> p2 by total-length
     maximization (the maximum satisfies the reflection law at every
-    bounce).  Coordinate ascent over bounce angles from `starts` random
-    initializations plus wound interpolations locates the basin; a
+    bounce).  Coordinate ascent over bounce angles from _CONNECT_STARTS
+    random initializations plus wound interpolations locates the basin; a
     Newton solve of the stationarity system (tangential component of
     the angle defect at every bounce) then polishes to machine
     precision.  Returns a Trajectory whose points carry the outgoing
@@ -421,14 +400,14 @@ def connecting_trajectory(e, p1, p2, n, seed=0, starts=8, max_sweeps=400):
     for w in (1, 2, -1):
         end = a2 + 2.0 * math.pi * w
         inits.append([a1 + (end - a1) * (j + 1) / n for j in range(n - 1)])
-    for _ in range(starts):
+    for _ in range(_CONNECT_STARTS):
         inits.append([rng.uniform(0.0, 2.0 * math.pi) for _ in range(n - 1)])
 
     best_len, best_th = -1.0, None
     for th in inits:
         th = list(th)
         cur = _path_length(e, p1, p2, th)
-        for _ in range(max_sweeps):
+        for _ in range(_CONNECT_SWEEPS):
             for j in range(n - 1):
                 prev = p1 if j == 0 else e.boundary_point(th[j - 1])
                 nxt = p2 if j == n - 2 else e.boundary_point(th[j + 1])

@@ -206,9 +206,9 @@ class BettiModel:
                  2 R_F(lambda, lambda-1, 0) (lambda > 1),
 
     valid on both branches since the incomplete elliptic numerator
-    equals omega2 - I_U above lambda = 1.  Grid scans and direction
-    root-finds go through this model; betti_billiard remains the
-    direct-quadrature reference.
+    equals omega2 - I_U above lambda = 1.  Grid scans and the inverse
+    in lambda of the periodic-direction search go through this model;
+    betti_billiard remains the direct-quadrature reference.
     """
 
     def __init__(self, e):
@@ -239,18 +239,26 @@ def betti_scan(e, lambdas):
     return [betti_billiard(e, lam) for lam in lambdas]
 
 
-def lambda_for_beta2(e, target, xtol=1e-13):
+def _beta2_inverse(model, target, lo, hi):
+    """lambda in [lo, hi] with model.beta2(lambda) = target.
+
+    The bracket lies on one side of lambda = 1, where beta2 is strictly
+    monotone (increasing below 1, decreasing above), and target lies
+    between the end values; one bracketed solve on the closed form.
+    """
+    return brentq(lambda lam: model.beta2(lam) - target, lo, hi, xtol=1e-15)
+
+
+def lambda_for_beta2(e, target):
     """Elliptic-caustic parameter lambda* with beta2(lambda*) = target.
 
     beta2 decreases from 1/2 to 0 as lambda runs over (1, 1/c^2), so any
-    target in (0, 1/2) has a unique preimage, found by bracketed root
-    finding on the closed-form BettiModel.
+    target in (0, 1/2) has a unique preimage.
     """
     if not 0.0 < target < 0.5:
         raise ValueError("target beta2 must lie in (0, 1/2)")
     model = BettiModel(e)
-    return brentq(lambda lam: model.beta2(lam) - target,
-                  1.0 + 1e-12, model.U - 1e-12, xtol=xtol)
+    return _beta2_inverse(model, target, 1.0 + 1e-12, model.U - 1e-12)
 
 
 def rotation_number(e, s, n_iter):

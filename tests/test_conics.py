@@ -75,14 +75,16 @@ def test_reflection_preserves_angle_and_norm():
         reflect(E, (0.5, 0.5), (1.0, 0.0))
 
 
-def test_reflection_is_involution():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        q = E.boundary_point(rng.uniform(0.0, 2.0 * math.pi))
-        v = unit(rng.normal(), rng.normal())
-        w = reflect(E, q, reflect(E, q, v))
-        assert w[0] == pytest.approx(v[0], abs=1e-12)
-        assert w[1] == pytest.approx(v[1], abs=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.05, 0.95), theta=st.floats(0.0, 2.0 * math.pi),
+       phi=st.floats(0.0, 2.0 * math.pi))
+def test_reflection_is_involution(c, theta, phi):
+    e = Ellipse(c)
+    q = e.boundary_point(theta)
+    v = (math.cos(phi), math.sin(phi))
+    w = reflect(e, q, reflect(e, q, v))
+    assert w[0] == pytest.approx(v[0], abs=1e-12)
+    assert w[1] == pytest.approx(v[1], abs=1e-12)
 
 
 def test_caustic_of_line_matches_dual_condition():
@@ -103,19 +105,19 @@ def test_vertical_line_caustic():
     assert cp.s == pytest.approx(0.25, abs=1e-15)
 
 
-def test_simulate_stays_on_boundary_and_conserves_caustic():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        p = random_interior(rng)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        sh = Shot(p[0], p[1], math.cos(ang), math.sin(ang))
-        traj = simulate(E, sh, 40)
-        assert len(traj) == 40
-        s0 = traj.caustic.s
-        for x in traj:
-            assert abs(E.boundary_residual(x.x, x.y)) < 1e-12
-            cp = caustic_of_line(E, x.p, slope_of(x.vx, x.vy))
-            assert cp.s == pytest.approx(s0, abs=1e-10)
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.05, 0.95), r=st.floats(0.0, 0.95),
+       theta=st.floats(0.0, 2.0 * math.pi), ang=st.floats(0.0, 2.0 * math.pi))
+def test_simulate_stays_on_boundary_and_conserves_caustic(c, r, theta, ang):
+    e = Ellipse(c)
+    p = (r * math.cos(theta), r * math.sqrt(e.b2) * math.sin(theta))
+    traj = simulate(e, Shot(p[0], p[1], math.cos(ang), math.sin(ang)), 40)
+    assert len(traj) == 40
+    s0 = traj.caustic.s
+    for x in traj:
+        assert abs(e.boundary_residual(x.x, x.y)) < 1e-12
+        cp = caustic_of_line(e, x.p, slope_of(x.vx, x.vy))
+        assert cp.s == pytest.approx(s0, abs=1e-10)
 
 
 def test_every_chord_tangent_to_caustic():

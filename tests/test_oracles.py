@@ -7,11 +7,15 @@ read from the float the library uses (1.0 / e.c2): near lambda = U a
 one-ulp change in U moves beta2 by about 1e-11.
 """
 
+import math
+
 import mpmath as mp
 import pytest
 
 from caustica import Ellipse
-from caustica.periods import (BettiModel, betti_billiard, omega1, omega2,
+from caustica.orbits import LAYER_BAND
+from caustica.periods import (BettiModel, _beta2_inverse, betti_billiard,
+                              lambda_for_beta2, omega1, omega2,
                               omega2_above_one)
 
 CS = (0.3, 0.6, 0.9)
@@ -75,6 +79,32 @@ def test_beta2_against_defining_integrals(c):
             want = _beta2_mp(U, mp.mpf(lam))
             assert abs(model.beta2(lam) - want) < 1e-11, lam
             assert abs(betti_billiard(e, lam).beta2 - want) < 1e-11, lam
+
+
+@pytest.mark.parametrize("c", CS)
+def test_beta2_inverse_against_defining_integrals(c):
+    # The levels k/100 the periodic-direction search would invert on each
+    # branch outside the focal layer: the lowest, a middle one and the
+    # highest, next to the layer edge.  49/100 is a layer level at every
+    # tested c (beta2 at the edge stays below it), so it is never
+    # inverted; the check on its side is that it lies above both edges.
+    # Next to the edge one ulp of lambda moves beta2 by up to ~1e-12
+    # (c = 0.9), so the bound asks for the nearest double.
+    e = Ellipse(c)
+    model = BettiModel(e)
+    U_float = model.U
+    solved = []
+    for lo, hi in ((math.ulp(0.0), 1.0 - LAYER_BAND), (1.0 + LAYER_BAND, U_float)):
+        b_lo, b_hi = sorted((model.beta2(lo), model.beta2(hi)))
+        assert b_hi < 0.49
+        ks = [k for k in range(1, 50) if b_lo < k / 100 < b_hi]
+        for k in (ks[0], ks[len(ks) // 2], ks[-1]):
+            solved.append((k / 100, _beta2_inverse(model, k / 100, lo, hi)))
+    solved += [(t, lambda_for_beta2(e, t)) for t in (1 / 7, 1 / 3)]
+    with mp.workdps(30):
+        U = mp.mpf(U_float)
+        for t, lam in solved:
+            assert abs(_beta2_mp(U, mp.mpf(lam)) - mp.mpf(t)) <= 1e-12, (t, lam)
 
 
 def test_manin_closed_form_and_its_factor_eight():

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caustica import (ConvergenceError, Ellipse, closure_error,
                       connecting_trajectory, count_periodic,
                       find_periodic_directions, reflection_residual,
                       segment_caustics)
-from caustica.conics import CausticKind, Shot, advance, caustic_of_line, first_hit, simulate
-from caustica.orbits import (angle_pair_scan, boomerang_scan, branch_intervals,
+from caustica.conics import (CausticKind, Shot, advance, caustic_of_line,
+                             first_hit, simulate)
+from caustica.orbits import (CERT_TOL, LAYER_BAND, _grid_passages, _line_roots,
+                             angle_pair_scan, boomerang_scan, branch_intervals,
                              caustic_extrema, hole_scan,
                              parallelogram_angle_pairs, predicted_count)
+from caustica.periods import BettiModel
 
 E = Ellipse(0.6)
 P = (0.2, 0.3)
@@ -86,6 +91,95 @@ def test_counts_match_direction_lists():
     for n in (3, 5, 6, 8):
         bd = count_periodic(E, P, n)
         assert bd.certified == len(find_periodic_directions(E, P, n))
+
+
+def _scan_periodic(e, p, n, cells=1 << 13):
+    """Periodic directions from p found without the level structure:
+    sign changes of the signed distance of p from the n-th outgoing line
+    (the last row of _grid_passages) over a dense direction grid (uniform, plus geometric clusters at the
+    four focal directions, where the return map steepens), each refined
+    by bisection and kept if its closure error is below CERT_TOL.
+    Returns the counts outside and inside the focal layer."""
+
+    def defect(phis):
+        return _grid_passages(e, p, p, phis, n)[-1]
+
+    offsets = np.logspace(-9.0, -1.0, 400)
+    focal = [math.atan2(p[1], p[0] - sg * e.c) + turn
+             for sg in (1.0, -1.0) for turn in (0.0, math.pi)]
+    grid = np.unique(np.concatenate(
+        [np.linspace(0.0, 2.0 * math.pi, cells, endpoint=False)]
+        + [f + sg * offsets for f in focal for sg in (1.0, -1.0)]) % (2.0 * math.pi))
+    vals = defect(grid)
+    j = np.flatnonzero(vals * np.roll(vals, -1) < 0.0)
+    lo, f_lo = grid[j], vals[j]
+    hi = np.roll(grid, -1)[j]
+    hi = np.where(hi < lo, hi + 2.0 * math.pi, hi)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        f_mid = defect(mid)
+        left = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo, hi = (np.where(left, mid, lo), np.where(left, f_mid, f_lo),
+                        np.where(left, hi, mid))
+    outside = inside = 0
+    for phi in (0.5 * (lo + hi)).tolist():
+        if closure_error(e, p, (math.cos(phi), math.sin(phi)), n) < CERT_TOL:
+            lam = caustic_of_line(e, p, math.tan(phi)).s / e.c2
+            if abs(lam - 1.0) < LAYER_BAND:
+                inside += 1
+            else:
+                outside += 1
+    return outside, inside
+
+
+@pytest.mark.parametrize("c, p", [(0.6, P), (0.660376, (0.614500423, -0.339779057))])
+def test_certified_counts_match_a_direct_scan(c, p):
+    # The second point is generic, off the axes and foci.  Layer
+    # directions that still close within CERT_TOL for these small n are
+    # counted in the layer term, never as certified.
+    e = Ellipse(c)
+    for n in range(3, 21):
+        bd = count_periodic(e, p, n)
+        outside, inside = _scan_periodic(e, p, n)
+        assert outside == bd.certified, n
+        assert inside <= bd.layer, n
+
+
+def test_focal_layer_counts_every_level_above_the_extreme():
+    # Next to the focal segment the whole elliptic range (1, M/c^2)
+    # lies in the layer band, so every elliptic level k/n in
+    # (beta2(M/c^2), 1/2) is a layer level with two lines.  25/53 sits
+    # just above beta2(M/c^2) = 0.4716957.
+    e = Ellipse(0.6)
+    p = (0.3, 1e-5)
+    lam_M = caustic_extrema(e, p).M / e.c2
+    assert 1.0 < lam_M < 1.0 + LAYER_BAND
+    b_M = BettiModel(e).beta2(lam_M)
+    assert b_M < 25 / 53 < b_M + 1e-5
+    assert count_periodic(e, p, 53) == (8, 0, 8)
+    for n in range(3, 302, 2):
+        levels = sum(b_M < k / n < 0.5 for k in range(1, n))
+        assert count_periodic(e, p, n) == (4 * levels, 0, 4 * levels), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.2, 0.9), r=st.floats(0.05, 0.95),
+       t=st.floats(0.0, 2.0 * math.pi), n=st.integers(3, 40))
+def test_root_lines_touch_their_level_caustic(c, r, t, n):
+    # Every returned line through p is tangent to s_k = c^2 lambda_k,
+    # beta2(lambda_k) is a level k/n (up to the ulp that s/c^2 may move
+    # lambda_k by, next to the layer edge) and each level has two lines.
+    e = Ellipse(c)
+    p = (r * math.cos(t), r * math.sqrt(e.b2) * math.sin(t))
+    model = BettiModel(e)
+    roots, _ = _line_roots(e, p, n)
+    per_level = {}
+    for phi, s in roots:
+        assert abs(caustic_of_line(e, p, math.tan(phi)).s - s) <= 1e-12
+        level = model.beta2(s / e.c2) * n
+        assert abs(level - round(level)) <= 1e-9
+        per_level.setdefault(s, set()).add(phi)
+    assert all(len(phis) == 2 for phis in per_level.values())
 
 
 def test_predicted_count_linear_law():
