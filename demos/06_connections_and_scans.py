@@ -1,7 +1,8 @@
 """Shooting between two interior points, and exhaustive direction scans.
 
 A trajectory from p1 to p2 with a prescribed number of segments is found
-by a variational sweep over boundary contact points and certified by the
+by maximizing its length over the boundary contact points (quasi-Newton
+on the analytic gradient, then polished by Newton) and certified by the
 reflection law at every bounce.  Grid scans over the direction circle
 then enumerate near-return shots, trajectories threading a second point
 into a boundary hole, and angle-constrained pairs of periodic

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .birkhoff import birkhoff_sum, moebius_fit, symmetric_sum
 from .conics import (Ellipse, Shot, caustic_of_line, caustic_phase_point,
-                     classify_caustic, inward, simulate)
+                     classify_caustic, inward, simulate, slope_of)
 from .dml import (ExponentialFamily, FiniteSet, LineFamily, ProjectiveLine,
                   ProjectiveMap, classify, family_detect, triple_orbit_search)
 from .orbits import (ConvergenceError, angle_pair_scan, boomerang_scan,
@@ -107,8 +107,7 @@ def _cmd_simulate(args):
     traj = simulate(e, Shot(x, y, vx, vy), bounces)
     rows = []
     for i, pt in enumerate(traj.points, start=1):
-        seg = caustic_of_line(e, (pt.x, pt.y),
-                              math.inf if pt.vx == 0.0 else pt.vy / pt.vx)
+        seg = caustic_of_line(e, (pt.x, pt.y), slope_of(pt.vx, pt.vy))
         rows.append(",".join([str(i), _fmt(pt.x), _fmt(pt.y),
                               _fmt(pt.vx), _fmt(pt.vy), _fmt(seg.s)]))
     _csv(args, "simulate", _seed(args), "step,x,y,vx,vy,s", rows)

@@ -25,7 +25,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .conics import CausticParam, advance, tangent_slopes, inward, z_of_point
+from .conics import (CausticParam, advance, inward, slope_of, tangent_slopes,
+                     z_of_point)
 
 # Separation below which a pair (P, Q) with P ~ -Q is treated as
 # summing to the identity.
@@ -209,7 +210,7 @@ def _w_from_line(e, sv, x, y0, z):
     scale = max(abs(x.vx) + abs(x.vy), 1e-30)
     if abs(d) < 1e-9 * scale:
         slopes = tangent_slopes(e, (x.x, x.y), sv)
-        cur = math.inf if x.vx == 0.0 else x.vy / x.vx
+        cur = slope_of(x.vx, x.vy)
         others = [xi for xi in slopes if abs_slope_diff(xi, cur) > 1e-6]
         if not others:
             return 0.0

@@ -23,7 +23,9 @@ counts grow linearly in n, with odd slope 2 - 4 beta2(M/c^2).
 
 Connecting trajectories between two interior points are found by
 maximizing total length over bounce angles (the maximum satisfies the
-reflection law at every vertex); boomerang, hole, and angle-pair scans
+reflection law at every vertex): the length is maximized by quasi-Newton
+(L-BFGS-B) on its analytic gradient, then polished by Newton (fsolve) on
+the same gradient; boomerang, hole, and angle-pair scans
 bracket sign changes of passage distances over a direction grid and
 re-simulate every hit.
 """
@@ -35,11 +37,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, fsolve, minimize_scalar
+from scipy.optimize import brentq, fsolve, minimize
 
 from .conics import (CausticKind, CausticParam, PhasePoint, Shot, Trajectory,
                      advance, advance_batch, caustic_of_line,
-                     classify_caustic, first_hit, unit)
+                     classify_caustic, first_hit, slope_of, unit)
 from .periods import BettiModel, _beta2_inverse
 
 # Certification bound on the phase-space closure defect of a returned
@@ -51,10 +53,9 @@ LAYER_BAND = 1e-6
 # Default number of direction cells for the passage scans.
 DEFAULT_GRID = 4096
 _AXIS_TOL = 1e-12
-# Random starts and the cap on coordinate-ascent sweeps per start of
-# connecting_trajectory.
+# Random starts of connecting_trajectory, besides the three wound
+# interpolations.
 _CONNECT_STARTS = 8
-_CONNECT_SWEEPS = 400
 
 
 @dataclass(frozen=True)
@@ -381,18 +382,21 @@ def _path_length(e, p1, p2, thetas):
 
 
 def connecting_trajectory(e, p1, p2, n, seed=0):
-    """Billiard path p1 -> (n-1 bounces) -> p2 by total-length
-    maximization (the maximum satisfies the reflection law at every
-    bounce).  Coordinate ascent over bounce angles from _CONNECT_STARTS
-    random initializations plus wound interpolations locates the basin; a
-    Newton solve of the stationarity system (tangential component of
-    the angle defect at every bounce) then polishes to machine
-    precision.  Returns a Trajectory whose points carry the outgoing
-    direction at each bounce."""
+    """Billiard path between two interior points, p1 -> (n-1 bounces)
+    -> p2, by total-length maximization (the maximum satisfies the
+    reflection law at every bounce).  From three wound interpolations
+    and _CONNECT_STARTS seeded random starts, the length is maximized by
+    quasi-Newton (L-BFGS-B) on its analytic gradient over bounce angles;
+    the longest candidate is then polished by Newton (fsolve) on the
+    same gradient, whose zeros obey the reflection law at every bounce.
+    Returns a Trajectory whose points carry the outgoing direction at
+    each bounce."""
     if n < 1:
         raise ValueError("need n >= 1 segments")
     if n == 1:
         raise ValueError("a single segment has no bounce to optimize")
+    _require_interior(e, p1)
+    _require_interior(e, p2)
     rng = _random.Random(seed)
     a1 = math.atan2(p1[1], p1[0])
     a2 = math.atan2(p2[1], p2[0])
@@ -402,32 +406,6 @@ def connecting_trajectory(e, p1, p2, n, seed=0):
         inits.append([a1 + (end - a1) * (j + 1) / n for j in range(n - 1)])
     for _ in range(_CONNECT_STARTS):
         inits.append([rng.uniform(0.0, 2.0 * math.pi) for _ in range(n - 1)])
-
-    best_len, best_th = -1.0, None
-    for th in inits:
-        th = list(th)
-        cur = _path_length(e, p1, p2, th)
-        for _ in range(_CONNECT_SWEEPS):
-            for j in range(n - 1):
-                prev = p1 if j == 0 else e.boundary_point(th[j - 1])
-                nxt = p2 if j == n - 2 else e.boundary_point(th[j + 1])
-
-                def neg_gain(t):
-                    q = e.boundary_point(t)
-                    return -(math.hypot(q[0] - prev[0], q[1] - prev[1])
-                             + math.hypot(q[0] - nxt[0], q[1] - nxt[1]))
-
-                res = minimize_scalar(neg_gain, bounds=(th[j] - 1.2, th[j] + 1.2),
-                                      method="bounded", options={"xatol": 1e-14})
-                if -res.fun > -neg_gain(th[j]):
-                    th[j] = res.x
-            new = _path_length(e, p1, p2, th)
-            if new - cur < 1e-12 * max(1.0, new):
-                cur = new
-                break
-            cur = new
-        if cur > best_len:
-            best_len, best_th = cur, th
 
     b = math.sqrt(e.b2)
 
@@ -441,6 +419,14 @@ def connecting_trajectory(e, p1, p2, n, seed=0):
             out.append((ux - wx) * (-math.sin(th[j]))
                        + (uy - wy) * (b * math.cos(th[j])))
         return out
+
+    best_len, best_th = -1.0, None
+    for th in inits:
+        res = minimize(lambda t: -_path_length(e, p1, p2, t), th,
+                       jac=lambda t: -np.array(grad(t)), method="L-BFGS-B",
+                       options={"gtol": 1e-12})
+        if -res.fun > best_len:
+            best_len, best_th = -res.fun, list(res.x)
 
     def worst_residual(th):
         chain = [p1] + [e.boundary_point(t) for t in th] + [p2]
@@ -464,14 +450,10 @@ def connecting_trajectory(e, p1, p2, n, seed=0):
         vx, vy = unit(nxt[0] - q[0], nxt[1] - q[1])
         pts.append(PhasePoint(q[0], q[1], vx, vy))
     traj = Trajectory(points=pts, caustic=caustic_of_line(
-        e, p1, _slope(verts[0][0] - p1[0], verts[0][1] - p1[1])))
+        e, p1, slope_of(verts[0][0] - p1[0], verts[0][1] - p1[1])))
     if worst_residual(best_th) > 1e-8:
         raise ConvergenceError("length maximization did not converge", traj)
     return traj
-
-
-def _slope(dx, dy):
-    return math.inf if dx == 0.0 else dy / dx
 
 
 def reflection_residual(e, q_prev, q, q_next):
@@ -487,7 +469,7 @@ def segment_caustics(e, vertices):
     """Caustic parameter of every segment of a polygonal path."""
     out = []
     for q, r in zip(vertices, vertices[1:]):
-        out.append(caustic_of_line(e, q, _slope(r[0] - q[0], r[1] - q[1])).s)
+        out.append(caustic_of_line(e, q, slope_of(r[0] - q[0], r[1] - q[1])).s)
     return out
 
 

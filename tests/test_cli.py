@@ -334,6 +334,10 @@ def test_invalid_parameters_exit_two(capsys):
                  "--x2", "-0.3", "--y2", "0.1", "--hx", "1.0", "--hy", "0.0",
                  "--nmax", "4", "--tol", "0.05"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    for x1, y1 in (("1.5", "0.0"), ("0.1", "0.9")):  # p1 outside the table
+        assert main(["connect", "--c", "0.6", "--x1", x1, "--y1", y1,
+                     "--x2", "-0.3", "--y2", "0.1", "--n", "3"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 def test_console_script_installed(tmp_path):

@@ -227,13 +227,57 @@ def test_connecting_trajectory_contract():
 
 
 def test_connecting_trajectory_keeps_polish_that_passes_the_gate():
-    # The best ascent candidate misses the 1e-8 residual gate (1.26e-8);
-    # the Newton polish reaches ~1e-16 while fsolve reports no progress.
+    # The longest quasi-Newton candidate has a worst residual of 6.5e-10,
+    # inside the 1e-8 gate but not the 1e-12 asserted here; the Newton
+    # polish reaches ~1e-16 while fsolve reports no progress.
     e = Ellipse(0.581618)
     p1, p2 = (0.142828747, -0.2331292), (0.214014181, -0.111429673)
     traj = connecting_trajectory(e, p1, p2, 3, seed=46)
     chain = [p1] + [q.p for q in traj] + [p2]
     assert max(reflection_residual(e, *chain[j:j + 3]) for j in range(2)) < 1e-12
+
+
+def test_connecting_trajectory_needs_interior_points():
+    for p1, p2 in [((1.5, 0.0), (-0.3, 0.1)), ((0.1, 0.9), (-0.3, 0.1)),
+                   ((0.1, 0.2), (1.0, 0.0))]:
+        with pytest.raises(ValueError, match="interior"):
+            connecting_trajectory(E, p1, p2, 3)
+
+
+def _chain_length(p1, verts, p2):
+    chain = [p1] + list(verts) + [p2]
+    return sum(math.hypot(r[0] - q[0], r[1] - q[1])
+               for q, r in zip(chain, chain[1:]))
+
+
+@pytest.mark.parametrize("c, p1, p2, seed", [
+    # A root finder alone lands on saddles of length 3.91273 and 3.54474
+    # here; the maximum is 4.13436 and 4.38124.
+    (0.815135, (-0.067479425, -0.052246186), (0.044662965, 0.188644339), 38),
+    (0.808388, (-0.681231142, -0.015602881), (-0.384348948, 0.280108129), 8),
+])
+def test_connecting_trajectory_is_the_longest_two_bounce_path(c, p1, p2, seed):
+    # Independent oracle: the largest length over a 1440 x 1440 grid of
+    # the two bounce angles, which lies below the true maximum by
+    # O(grid step^2).
+    e = Ellipse(c)
+    traj = connecting_trajectory(e, p1, p2, 3, seed=seed)
+    t = np.linspace(0.0, 2.0 * math.pi, 1440, endpoint=False)
+    qx, qy = np.cos(t), math.sqrt(e.b2) * np.sin(t)
+    first = np.hypot(qx - p1[0], qy - p1[1])
+    last = np.hypot(qx - p2[0], qy - p2[1])
+    middle = np.hypot(qx[:, None] - qx[None, :], qy[:, None] - qy[None, :])
+    grid_max = float((first[:, None] + middle + last[None, :]).max())
+    gap = _chain_length(p1, [q.p for q in traj], p2) - grid_max
+    assert 0.0 <= gap <= 1e-3
+
+
+def test_connecting_trajectory_frozen_length():
+    e = Ellipse(0.801176)
+    p1, p2 = (0.362809759, 0.160596913), (-0.051461487, -0.102263001)
+    traj = connecting_trajectory(e, p1, p2, 4, seed=41)
+    assert _chain_length(p1, [q.p for q in traj], p2) == pytest.approx(
+        6.32927713477717, rel=1e-12)
 
 
 def test_connecting_trajectory_deterministic_in_seed():
