@@ -41,5 +41,5 @@ print(f"beta2 near 1 (below):  {betti_billiard(e2, 1.0 - 1e-9).beta2:.8f}")
 print(f"beta2 near 1 (above):  {betti_billiard(e2, 1.0 + 1e-9).beta2:.8f}")
 print(f"beta2 near 1/c^2:      {betti_billiard(e2, 2.0 - 1e-9).beta2:.2e}")
 
-# The real half period behind the denominators, on the AGM route.
+# The real half period behind the denominators, in closed form (R_F).
 print(f"\nomega2(1/2) = {omega2(0.5):.12f}")

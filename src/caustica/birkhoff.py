@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import (Shot, PhasePoint, advance, caustic_of_line,
-                     caustic_phase_point, classify_caustic, first_hit,
+from .conics import (PhasePoint, _walk, caustic_of_line, caustic_phase_point,
                      reflect, slope_of, unit, CausticParam)
 from .periods import BettiModel
 
@@ -66,20 +65,19 @@ def birkhoff_sum(e, start, n):
     if cp.is_degenerate:
         raise ValueError("Birkhoff sum undefined on a degenerate caustic")
     total = 0.0
-    x = start
-    for _ in range(n):
-        nxt = advance(e, x)
-        total += x.vx * nxt.vx + x.vy * nxt.vy
-        x = nxt
+    vx, vy = start.vx, start.vy
+    for _, _, wx, wy in _walk(e, start.x, start.y, vx, vy, n):
+        total += vx * wx + vy * wy
+        vx, vy = wx, wy
     return total
 
 
-def _step_back(e, x):
-    """Inverse billiard step: the phase point one bounce earlier."""
-    ux, uy = reflect(e, (x.x, x.y), (x.vx, x.vy))
-    q = first_hit(e, Shot(x.x, x.y, -ux, -uy))
-    wx, wy = unit(x.x - q.x, x.y - q.y)
-    return PhasePoint(q.x, q.y, wx, wy)
+def _step_back(e, x, y, vx, vy):
+    """Inverse billiard step: the state (x, y, vx, vy) one bounce
+    earlier."""
+    ux, uy = reflect(e, (x, y), (vx, vy))
+    qx, qy, _, _ = _walk(e, x, y, -ux, -uy, 1)[0]
+    return (qx, qy) + unit(x - qx, y - qy)
 
 
 def symmetric_sum(e, center, m):
@@ -90,10 +88,10 @@ def symmetric_sum(e, center, m):
     cp = caustic_of_line(e, center.p, slope_of(center.vx, center.vy))
     if cp.is_degenerate:
         raise ValueError("window sum undefined on a degenerate caustic")
-    x = center
+    x = (center.x, center.y, center.vx, center.vy)
     for _ in range(m + 1):
-        x = _step_back(e, x)
-    return birkhoff_sum(e, x, 2 * m + 1)
+        x = _step_back(e, *x)
+    return birkhoff_sum(e, PhasePoint(*x), 2 * m + 1)
 
 
 def _window_value(e, sv, theta, m):
@@ -142,8 +140,8 @@ def moebius_fit(e, s, n, samples=20):
 
 def value_multiplicity(e, s, n, value, grid=1024):
     """Number of boundary points per semi-ellipse where the window sum
-    attains the given value, by sign-change counting on a theta grid
-    over the upper semi-ellipse plus bisection refinement."""
+    attains the given value, by counting sign changes (and exact zeros)
+    of the window sum on a theta grid over the upper semi-ellipse."""
     if n < 1 or n % 2 == 0:
         raise ValueError("window length n must be odd")
     sv = s.s if isinstance(s, CausticParam) else s

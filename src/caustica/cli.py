@@ -30,7 +30,7 @@ from .orbits import (ConvergenceError, angle_pair_scan, boomerang_scan,
                      find_periodic_directions, hole_scan,
                      parallelogram_angle_pairs, predicted_count,
                      reflection_residual, segment_caustics)
-from .periods import betti_billiard, lambda_for_beta2
+from .periods import betti_scan, lambda_for_beta2
 
 
 def _fmt(v):
@@ -123,7 +123,7 @@ def _cmd_betti_scan(args):
         raise ValueError("--num must be >= 2")
     lams = [lmin + (lmax - lmin) * j / (num - 1) for j in range(num)]
     _check_threads(args)
-    coords = [betti_billiard(e, lam) for lam in lams]
+    coords = betti_scan(e, lams)
     rows = [",".join([_fmt(lam), _fmt(bc.beta1), _fmt(bc.beta2)])
             for lam, bc in zip(lams, coords)]
     _csv(args, "betti-scan", _seed(args), "lambda,beta1,beta2", rows)
@@ -288,14 +288,12 @@ def _cmd_scan_angle_pair(args):
     alpha = _opt(args, "alpha", required=True)
     nmax = int(_opt(args, "nmax", required=True))
     tol = _opt(args, "tol", 1e-6)
-    # Accepted and recorded for compatibility; the pair search is exact.
-    grid = int(_opt(args, "grid", 4096))
     pairs = angle_pair_scan(e, p, alpha, nmax, tol)
     recs = [{"dir1": list(t.dir1), "dir2": list(t.dir2),
              "period1": t.period1, "period2": t.period2} for t in pairs]
     _json_out(args, "scan-angle-pair", _seed(args),
               {"c": e.c, "point": list(p), "alpha": alpha, "nmax": nmax,
-               "tol": tol, "grid": grid, "results": recs})
+               "tol": tol, "results": recs})
     return 0
 
 
@@ -533,7 +531,6 @@ def build_parser():
                         help="periodic direction pairs at a fixed angle")
     _float(sp, "--c", "--px", "--py", "--alpha", "--tol")
     sp.add_argument("--nmax", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_scan_angle_pair)
 

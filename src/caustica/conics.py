@@ -21,10 +21,10 @@ the rational parameter z = y/(x - 1).
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import elliprf
 
 # Below this squared-distance threshold the two intersection roots are
 # considered equal and the chord is treated as tangent to the boundary.
@@ -245,7 +245,7 @@ def _step(b2, x, y, vx, vy):
 
 
 def advance_batch(e, x, y, vx, vy):
-    """advance/first_hit on float arrays of k shots at once.
+    """advance on float arrays of k shots at once.
 
     Row i of the result is bit for bit the scalar step from
     (x[i], y[i], vx[i], vy[i]): the same operations in the same order,
@@ -283,8 +283,22 @@ def advance_batch(e, x, y, vx, vy):
                 np.where(moving, wx / n, vx), np.where(moving, wy / n, vy))
 
 
+def _walk(e, x, y, vx, vy, n):
+    """The n states (x, y, vx, vy) that n billiard steps from (x, y)
+    along the unit (vx, vy) pass through, as float tuples: the one
+    scalar multi-bounce loop for callers that read the states."""
+    b2 = e.b2
+    out = []
+    for _ in range(n):
+        x, y, vx, vy = _step(b2, x, y, vx, vy)
+        out.append((x, y, vx, vy))
+    return out
+
+
 def advance(e, x):
-    """One step of the billiard map: next bounce point, reflected direction.
+    """One step of the billiard map: the PhasePoint at the next bounce
+    of a PhasePoint, or at the first boundary hit of a Shot from an
+    interior point (first_hit is this same function).
 
     The next point is the root of the chord quadratic distinct from the
     current one; a tangent shot returns the same point unchanged.
@@ -292,10 +306,7 @@ def advance(e, x):
     return PhasePoint(*_step(e.b2, x.x, x.y, x.vx, x.vy))
 
 
-def first_hit(e, sh):
-    """PhasePoint at the first boundary hit of a shot (the shot itself
-    when it is already on the boundary moving tangentially)."""
-    return PhasePoint(*_step(e.b2, sh.x, sh.y, sh.vx, sh.vy))
+first_hit = advance
 
 
 def simulate(e, sh, n):
@@ -305,9 +316,7 @@ def simulate(e, sh, n):
     if sh.vx == 0.0 and sh.vy == 0.0:
         raise ValueError("shot direction must be nonzero")
     caustic = caustic_of_line(e, (sh.x, sh.y), slope_of(sh.vx, sh.vy))
-    pts = [first_hit(e, sh)]
-    for _ in range(n - 1):
-        pts.append(advance(e, pts[-1]))
+    pts = [PhasePoint(*st) for st in _walk(e, sh.x, sh.y, sh.vx, sh.vy, n)]
     return Trajectory(pts, caustic)
 
 
@@ -363,35 +372,20 @@ def _density_roots(e, s):
     return A, B
 
 
-@lru_cache(maxsize=256)
-def _density_norm(c, sv):
-    """Total unnormalized measure of the admissible arc(s)."""
-    e = Ellipse(c)
-    A, B = _density_roots(e, sv)
-    if A > 0.0:
-        # Hyperbolic caustic: two arcs, z^2 in (A, B); substitution
-        # z^2 = A + (B-A) sin^2(phi) removes both endpoint singularities.
-        val, _ = quad(lambda ph: 1.0 / math.sqrt(A + (B - A) * math.sin(ph) ** 2),
-                      0.0, math.pi / 2.0, epsabs=1e-13, epsrel=1e-13)
-        return 2.0 * val
-    # Elliptic caustic: the radicand is positive on all of R.
-    f = lambda z: 1.0 / math.sqrt((z * z - A) * (z * z - B))
-    val, _ = quad(f, -math.inf, math.inf, epsabs=1e-13, epsrel=1e-13)
-    return val
-
-
 def invariant_density(e, s, z):
     """Invariant boundary density in the parameter z, arc-normalized.
 
     rho(z) = |(z^2 - y0^2/(x0+1)^2)(z^2 - y0^2/(x0-1)^2)|^(-1/2) / Z with
-    Z chosen so the admissible arc(s) carry total measure 1.
+    Z chosen so the admissible arc(s) carry total measure 1: z^2 in
+    (A, B) for a hyperbolic caustic (A > 0, two arcs), all of R for an
+    elliptic one (A, B < 0), and Z = 2 R_F(0, |A|, |B|) on both.
     """
     sv = s.s if isinstance(s, CausticParam) else s
     A, B = _density_roots(e, sv)
     r = (z * z - A) * (z * z - B)
     if abs(r) < 1e-30:
         raise ValueError("z at a singular endpoint of the invariant measure")
-    return 1.0 / (math.sqrt(abs(r)) * _density_norm(e.c, sv))
+    return 1.0 / (math.sqrt(abs(r)) * 2.0 * float(elliprf(0.0, abs(A), abs(B))))
 
 
 def arc_measure(e, s, z_lo, z_hi):

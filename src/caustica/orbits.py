@@ -39,9 +39,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq, fsolve, minimize
 
-from .conics import (CausticKind, CausticParam, PhasePoint, Shot, Trajectory,
-                     advance, advance_batch, caustic_of_line,
-                     classify_caustic, first_hit, slope_of, unit)
+from .conics import (CausticKind, CausticParam, PhasePoint, Trajectory,
+                     _walk, advance_batch, caustic_of_line, classify_caustic,
+                     slope_of, unit)
 from .periods import BettiModel, _beta2_inverse
 
 # Certification bound on the phase-space closure defect of a returned
@@ -183,10 +183,7 @@ def closure_error(e, p, v, n):
     distance of p from the outgoing line after n bounces plus the
     direction mismatch."""
     vx, vy = unit(v[0], v[1])
-    x = first_hit(e, Shot(p[0], p[1], vx, vy))
-    for _ in range(n - 1):
-        x = advance(e, x)
-    return _defect(p, vx, vy, x.x, x.y, x.vx, x.vy)
+    return _defect(p, vx, vy, *_walk(e, p[0], p[1], vx, vy, n)[-1])
 
 
 def _closure_errors(e, p, dirs, n):
@@ -243,7 +240,9 @@ def _line_roots(e, p, n):
     its caustic s_k = c^2 lambda_k touches the two lines through p at
     phi = (delta +- arccos((s_k - P)/rho))/2.  The levels between the
     layer edge and 1/2 are counted by integer arithmetic, two lines
-    each.
+    each.  An extreme inside the layer is its own edge; beta2 there is
+    taken from its gap lambda - 1, which M/c^2 and m/c^2 round away
+    once it is below one ulp of 1 (b below ~5e-9 at c = 0.6, a = 0.3).
     """
     a, b = p
     c2 = e.c2
@@ -253,20 +252,29 @@ def _line_roots(e, p, n):
     Q = 0.5 * (c2 + b * b - a * a)
     rho = math.hypot(Q, a * b)
     delta = math.atan2(-a * b, Q)
+    # M - c^2 and c^2 - m without cancellation: their difference is
+    # d = a^2 + b^2 - c^2 and their product b^2 c^2.
+    d = a * a + b * b - c2
+    big = 0.5 * (abs(d) + math.hypot(d, 2.0 * b * e.c))
+    small = b * b * c2 / big if big else 0.0
+    above, below = (big, small) if d >= 0.0 else (small, big)
     # c^2 lies in [m, M] and is an end exactly when b = 0 (the product
     # (c^2 - M)(c^2 - m) is -b^2 c^2); that kind then has no lines.
     ranges = []
     if b != 0.0 or abs(a) > e.c:
-        ranges.append((ex.M / c2, min(ex.M / c2, 1.0 + LAYER_BAND)))
+        ranges.append((ex.M / c2, min(ex.M / c2, 1.0 + LAYER_BAND), above / c2))
     if n % 2 == 0 and (b != 0.0 or abs(a) < e.c):
         # m = 0 when a = 0; beta2 at the smallest positive lambda is its
         # lambda -> 0+ limit to the last bit.
         lam_m = max(ex.m / c2, math.ulp(0.0))
-        ranges.append((lam_m, max(lam_m, 1.0 - LAYER_BAND)))
+        ranges.append((lam_m, max(lam_m, 1.0 - LAYER_BAND), -below / c2))
     roots = []
     layer_lines = 0
-    for ext, edge in ranges:
-        b_ext, b_edge = model.beta2(ext), model.beta2(edge)
+    for ext, edge, gap in ranges:
+        if ext == edge:
+            b_ext = b_edge = model._beta2_gap(gap)
+        else:
+            b_ext, b_edge = model.beta2(ext), model.beta2(edge)
         k_edge = math.floor(b_edge * n)
         layer_lines += 2 * max(0, (n - 1) // 2 - k_edge)
         lo, hi = sorted((ext, edge))
@@ -473,27 +481,11 @@ def segment_caustics(e, vertices):
     return out
 
 
-def _passage(x, p):
-    """Signed distance of p from the line of the outgoing segment at x,
-    and the position of the foot along the direction."""
-    along = (p[0] - x.x) * x.vx + (p[1] - x.y) * x.vy
-    return _cross(p, x.x, x.y, x.vx, x.vy), along
-
-
-def _shoot(e, p, phi, n):
-    """The first n bounce states of the shot from p at angle phi."""
-    x = first_hit(e, Shot(p[0], p[1], math.cos(phi), math.sin(phi)))
-    out = [x]
-    for _ in range(n - 1):
-        x = advance(e, x)
-        out.append(x)
-    return out
-
-
 def _passage_at(phi, e, p, q, k):
     """Signed distance of q from the outgoing line of bounce state k of
     the shot from p at angle phi; simulates only the k + 1 states read."""
-    return _passage(_shoot(e, p, phi, k + 1)[k], q)[0]
+    x, y, vx, vy = _walk(e, p[0], p[1], math.cos(phi), math.sin(phi), k + 1)[k]
+    return _cross(q, x, y, vx, vy)
 
 
 def _grid_passages(e, p, q, thetas, n_max):
@@ -520,36 +512,54 @@ def _sign_changes(vals):
     return np.flatnonzero((vals != 0.0) & ~(vals * nxt >= 0.0))
 
 
-def boomerang_scan(e, p, n_max, tol, grid=DEFAULT_GRID):
-    """Shots from p whose k-th segment passes through p again, k <= n_max,
-    classified as retraced (kind 2, direction reversed) or crossing on
-    the other tangent line (kind 3).  Sign changes of the passage
-    distance over a direction grid are refined by bisection and each
-    hit is certified by re-simulation."""
-    _require_interior(e, p)
-    hits = []
+def _passages(e, p, q, n_max, tol, grid, n_states):
+    """Shots from p whose segment after bounce k passes through q, for
+    k = 1..n_max-1.
+
+    Sign changes of the passage distance over a grid of `grid`
+    directions are refined by brentq, and each root is re-simulated for
+    max(n_states, k + 2) states.  Yields (k, phi, states, cross) for
+    every root within tol of q whose foot lies within tol of the segment
+    from states[k] to states[k + 1]; roots that brentq rejects are
+    skipped.
+    """
     thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
-    rows = _grid_passages(e, p, p, thetas[:-1], n_max)
+    rows = _grid_passages(e, p, q, thetas[:-1], n_max)
     for k, vals in enumerate(rows, start=1):
         for j in _sign_changes(vals):
             try:
                 phi = brentq(_passage_at, thetas[j], thetas[j + 1],
-                             args=(e, p, p, k), xtol=1e-14)
+                             args=(e, p, q, k), xtol=1e-14)
             except ValueError:
                 continue
-            seg = _shoot(e, p, phi, k + 1)[k]
-            cross, along = _passage(seg, p)
-            nxt = advance(e, seg)
-            seg_len = math.hypot(nxt.x - seg.x, nxt.y - seg.y)
+            states = _walk(e, p[0], p[1], math.cos(phi), math.sin(phi),
+                           max(n_states, k + 2))
+            x, y, vx, vy = states[k]
+            cross = _cross(q, x, y, vx, vy)
+            along = (q[0] - x) * vx + (q[1] - y) * vy
+            seg_len = math.hypot(states[k + 1][0] - x, states[k + 1][1] - y)
             if abs(cross) > tol or not -tol <= along <= seg_len + tol:
                 continue
-            v0x, v0y = math.cos(phi), math.sin(phi)
-            dot = seg.vx * v0x + seg.vy * v0y
-            crossdir = seg.vx * v0y - seg.vy * v0x
-            if dot > 0.0 and abs(crossdir) < 1e-6:
-                continue  # periodic passage, not a boomerang
-            kind = 2 if (dot < 0.0 and abs(crossdir) < 1e-6) else 3
-            hits.append(BoomerangHit((v0x, v0y), k, kind, abs(cross)))
+            yield k, phi, states, cross
+
+
+def boomerang_scan(e, p, n_max, tol, grid=DEFAULT_GRID):
+    """Shots from p whose k-th segment passes through p again, k < n_max,
+    classified as retraced (kind 2, direction reversed) or crossing on
+    the other tangent line (kind 3).  Sign changes of the passage
+    distance over a direction grid are refined by brentq and each hit is
+    certified by re-simulation."""
+    _require_interior(e, p)
+    hits = []
+    for k, phi, states, cross in _passages(e, p, p, n_max, tol, grid, 0):
+        _, _, vx, vy = states[k]
+        v0x, v0y = math.cos(phi), math.sin(phi)
+        dot = vx * v0x + vy * v0y
+        crossdir = vx * v0y - vy * v0x
+        if dot > 0.0 and abs(crossdir) < 1e-6:
+            continue  # periodic passage, not a boomerang
+        kind = 2 if (dot < 0.0 and abs(crossdir) < 1e-6) else 3
+        hits.append(BoomerangHit((v0x, v0y), k, kind, abs(cross)))
     hits.sort(key=lambda h: (math.atan2(h.direction[1], h.direction[0]) % (2 * math.pi), h.bounce))
     dedup = []
     for h in hits:
@@ -565,7 +575,7 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
     """Shots from p1 passing through p2 at bounce count m and later
     within tol of the boundary point h at bounce n <= n_max.
 
-    The passage through p2 is solved exactly (bracket and bisect per
+    The passage through p2 is solved exactly (bracket and brentq per
     m); the hole condition is then checked on the resulting orbit.  The
     focal pair p1, p2 = (+-c, 0) is rejected: every chord through one
     focus passes through the other, the excluded exceptional case.
@@ -579,27 +589,13 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
     _require_interior(e, p2)
 
     hits = []
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
-    rows = _grid_passages(e, p1, p2, thetas[:-1], n_max)
-    for m, vals in enumerate(rows, start=1):
-        for j in _sign_changes(vals):
-            try:
-                phi = brentq(_passage_at, thetas[j], thetas[j + 1],
-                             args=(e, p1, p2, m), xtol=1e-14)
-            except ValueError:
-                continue
-            orbit = _shoot(e, p1, phi, n_max)
-            cross, along = _passage(orbit[m], p2)
-            nxt = advance(e, orbit[m])
-            seg_len = math.hypot(nxt.x - orbit[m].x, nxt.y - orbit[m].y)
-            if abs(cross) > tol or not -tol <= along <= seg_len + tol:
-                continue
-            for n in range(m + 1, n_max + 1):
-                x = orbit[n - 1]
-                miss = math.hypot(x.x - h[0], x.y - h[1])
-                if miss <= tol:
-                    hits.append(HoleHit((math.cos(phi), math.sin(phi)),
-                                        m, n, abs(cross), miss))
+    for m, phi, states, cross in _passages(e, p1, p2, n_max, tol, grid, n_max):
+        for n in range(m + 1, n_max + 1):
+            x, y, _, _ = states[n - 1]
+            miss = math.hypot(x - h[0], y - h[1])
+            if miss <= tol:
+                hits.append(HoleHit((math.cos(phi), math.sin(phi)),
+                                    m, n, abs(cross), miss))
     hits.sort(key=lambda r: (math.atan2(r.direction[1], r.direction[0]) % (2 * math.pi), r.m, r.n))
     return hits
 

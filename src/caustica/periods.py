@@ -6,7 +6,7 @@ hypergeometric,
     omega2 = pi F(1/2,1/2;1;lambda) = integral over [1,inf) of dx/y,
     omega1 = i pi F(1/2,1/2;1;1-lambda),
 
-and are evaluated here through the arithmetic-geometric mean, with
+and are evaluated here in closed form through Carlson's R_F, with
 quadrature as an independent cross-check.  The billiard section B(lambda)
 has Betti coordinates (beta1, beta2); beta2 is the ratio of an incomplete
 period integral to omega2 and coincides with the rotation number of the
@@ -54,26 +54,20 @@ class PeriodPair(NamedTuple):
     omega2: float
 
 
-def _agm(a, b):
-    for _ in range(60):
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
 def omega2(lam):
-    """Real period pi F(1/2,1/2;1;lambda) for 0 < lambda < 1, via AGM."""
+    """Real period pi F(1/2,1/2;1;lambda) = 2 R_F(1, 0, 1-lambda) for
+    0 < lambda < 1."""
     if not 0.0 < lam < 1.0:
         raise ValueError("omega2 needs lambda in (0, 1)")
-    return math.pi / _agm(1.0, math.sqrt(1.0 - lam))
+    return 2.0 * float(elliprf(1.0, 0.0, 1.0 - lam))
 
 
 def omega1(lam):
-    """Imaginary period i pi F(1/2,1/2;1;1-lambda) for 0 < lambda < 1."""
+    """Imaginary period i pi F(1/2,1/2;1;1-lambda) = 2i R_F(1, 0, lambda)
+    for 0 < lambda < 1."""
     if not 0.0 < lam < 1.0:
         raise ValueError("omega1 needs lambda in (0, 1)")
-    return 1j * math.pi / _agm(1.0, math.sqrt(lam))
+    return 2j * float(elliprf(1.0, 0.0, lam))
 
 
 def period_pair(lam):
@@ -83,7 +77,7 @@ def period_pair(lam):
 def omega2_quadrature(lam):
     """omega2 as the integral over [1, inf) of dx/y, by x = 1 + t^2.
 
-    Independent of the AGM route; the two must agree to 1e-10.
+    Independent of the R_F route; the two must agree to 1e-10.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("omega2 needs lambda in (0, 1)")
@@ -112,13 +106,13 @@ def omega1_quadrature(lam):
 def omega2_above_one(lam):
     """Real period for lambda > 1 through the 1/lambda isomorphism.
 
-    omega2(lambda) = omega2(1/lambda)/sqrt(lambda) = pi/AGM(sqrt(lambda),
-    sqrt(lambda-1)); equals the integral over [0,1] of dx/y, which
+    omega2(lambda) = omega2(1/lambda)/sqrt(lambda) = 2 R_F(lambda,
+    lambda-1, 0); equals the integral over [0,1] of dx/y, which
     omega2_above_one_quadrature evaluates independently.
     """
     if lam <= 1.0:
         raise ValueError("omega2_above_one needs lambda > 1")
-    return math.pi / _agm(math.sqrt(lam), math.sqrt(lam - 1.0))
+    return 2.0 * float(elliprf(lam, lam - 1.0, 0.0))
 
 
 def omega2_above_one_quadrature(lam):
@@ -227,7 +221,24 @@ class BettiModel:
             half_w2 = elliprf(1.0, 0.0, 1.0 - lam)
         else:
             half_w2 = elliprf(lam, lam - 1.0, 0.0)
-        return float(0.5 - elliprf(U, U - 1.0, max(0.0, U - lam)) / (2.0 * half_w2))
+        return self._ratio(half_w2, U - lam)
+
+    def _beta2_gap(self, g):
+        """beta2 at lambda = 1 + g from the signed gap g itself, which
+        keeps a gap below one ulp of 1 that lambda would round away:
+        omega2/2 is R_F(1+g, g, 0) above 1 and R_F(1, 0, -g) below."""
+        if g == 0.0:
+            return 0.5
+        if g > 0.0:
+            half_w2 = elliprf(1.0 + g, g, 0.0)
+        else:
+            half_w2 = elliprf(1.0, 0.0, -g)
+        return self._ratio(half_w2, (self.U - 1.0) - g)
+
+    def _ratio(self, half_w2, u_gap):
+        """1/2 - I_U/(2 omega2) from omega2/2 and U - lambda."""
+        U = self.U
+        return float(0.5 - elliprf(U, U - 1.0, max(0.0, u_gap)) / (2.0 * half_w2))
 
 
 def betti_scan(e, lambdas):

@@ -70,7 +70,7 @@ def test_reused_parser_matches_fresh_parser(tmp_path):
         ["simulate", "--c", "0.5", "--x", "0.1", "--y", "0.0",
          "--slope", "1.3", "--bounces", "4"],
         ["scan-angle-pair", "--c", "0.6", "--px", "0.2", "--py", "0.3",
-         "--alpha", "2.6608", "--nmax", "4", "--grid", "64"],
+         "--alpha", "2.6608", "--nmax", "4"],
         ["betti-scan", "--c", "0.6", "--lmin", "0.4", "--lmax", "1.2",
          "--num", "4"],
     ]
@@ -232,8 +232,7 @@ def test_scan_angle_pair_json(tmp_path):
                  if 0.2 < abs(a - b) < math.pi - 0.2)
     raw = run_to(tmp_path, "a.json", [
         "scan-angle-pair", "--c", "0.6", "--px", "0.2", "--py", "0.3",
-        "--alpha", repr(alpha), "--nmax", "6", "--tol", "1e-6",
-        "--grid", "1024"])
+        "--alpha", repr(alpha), "--nmax", "6", "--tol", "1e-6"])
     doc = json.loads(raw)
     assert doc["results"]
     for rec in doc["results"]:
@@ -291,6 +290,33 @@ def test_dml_search_bytes_frozen(tmp_path, name):
     raw = run_to(tmp_path, "s.json", [
         "dml", "search", "--input", str(DML_DATA / f"{name}.input.json")])
     assert raw == (DML_DATA / f"{name}.search.json").read_bytes()
+
+
+SCAN_DATA = Path(__file__).parent / "data" / "scan"
+SCAN_ARGV = {
+    "boomerang": ["scan-boomerang", "--c", "0.6", "--px", "0.2", "--py", "0.3",
+                  "--nmax", "6", "--tol", "1e-7"],
+    "hole": ["scan-hole", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
+             "--x2", "-0.3", "--y2", "0.1", "--hx", "1.0", "--hy", "0.0",
+             "--nmax", "8", "--tol", "0.05"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ARGV))
+def test_scan_bytes_frozen(tmp_path, name):
+    # The README invocations; the expected bytes were written by the
+    # scans that re-simulated each root as PhasePoints, the reference
+    # for the float-tuple walk.
+    raw = run_to(tmp_path, "s.json", SCAN_ARGV[name])
+    assert raw == (SCAN_DATA / f"{name}.json").read_bytes()
+
+
+def test_scan_angle_pair_has_no_grid_flag(capsys):
+    # The pair search is exact: it takes no direction grid.
+    with pytest.raises(SystemExit):
+        main(["scan-angle-pair", "--c", "0.6", "--px", "0.2", "--py", "0.3",
+              "--alpha", "2.6608", "--nmax", "4", "--grid", "64"])
+    assert "--grid" in capsys.readouterr().err
 
 
 def test_dml_search_input_validation(tmp_path, capsys):

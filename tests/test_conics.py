@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from caustica import conics
 from caustica import Ellipse, Shot, caustic_phase_point, classify_caustic, first_hit, inward, simulate
-from caustica.conics import (CausticKind, PhasePoint, advance, advance_batch,
+from caustica.conics import (CausticKind, PhasePoint, _walk, advance, advance_batch,
                              arc_measure, boundary_caustic_intersection, caustic_of_line,
                              chord_dual, dual_tangency_residual,
                              invariant_density, phase_invariant, point_of_z,
@@ -171,8 +171,8 @@ def test_advance_from_boundary_moves():
        bounces=st.integers(1, 12))
 @example(c=0.6, rho=1.0, theta=0.0, angles=[math.pi], bounces=3)
 def test_advance_batch_matches_scalar_bitwise(c, rho, theta, angles, bounces):
-    # Rows of the batched step equal first_hit/advance states bit for
-    # bit.  rho = 1 starts on the boundary, where the two tangent shots
+    # Rows of the batched step equal first_hit/advance states and the
+    # states of _walk bit for bit.  rho = 1 starts on the boundary, where the two tangent shots
     # graze (at the vertex example, exactly: the row stays in place);
     # rho > 1 starts outside, where both chord roots can lie ahead or a
     # shot can miss the table.
@@ -186,11 +186,18 @@ def test_advance_batch_matches_scalar_bitwise(c, rho, theta, angles, bounces):
     vx = np.array([d[0] for d in dirs])
     vy = np.array([d[1] for d in dirs])
     rows = [first_hit(e, Shot(x0, y0, dx, dy)) for dx, dy in dirs]
-    for _ in range(bounces):
+    walks = [_walk(e, x0, y0, dx, dy, bounces) for dx, dy in dirs]
+    for i in range(bounces):
         x, y, vx, vy = advance_batch(e, x, y, vx, vy)
         got = list(zip(x.tolist(), y.tolist(), vx.tolist(), vy.tolist()))
         assert got == [(r.x, r.y, r.vx, r.vy) for r in rows]
+        assert got == [w[i] for w in walks]
         rows = [advance(e, r) for r in rows]
+
+
+def test_first_hit_is_advance():
+    # One scalar step serves shots from the interior and bounce states.
+    assert first_hit is advance
 
 
 def test_grazing_shot_stays_put():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from caustica import Ellipse, add, mul, neg, point_distance
 from caustica.legendre import (ConjugationChecker, Infinity, LegendreCurve,
@@ -90,6 +92,41 @@ def test_add_associative():
             assert d < 1e-11 * cond
             if cond < 1e3:
                 assert d < 1e-9
+
+
+def _curve_point(lam, bounded, u, sign):
+    """Affine point of Y^2 = X(X-1)(X-lam) at fraction u of the bounded
+    oval, or at X = max(1, lam) + 4u on the unbounded branch; None when
+    Y^2 is too small to carry a direction reliably."""
+    if bounded:
+        X = u * min(1.0, lam)
+    else:
+        X = max(1.0, lam) + 4.0 * u
+    rhs = X * (X - 1.0) * (X - lam)
+    if rhs < 1e-6:
+        return None
+    return LegendrePoint(X, sign * math.sqrt(rhs))
+
+
+_points = st.tuples(st.booleans(), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0)),
+       specs=st.lists(_points, min_size=3, max_size=3))
+def test_group_law_properties(lam, specs):
+    # Commutative and associative up to point_distance, within the
+    # condition bound of test_add_associative: a sum far out on the
+    # curve carries |X| * eps absolute error into every later step.
+    L = LegendreCurve(lam)
+    pts = [_curve_point(lam, *s) for s in specs]
+    assume(all(pts))
+    P, Q, R = pts
+    PQ, QP = add(L, P, Q), add(L, Q, P)
+    QR = add(L, Q, R)
+    cond = max([1.0] + [abs(T.X) for T in (PQ, QR) if not T.inf])
+    assert point_distance(PQ, QP) < 1e-11 * cond
+    assert point_distance(add(L, PQ, R), add(L, P, QR)) < 1e-11 * cond
 
 
 def test_two_torsion():

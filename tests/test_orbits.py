@@ -162,6 +162,25 @@ def test_focal_layer_counts_every_level_above_the_extreme():
         assert count_periodic(e, p, n) == (4 * levels, 0, 4 * levels), n
 
 
+@pytest.mark.parametrize("b", [1e-8, 3e-9, 1e-9])
+def test_focal_layer_kept_when_the_extreme_rounds_to_one(b):
+    # At b <= ~5e-9, M/c^2 rounds to exactly 1 and beta2 there to 1/2;
+    # beta2 from the gap lambda_M - 1 = b^2/(c^2 - m) keeps the layer.
+    # The 40-digit count is 20 at all three points.
+    e = Ellipse(0.6)
+    p = (0.3, b)
+    assert count_periodic(e, p, 301) == (20, 0, 20)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        c2, a2, b2 = mp.mpf("0.36"), mp.mpf(p[0]) ** 2, mp.mpf(b) ** 2
+        tr = a2 + b2 + c2
+        lam = (tr + mp.sqrt(tr * tr - 4 * a2 * c2)) / (2 * c2)
+        U = 1 / c2
+        beta = 0.5 - mp.elliprf(U, U - 1, U - lam) / (2 * mp.elliprf(lam, lam - 1, 0))
+        levels = sum(beta < mp.mpf(k) / 301 < 0.5 for k in range(1, 301))
+    assert 4 * levels == 20
+
+
 @settings(max_examples=60, deadline=None)
 @given(c=st.floats(0.2, 0.9), r=st.floats(0.05, 0.95),
        t=st.floats(0.0, 2.0 * math.pi), n=st.integers(3, 40))
