@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import elliprf
 
 # Below this squared-distance threshold the two intersection roots are
@@ -390,6 +389,8 @@ def invariant_density(e, s, z):
 
 def arc_measure(e, s, z_lo, z_hi):
     """Invariant measure of the z-interval [z_lo, z_hi]."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda z: invariant_density(e, s, z), z_lo, z_hi,
                   epsabs=1e-12, epsrel=1e-12, limit=200)
     return abs(val)

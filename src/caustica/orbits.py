@@ -33,12 +33,13 @@ re-simulate every hit.
 import cmath
 import math
 import random as _random
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, fsolve, minimize
 
+from ._roots import brentq
 from .conics import (CausticKind, CausticParam, PhasePoint, Trajectory,
                      _walk, advance_batch, caustic_of_line, classify_caustic,
                      slope_of, unit)
@@ -290,13 +291,20 @@ def _line_roots(e, p, n):
 
 def _certified(e, p, n, roots):
     """Axis orbits and both orientations of every root line whose
-    closure error after n bounces is below CERT_TOL, sorted by angle."""
+    closure error after n bounces is below CERT_TOL, sorted by angle.
+    Rejected candidates are reported in a RuntimeWarning, not returned."""
     cands = _axis_directions(e, p, n)
     for phi, s in roots:
         caustic = classify_caustic(e, s)
         for ang in (phi, phi + math.pi):
             cands.append(((math.cos(ang), math.sin(ang)), caustic))
     errs = _closure_errors(e, p, [v for v, _ in cands], n)
+    rejected = [err for err in errs if not err < CERT_TOL]
+    if rejected:
+        warnings.warn(f"n = {n}: {len(rejected)} of {len(errs)} candidate "
+                      f"directions rejected, worst closure error "
+                      f"{max(rejected):.3g} (CERT_TOL = {CERT_TOL:g})",
+                      RuntimeWarning, stacklevel=3)
     out = [PeriodicDirection(v, n, caustic, err)
            for (v, caustic), err in zip(cands, errs) if err < CERT_TOL]
     out.sort(key=lambda d: math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi))
@@ -399,6 +407,8 @@ def connecting_trajectory(e, p1, p2, n, seed=0):
     same gradient, whose zeros obey the reflection law at every bounce.
     Returns a Trajectory whose points carry the outgoing direction at
     each bounce."""
+    from scipy.optimize import fsolve, minimize
+
     if n < 1:
         raise ValueError("need n >= 1 segments")
     if n == 1:
@@ -517,11 +527,12 @@ def _passages(e, p, q, n_max, tol, grid, n_states):
     k = 1..n_max-1.
 
     Sign changes of the passage distance over a grid of `grid`
-    directions are refined by brentq, and each root is re-simulated for
+    directions are refined by the in-repo Brent solver (_roots.brentq,
+    equal bit for bit to scipy's), and each root is re-simulated for
     max(n_states, k + 2) states.  Yields (k, phi, states, cross) for
     every root within tol of q whose foot lies within tol of the segment
-    from states[k] to states[k + 1]; roots that brentq rejects are
-    skipped.
+    from states[k] to states[k + 1]; brackets the solver rejects (a NaN
+    value or no sign change) are skipped.
     """
     thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
     rows = _grid_passages(e, p, q, thetas[:-1], n_max)
@@ -547,8 +558,8 @@ def boomerang_scan(e, p, n_max, tol, grid=DEFAULT_GRID):
     """Shots from p whose k-th segment passes through p again, k < n_max,
     classified as retraced (kind 2, direction reversed) or crossing on
     the other tangent line (kind 3).  Sign changes of the passage
-    distance over a direction grid are refined by brentq and each hit is
-    certified by re-simulation."""
+    distance over a direction grid are refined by the in-repo Brent
+    solver (_roots.brentq) and each hit is certified by re-simulation."""
     _require_interior(e, p)
     hits = []
     for k, phi, states, cross in _passages(e, p, p, n_max, tol, grid, 0):
@@ -575,10 +586,11 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
     """Shots from p1 passing through p2 at bounce count m and later
     within tol of the boundary point h at bounce n <= n_max.
 
-    The passage through p2 is solved exactly (bracket and brentq per
-    m); the hole condition is then checked on the resulting orbit.  The
-    focal pair p1, p2 = (+-c, 0) is rejected: every chord through one
-    focus passes through the other, the excluded exceptional case.
+    The passage through p2 is solved exactly (bracket and the in-repo
+    Brent solver, _roots.brentq, per m); the hole condition is then
+    checked on the resulting orbit.  The focal pair p1, p2 = (+-c, 0) is
+    rejected: every chord through one focus passes through the other,
+    the excluded exceptional case.
     """
     if (math.hypot(p1[0] - e.c, p1[1]) < 1e-9 and math.hypot(p2[0] + e.c, p2[1]) < 1e-9) or \
        (math.hypot(p1[0] + e.c, p1[1]) < 1e-9 and math.hypot(p2[0] - e.c, p2[1]) < 1e-9):

@@ -25,10 +25,9 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 from scipy.special import elliprf
 
+from ._roots import brentq
 from .conics import CausticParam, CausticKind, _step, caustic_phase_point, classify_caustic
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -38,6 +37,8 @@ def _quad(f, a, b):
     """quad at tight tolerances with the roundoff warning silenced; the
     integrands have square-root endpoint behavior where the warning
     fires even though the achieved accuracy is ample."""
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = quad(f, a, b, **_QUAD_OPTS)

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caustica
 from caustica.cli import build_parser, main
 from caustica.conics import Ellipse
 from caustica.orbits import find_periodic_directions
@@ -376,3 +379,64 @@ def test_console_script_installed(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.read_text().startswith("# caustica simulate")
+
+
+# The README invocations, each run in one fresh interpreter; none of
+# them may load scipy.optimize or scipy.integrate, which only the
+# connecting-trajectory solver and the quadrature references need.
+README_ARGV = [
+    ["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7",
+     "--bounces", "100"],
+    ["count-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3", "--nmax", "30"],
+    ["find-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3", "--n", "7"],
+    ["poncelet", "--c", "0.6", "--rot", "1/7", "--starts", "20"],
+    ["birkhoff", "--c", "0.6", "--s", "0.62", "--bounces", "100"],
+    ["birkhoff", "--c", "0.6", "--s", "0.62", "--window", "3"],
+    ["moebius-fit", "--c", "0.6", "--s", "0.62", "--n", "7"],
+    SCAN_ARGV["boomerang"],
+    SCAN_ARGV["hole"],
+    ["scan-angle-pair", "--c", "0.6", "--px", "0.2", "--py", "0.3",
+     "--alpha", "2.6608", "--nmax", "6"],
+    ["lattice-pairs", "--tau-re", "0.0", "--tau-im", "1.0", "--alpha", "1.5707963",
+     "--hmax", "3"],
+    ["render", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7"],
+    ["dml", "classify", "--input", "{input}"],
+    ["dml", "search", "--input", "{input}"],
+]
+LAZY = ("scipy.optimize", "scipy.integrate")
+_GUARD = """
+import json, sys
+import caustica.cli
+jobs, lazy = json.loads(sys.argv[1])
+report = []
+for argv in jobs:
+    rc = caustica.cli.main(argv)
+    report.append([rc, [m for m in lazy if m in sys.modules]])
+print(json.dumps(report))
+"""
+
+
+def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps({
+        "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+        "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 25}))
+    jobs = [[a.format(input=inp) for a in argv] + ["--out", str(tmp_path / f"{i}.out")]
+            for i, argv in enumerate(README_ARGV)]
+    jobs += [["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
+              "--x2", "-0.3", "--y2", "0.1", "--n", "12",
+              "--out", str(tmp_path / "connect.out")],
+             ["betti-scan", "--c", "0.6", "--lmin", "1.1", "--lmax", "2.5",
+              "--num", "101", "--out", str(tmp_path / "betti.out")]]
+    src = Path(caustica.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD, json.dumps([jobs, LAZY])],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    report = json.loads(proc.stdout.splitlines()[-1])
+    for argv, (rc, loaded) in zip(README_ARGV, report):
+        assert rc == 0, argv
+        assert loaded == [], argv
+    (connect_rc, after_connect), (betti_rc, after_betti) = report[-2:]
+    assert connect_rc == 0 and after_connect == ["scipy.optimize"]
+    assert betti_rc == 0 and after_betti == list(LAZY)

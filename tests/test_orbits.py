@@ -1,6 +1,8 @@
 """Periodic directions, counting law, connecting trajectories, scans."""
 
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from caustica import (ConvergenceError, Ellipse, closure_error,
                       connecting_trajectory, count_periodic,
                       find_periodic_directions, reflection_residual,
                       segment_caustics)
+from caustica.cli import main
 from caustica.conics import (CausticKind, Shot, advance, caustic_of_line,
                              first_hit, simulate)
 from caustica.orbits import (CERT_TOL, LAYER_BAND, _grid_passages, _line_roots,
@@ -422,3 +425,15 @@ def test_convergence_error_carries_best_candidate():
     assert issubclass(ConvergenceError, RuntimeError)
     err = ConvergenceError("no", [1, 2, 3])
     assert err.best == [1, 2, 3]
+
+
+def test_certification_rejects_are_reported():
+    # At n = 2001 five candidates close only to ~1.6e-6 > CERT_TOL; they
+    # stay out of the count, and a RuntimeWarning says so.
+    with pytest.warns(RuntimeWarning, match=r"n = 2001: 5 of 1108 .* 1\.6\de-06"):
+        assert count_periodic(E, P, 2001) == (1439, 1103, 336)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert count_periodic(E, P, 1001) == (724, 556, 168)
+        assert main(["count-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3",
+                     "--nmax", "30", "--out", os.devnull]) == 0
