@@ -25,9 +25,9 @@ from .conics import (Ellipse, Shot, caustic_of_line, caustic_phase_point,
                      classify_caustic, inward, simulate, slope_of)
 from .dml import (ExponentialFamily, FiniteSet, LineFamily, ProjectiveLine,
                   ProjectiveMap, classify, family_detect, triple_orbit_search)
-from .orbits import (ConvergenceError, angle_pair_scan, boomerang_scan,
-                     closure_error, connecting_trajectory, count_periodic,
-                     find_periodic_directions, hole_scan,
+from .orbits import (DEFAULT_GRID, ConvergenceError, angle_pair_scan,
+                     boomerang_scan, closure_error, connecting_trajectory,
+                     count_periodic, find_periodic_directions, hole_scan,
                      parallelogram_angle_pairs, predicted_count,
                      reflection_residual, segment_caustics)
 from .periods import betti_scan, lambda_for_beta2
@@ -255,7 +255,7 @@ def _cmd_scan_boomerang(args):
     p = (_opt(args, "px", required=True), _opt(args, "py", required=True))
     nmax = int(_opt(args, "nmax", required=True))
     tol = _opt(args, "tol", 1e-9)
-    grid = int(_opt(args, "grid", 4096))
+    grid = int(_opt(args, "grid", DEFAULT_GRID))
     hits = boomerang_scan(e, p, nmax, tol, grid)
     recs = [{"direction": list(h.direction), "bounce": h.bounce,
              "kind": h.kind, "miss": h.miss} for h in hits]
@@ -272,7 +272,7 @@ def _cmd_scan_hole(args):
     h = (_opt(args, "hx", required=True), _opt(args, "hy", required=True))
     nmax = int(_opt(args, "nmax", required=True))
     tol = _opt(args, "tol", 1e-6)
-    grid = int(_opt(args, "grid", 4096))
+    grid = int(_opt(args, "grid", DEFAULT_GRID))
     hits = hole_scan(e, p1, p2, h, nmax, tol, grid)
     recs = [{"direction": list(t.direction), "m": t.m, "n": t.n,
              "miss_p": t.miss_p, "miss_h": t.miss_h} for t in hits]

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import elliprf
 
 # Below this squared-distance threshold the two intersection roots are
 # considered equal and the chord is treated as tangent to the boundary.
@@ -384,6 +383,8 @@ def invariant_density(e, s, z):
     r = (z * z - A) * (z * z - B)
     if abs(r) < 1e-30:
         raise ValueError("z at a singular endpoint of the invariant measure")
+    from scipy.special import elliprf
+
     return 1.0 / (math.sqrt(abs(r)) * 2.0 * float(elliprf(0.0, abs(A), abs(B))))
 
 

@@ -13,7 +13,10 @@ period integral to omega2 and coincides with the rotation number of the
 billiard circle map on elliptic caustics.  BettiModel evaluates beta2 in
 closed form through Carlson's R_F (B. C. Carlson, Numer. Algorithms 10
 (1995)); betti_billiard evaluates the same integrals by adaptive
-quadrature and is the independent reference.  Both Gauss-Legendre operator
+quadrature and is the independent reference.  scipy.special is imported on
+first use, so importing this module loads no scipy: omega1, omega2 and
+omega2_above_one import elliprf inside the call, and BettiModel binds it once
+when a model is built.  Both Gauss-Legendre operator
 residuals (on omega2 itself and on the elliptic logarithm of B) are
 provided as finite-difference checks; the second has the closed value
 2c sqrt(1-c^2) (1-c^2 lambda)^(-3/2), which is nonzero and so certifies
@@ -25,7 +28,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import elliprf
 
 from ._roots import brentq
 from .conics import CausticParam, CausticKind, _step, caustic_phase_point, classify_caustic
@@ -60,6 +62,8 @@ def omega2(lam):
     0 < lambda < 1."""
     if not 0.0 < lam < 1.0:
         raise ValueError("omega2 needs lambda in (0, 1)")
+    from scipy.special import elliprf
+
     return 2.0 * float(elliprf(1.0, 0.0, 1.0 - lam))
 
 
@@ -68,6 +72,8 @@ def omega1(lam):
     for 0 < lambda < 1."""
     if not 0.0 < lam < 1.0:
         raise ValueError("omega1 needs lambda in (0, 1)")
+    from scipy.special import elliprf
+
     return 2j * float(elliprf(1.0, 0.0, lam))
 
 
@@ -113,6 +119,8 @@ def omega2_above_one(lam):
     """
     if lam <= 1.0:
         raise ValueError("omega2_above_one needs lambda > 1")
+    from scipy.special import elliprf
+
     return 2.0 * float(elliprf(lam, lam - 1.0, 0.0))
 
 
@@ -203,11 +211,16 @@ class BettiModel:
     valid on both branches since the incomplete elliptic numerator
     equals omega2 - I_U above lambda = 1.  Grid scans and the inverse
     in lambda of the periodic-direction search go through this model;
-    betti_billiard remains the direct-quadrature reference.
+    betti_billiard remains the direct-quadrature reference.  R_F is
+    scipy.special.elliprf, imported and bound here when the model is
+    built, so beta2 pays no import per call.
     """
 
     def __init__(self, e):
+        from scipy.special import elliprf
+
         self.U = 1.0 / e.c2
+        self._rf = elliprf
 
     def beta2(self, lam):
         if lam == 1.0:
@@ -219,9 +232,9 @@ class BettiModel:
         if lam - U > 1e-12:
             raise ValueError("lambda must not exceed 1/c^2")
         if lam < 1.0:
-            half_w2 = elliprf(1.0, 0.0, 1.0 - lam)
+            half_w2 = self._rf(1.0, 0.0, 1.0 - lam)
         else:
-            half_w2 = elliprf(lam, lam - 1.0, 0.0)
+            half_w2 = self._rf(lam, lam - 1.0, 0.0)
         return self._ratio(half_w2, U - lam)
 
     def _beta2_gap(self, g):
@@ -231,15 +244,15 @@ class BettiModel:
         if g == 0.0:
             return 0.5
         if g > 0.0:
-            half_w2 = elliprf(1.0 + g, g, 0.0)
+            half_w2 = self._rf(1.0 + g, g, 0.0)
         else:
-            half_w2 = elliprf(1.0, 0.0, -g)
+            half_w2 = self._rf(1.0, 0.0, -g)
         return self._ratio(half_w2, (self.U - 1.0) - g)
 
     def _ratio(self, half_w2, u_gap):
         """1/2 - I_U/(2 omega2) from omega2/2 and U - lambda."""
         U = self.U
-        return float(0.5 - elliprf(U, U - 1.0, max(0.0, u_gap)) / (2.0 * half_w2))
+        return float(0.5 - self._rf(U, U - 1.0, max(0.0, u_gap)) / (2.0 * half_w2))
 
 
 def betti_scan(e, lambdas):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -381,9 +382,11 @@ def test_console_script_installed(tmp_path):
     assert out.read_text().startswith("# caustica simulate")
 
 
-# The README invocations, each run in one fresh interpreter; none of
-# them may load scipy.optimize or scipy.integrate, which only the
-# connecting-trajectory solver and the quadrature references need.
+# The README invocations, each run in its own fresh interpreter, so that a
+# module one job loads is not charged to the next.  Only the subcommands
+# that evaluate Carlson's R_F load scipy.special; none of them loads
+# scipy.optimize or scipy.integrate, which only the connecting-trajectory
+# solver and the quadrature references need.
 README_ARGV = [
     ["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7",
      "--bounces", "100"],
@@ -403,17 +406,25 @@ README_ARGV = [
     ["dml", "classify", "--input", "{input}"],
     ["dml", "search", "--input", "{input}"],
 ]
-LAZY = ("scipy.optimize", "scipy.integrate")
+R_F_USERS = {"count-periodic", "find-periodic", "poncelet", "moebius-fit",
+             "scan-angle-pair"}
 _GUARD = """
 import json, sys
 import caustica.cli
-jobs, lazy = json.loads(sys.argv[1])
-report = []
-for argv in jobs:
-    rc = caustica.cli.main(argv)
-    report.append([rc, [m for m in lazy if m in sys.modules]])
-print(json.dumps(report))
+rc = caustica.cli.main(json.loads(sys.argv[1]))
+scipy = ("scipy", "scipy.special", "scipy.optimize", "scipy.integrate")
+print(json.dumps([rc, [m for m in scipy if m in sys.modules]]))
 """
+
+
+def _guarded_run(argv, src):
+    """(exit code, which of scipy and its special/optimize/integrate
+    modules are loaded) after one CLI run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD, json.dumps(argv)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
@@ -429,14 +440,13 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
              ["betti-scan", "--c", "0.6", "--lmin", "1.1", "--lmax", "2.5",
               "--num", "101", "--out", str(tmp_path / "betti.out")]]
     src = Path(caustica.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _GUARD, json.dumps([jobs, LAZY])],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    report = json.loads(proc.stdout.splitlines()[-1])
+    # Two interpreters at a time; each job writes only its own artifact.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        report = list(pool.map(lambda job: _guarded_run(job, src), jobs))
     for argv, (rc, loaded) in zip(README_ARGV, report):
         assert rc == 0, argv
-        assert loaded == [], argv
+        assert loaded == (["scipy", "scipy.special"] if argv[0] in R_F_USERS else []), argv
+    # scipy.optimize imports scipy.special, and scipy.integrate imports both.
     (connect_rc, after_connect), (betti_rc, after_betti) = report[-2:]
-    assert connect_rc == 0 and after_connect == ["scipy.optimize"]
-    assert betti_rc == 0 and after_betti == list(LAZY)
+    assert connect_rc == 0 and after_connect == ["scipy", "scipy.special", "scipy.optimize"]
+    assert betti_rc == 0 and len(after_betti) == 4
