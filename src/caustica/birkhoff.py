@@ -138,15 +138,17 @@ def moebius_fit(e, s, n, samples=20):
     return MoebiusFit(float(a), float(b), float(c), float(d), float(res))
 
 
-def value_multiplicity(e, s, n, value, grid=1024):
+def value_multiplicity(e, s, n, value):
     """Number of boundary points per semi-ellipse where the window sum
     attains the given value, by counting sign changes (and exact zeros)
-    of the window sum on a theta grid over the upper semi-ellipse."""
+    of the window sum on a grid of 1024 theta cells over the upper
+    semi-ellipse."""
     if n < 1 or n % 2 == 0:
         raise ValueError("window length n must be odd")
     sv = s.s if isinstance(s, CausticParam) else s
     _check_not_periodic(e, sv, n)
     m = (n - 1) // 2
+    grid = 1024
     thetas = np.linspace(0.0, math.pi, grid + 1)
     # Open the interval slightly: the vertices are extremal points.
     thetas[0] = 1e-9

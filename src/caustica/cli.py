@@ -3,19 +3,21 @@
 Each subcommand wraps one library capability and writes a single
 artifact.  Output is deterministic: the same configuration and seed
 produce byte-identical files and numeric CSV columns carry 17
-significant digits.  --threads (or the CAUSTICA_THREADS environment
-variable) is validated and accepted, and changes no byte: every scan runs
-in input order on one thread.  A JSON config file (--config) can
-supply any flag, with explicit flags taking precedence.  Precondition
-violations exit with status 2 and a machine-readable JSON object on
-standard error.
+significant digits.  build_parser declares every flag once, with its
+type, default and whether the subcommand requires it.  A JSON config
+file (--config) can supply any flag: main parses each entry as the
+flag it names, so a config value gets the flag's type, and explicit
+flags take precedence.  --threads is validated (>= 1) and changes no
+byte: every scan runs in input order on one thread, because the work
+holds the interpreter lock (on 2 cores, two threads were 4-14% slower
+than one).  Precondition violations exit with status 2 and a
+machine-readable JSON object on standard error.
 """
 
 import argparse
 import functools
 import json
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -39,55 +41,23 @@ def _fmt(v):
 
 
 def _emit(args, text):
-    out = _opt(args, "out")
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
-def _opt(args, key, default=None, required=False):
-    """Flag value with config-file fallback: CLI > config > default."""
-    val = getattr(args, key, None)
-    if val is None:
-        cfg = getattr(args, "config_data", {})
-        val = cfg.get(key.replace("_", "-"), cfg.get(key))
-    if val is None:
-        if required:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        val = default
-    return val
-
-
-def _check_threads(args):
-    """Validate --threads (or CAUSTICA_THREADS), kept for compatibility.
-
-    The scans are Python code that holds the interpreter lock, so they
-    run on one thread: on 2 cores, --threads 2 made count-periodic,
-    betti-scan and birkhoff 4-14% slower than --threads 1.
-    """
-    val = _opt(args, "threads")
-    if val is None:
-        val = os.environ.get("CAUSTICA_THREADS", "1")
-    if int(val) < 1:
-        raise ValueError("--threads must be >= 1")
-
-
-def _csv(args, command, seed, header, rows):
-    lines = [f"# caustica {command} seed={seed}", header]
+def _csv(args, command, header, rows):
+    lines = [f"# caustica {command} seed={args.seed}", header]
     lines.extend(rows)
     _emit(args, "\n".join(lines) + "\n")
 
 
-def _json_out(args, command, seed, payload):
-    doc = {"command": command, "seed": seed}
+def _json_out(args, command, payload):
+    doc = {"command": command, "seed": args.seed}
     doc.update(payload)
     _emit(args, json.dumps(doc, indent=2) + "\n")
-
-
-def _seed(args):
-    return int(_opt(args, "seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -95,46 +65,38 @@ def _seed(args):
 
 
 def _cmd_simulate(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    x = _opt(args, "x", required=True)
-    y = _opt(args, "y", required=True)
-    bounces = int(_opt(args, "bounces", 100))
-    vx = _opt(args, "vx")
-    vy = _opt(args, "vy")
+    e = Ellipse(args.c)
+    x, y, vx, vy = args.x, args.y, args.vx, args.vy
     if vx is None or vy is None:
-        slope = float(_opt(args, "slope", required=True))
-        vx, vy = inward(e, (x, y), slope)
-    traj = simulate(e, Shot(x, y, vx, vy), bounces)
+        if args.slope is None:
+            raise ValueError("missing required option --slope")
+        vx, vy = inward(e, (x, y), args.slope)
+    traj = simulate(e, Shot(x, y, vx, vy), args.bounces)
     rows = []
     for i, pt in enumerate(traj.points, start=1):
         seg = caustic_of_line(e, (pt.x, pt.y), slope_of(pt.vx, pt.vy))
         rows.append(",".join([str(i), _fmt(pt.x), _fmt(pt.y),
                               _fmt(pt.vx), _fmt(pt.vy), _fmt(seg.s)]))
-    _csv(args, "simulate", _seed(args), "step,x,y,vx,vy,s", rows)
+    _csv(args, "simulate", "step,x,y,vx,vy,s", rows)
     return 0
 
 
 def _cmd_betti_scan(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    lmin = _opt(args, "lmin", required=True)
-    lmax = _opt(args, "lmax", required=True)
-    num = int(_opt(args, "num", 101))
+    e = Ellipse(args.c)
+    lmin, lmax, num = args.lmin, args.lmax, args.num
     if num < 2:
         raise ValueError("--num must be >= 2")
     lams = [lmin + (lmax - lmin) * j / (num - 1) for j in range(num)]
-    _check_threads(args)
     coords = betti_scan(e, lams)
     rows = [",".join([_fmt(lam), _fmt(bc.beta1), _fmt(bc.beta2)])
             for lam, bc in zip(lams, coords)]
-    _csv(args, "betti-scan", _seed(args), "lambda,beta1,beta2", rows)
+    _csv(args, "betti-scan", "lambda,beta1,beta2", rows)
     return 0
 
 
 def _cmd_count_periodic(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    p = (_opt(args, "px", required=True), _opt(args, "py", required=True))
-    nmin = int(_opt(args, "nmin", 2))
-    nmax = int(_opt(args, "nmax", required=True))
+    e = Ellipse(args.c)
+    p = (args.px, args.py)
 
     def row(n):
         count = count_periodic(e, p, n).total
@@ -142,9 +104,8 @@ def _cmd_count_periodic(args):
         return ",".join([str(n), "odd" if n % 2 else "even",
                          str(count), _fmt(pred)])
 
-    _check_threads(args)
-    rows = [row(n) for n in range(nmin, nmax + 1)]
-    _csv(args, "count-periodic", _seed(args), "n,parity,count,predicted", rows)
+    rows = [row(n) for n in range(args.nmin, args.nmax + 1)]
+    _csv(args, "count-periodic", "n,parity,count,predicted", rows)
     return 0
 
 
@@ -153,30 +114,28 @@ def _caustic_json(param):
 
 
 def _cmd_find_periodic(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    p = (_opt(args, "px", required=True), _opt(args, "py", required=True))
-    n = int(_opt(args, "n", required=True))
-    dirs = find_periodic_directions(e, p, n)
+    e = Ellipse(args.c)
+    p = (args.px, args.py)
+    dirs = find_periodic_directions(e, p, args.n)
     recs = [{"direction": list(d.direction), "period": d.period,
              "caustic": _caustic_json(d.caustic),
              "closure_error": d.closure_error} for d in dirs]
-    _json_out(args, "find-periodic", _seed(args),
-              {"c": e.c, "point": list(p), "n": n, "results": recs})
+    _json_out(args, "find-periodic",
+              {"c": e.c, "point": list(p), "n": args.n, "results": recs})
     return 0
 
 
 def _cmd_connect(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    p1 = (_opt(args, "x1", required=True), _opt(args, "y1", required=True))
-    p2 = (_opt(args, "x2", required=True), _opt(args, "y2", required=True))
-    n = int(_opt(args, "n", required=True))
-    seed = _seed(args)
-    traj = connecting_trajectory(e, p1, p2, n, seed=seed)
+    e = Ellipse(args.c)
+    p1 = (args.x1, args.y1)
+    p2 = (args.x2, args.y2)
+    n = args.n
+    traj = connecting_trajectory(e, p1, p2, n, seed=args.seed)
     verts = [(pt.x, pt.y) for pt in traj.points]
     full = [p1] + verts + [p2]
     residuals = [reflection_residual(e, full[j], full[j + 1], full[j + 2])
                  for j in range(len(verts))]
-    _json_out(args, "connect", seed, {
+    _json_out(args, "connect", {
         "c": e.c, "p1": list(p1), "p2": list(p2), "segments": n,
         "bounces": [{"x": pt.x, "y": pt.y, "vx": pt.vx, "vy": pt.vy}
                     for pt in traj.points],
@@ -188,21 +147,19 @@ def _cmd_connect(args):
 
 
 def _cmd_poncelet(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    rot = Fraction(str(_opt(args, "rot", required=True)))
-    starts = int(_opt(args, "starts", 20))
-    seed = _seed(args)
+    e = Ellipse(args.c)
+    rot = Fraction(args.rot)
     lam = lambda_for_beta2(e, float(rot))
     s = e.c2 * lam
     param = classify_caustic(e, s)
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     recs = []
-    for _ in range(starts):
+    for _ in range(args.starts):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         x = caustic_phase_point(e, param, theta)
         err = closure_error(e, (x.x, x.y), (x.vx, x.vy), rot.denominator)
         recs.append({"theta": theta, "closure_error": err})
-    _json_out(args, "poncelet", seed, {
+    _json_out(args, "poncelet", {
         "c": e.c, "rotation": str(rot), "lambda_star": lam, "s_star": s,
         "starts": recs,
         "max_closure_error": max(r["closure_error"] for r in recs),
@@ -211,39 +168,32 @@ def _cmd_poncelet(args):
 
 
 def _cmd_birkhoff(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    s = _opt(args, "s", required=True)
-    num = int(_opt(args, "num", 64))
-    bounces = _opt(args, "bounces")
-    window = _opt(args, "window")
+    e = Ellipse(args.c)
+    bounces, window, num = args.bounces, args.window, args.num
     if (bounces is None) == (window is None):
         raise ValueError("give exactly one of --bounces (plain sum) or "
                          "--window (symmetric sum half-width)")
-    param = classify_caustic(e, s)
+    param = classify_caustic(e, args.s)
     thetas = [math.pi * (j + 0.5) / num for j in range(num)]
 
     def row(theta):
         x = caustic_phase_point(e, param, theta)
         if bounces is not None:
-            val = birkhoff_sum(e, x, int(bounces))
+            val = birkhoff_sum(e, x, bounces)
         else:
-            val = symmetric_sum(e, x, int(window))
+            val = symmetric_sum(e, x, window)
         return ",".join([_fmt(x.x), _fmt(x.y), _fmt(val)])
 
-    _check_threads(args)
     rows = [row(theta) for theta in thetas]
-    _csv(args, "birkhoff", _seed(args), "x,y,sum", rows)
+    _csv(args, "birkhoff", "x,y,sum", rows)
     return 0
 
 
 def _cmd_moebius_fit(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    s = _opt(args, "s", required=True)
-    n = int(_opt(args, "n", required=True))
-    samples = int(_opt(args, "samples", 20))
-    fit = moebius_fit(e, s, n, samples=samples)
-    _json_out(args, "moebius-fit", _seed(args), {
-        "c": e.c, "s": s, "n": n, "samples": samples,
+    e = Ellipse(args.c)
+    fit = moebius_fit(e, args.s, args.n, samples=args.samples)
+    _json_out(args, "moebius-fit", {
+        "c": e.c, "s": args.s, "n": args.n, "samples": args.samples,
         "a": fit.a, "b": fit.b, "coef_c": fit.c, "d": fit.d,
         "det": fit.det, "residual": fit.residual,
     })
@@ -251,68 +201,56 @@ def _cmd_moebius_fit(args):
 
 
 def _cmd_scan_boomerang(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    p = (_opt(args, "px", required=True), _opt(args, "py", required=True))
-    nmax = int(_opt(args, "nmax", required=True))
-    tol = _opt(args, "tol", 1e-9)
-    grid = int(_opt(args, "grid", DEFAULT_GRID))
-    hits = boomerang_scan(e, p, nmax, tol, grid)
+    e = Ellipse(args.c)
+    p = (args.px, args.py)
+    hits = boomerang_scan(e, p, args.nmax, args.tol, args.grid)
     recs = [{"direction": list(h.direction), "bounce": h.bounce,
              "kind": h.kind, "miss": h.miss} for h in hits]
-    _json_out(args, "scan-boomerang", _seed(args),
-              {"c": e.c, "point": list(p), "nmax": nmax, "tol": tol,
-               "grid": grid, "results": recs})
+    _json_out(args, "scan-boomerang",
+              {"c": e.c, "point": list(p), "nmax": args.nmax, "tol": args.tol,
+               "grid": args.grid, "results": recs})
     return 0
 
 
 def _cmd_scan_hole(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    p1 = (_opt(args, "x1", required=True), _opt(args, "y1", required=True))
-    p2 = (_opt(args, "x2", required=True), _opt(args, "y2", required=True))
-    h = (_opt(args, "hx", required=True), _opt(args, "hy", required=True))
-    nmax = int(_opt(args, "nmax", required=True))
-    tol = _opt(args, "tol", 1e-6)
-    grid = int(_opt(args, "grid", DEFAULT_GRID))
-    hits = hole_scan(e, p1, p2, h, nmax, tol, grid)
+    e = Ellipse(args.c)
+    p1 = (args.x1, args.y1)
+    p2 = (args.x2, args.y2)
+    h = (args.hx, args.hy)
+    hits = hole_scan(e, p1, p2, h, args.nmax, args.tol, args.grid)
     recs = [{"direction": list(t.direction), "m": t.m, "n": t.n,
              "miss_p": t.miss_p, "miss_h": t.miss_h} for t in hits]
-    _json_out(args, "scan-hole", _seed(args),
+    _json_out(args, "scan-hole",
               {"c": e.c, "p1": list(p1), "p2": list(p2), "hole": list(h),
-               "nmax": nmax, "tol": tol, "grid": grid, "results": recs})
+               "nmax": args.nmax, "tol": args.tol, "grid": args.grid,
+               "results": recs})
     return 0
 
 
 def _cmd_scan_angle_pair(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    p = (_opt(args, "px", required=True), _opt(args, "py", required=True))
-    alpha = _opt(args, "alpha", required=True)
-    nmax = int(_opt(args, "nmax", required=True))
-    tol = _opt(args, "tol", 1e-6)
-    pairs = angle_pair_scan(e, p, alpha, nmax, tol)
+    e = Ellipse(args.c)
+    p = (args.px, args.py)
+    pairs = angle_pair_scan(e, p, args.alpha, args.nmax, args.tol)
     recs = [{"dir1": list(t.dir1), "dir2": list(t.dir2),
              "period1": t.period1, "period2": t.period2} for t in pairs]
-    _json_out(args, "scan-angle-pair", _seed(args),
-              {"c": e.c, "point": list(p), "alpha": alpha, "nmax": nmax,
-               "tol": tol, "results": recs})
+    _json_out(args, "scan-angle-pair",
+              {"c": e.c, "point": list(p), "alpha": args.alpha,
+               "nmax": args.nmax, "tol": args.tol, "results": recs})
     return 0
 
 
 def _cmd_lattice_pairs(args):
-    tau = complex(_opt(args, "tau_re", required=True),
-                  _opt(args, "tau_im", required=True))
-    alpha = _opt(args, "alpha", required=True)
-    hmax = int(_opt(args, "hmax", 3))
-    pairs, cm = parallelogram_angle_pairs(tau, alpha, hmax)
+    tau = complex(args.tau_re, args.tau_im)
+    pairs, cm = parallelogram_angle_pairs(tau, args.alpha, args.hmax)
     recs = [{"lambda": list(lc), "delta": list(dc)} for lc, dc in pairs]
-    _json_out(args, "lattice-pairs", _seed(args),
-              {"tau": [tau.real, tau.imag], "alpha": alpha, "hmax": hmax,
-               "cm": bool(cm), "pairs": recs})
+    _json_out(args, "lattice-pairs",
+              {"tau": [tau.real, tau.imag], "alpha": args.alpha,
+               "hmax": args.hmax, "cm": bool(cm), "pairs": recs})
     return 0
 
 
 def _load_dml_input(args):
-    path = _opt(args, "input", required=True)
-    with open(path) as fh:
+    with open(args.input) as fh:
         obj = json.load(fh)
     beta = ProjectiveMap(obj["matrix"])
     lines = [ProjectiveLine(row) for row in obj.get("lines", [])]
@@ -341,7 +279,7 @@ def _family_json(rep):
 
 def _cmd_dml_classify(args):
     beta, _, _ = _load_dml_input(args)
-    _json_out(args, "dml classify", _seed(args),
+    _json_out(args, "dml classify",
               {"classification": _class_json(classify(beta))})
     return 0
 
@@ -354,7 +292,7 @@ def _cmd_dml_search(args):
         raise ValueError("dml search needs a positive range")
     hits = triple_orbit_search(beta, lines[0], lines[1], lines[2], N)
     rep = family_detect(hits, beta, lines)
-    _json_out(args, "dml search", _seed(args), {
+    _json_out(args, "dml search", {
         "range": N,
         "classification": _class_json(classify(beta)),
         "hits": [{"m": h.m, "n": h.n, "P": list(h.P)} for h in hits],
@@ -368,19 +306,16 @@ def _svg_fmt(v):
 
 
 def _cmd_render(args):
-    e = Ellipse(_opt(args, "c", required=True))
-    x = _opt(args, "x", required=True)
-    y = _opt(args, "y", required=True)
-    slope = float(_opt(args, "slope", required=True))
-    bounces = int(_opt(args, "bounces", 20))
-    vx, vy = inward(e, (x, y), slope)
-    traj = simulate(e, Shot(x, y, vx, vy), bounces)
+    e = Ellipse(args.c)
+    x, y = args.x, args.y
+    vx, vy = inward(e, (x, y), args.slope)
+    traj = simulate(e, Shot(x, y, vx, vy), args.bounces)
     b = math.sqrt(e.b2)
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         'viewBox="-1.15 -1.15 2.3 2.3" width="600" height="600">',
-        f'<!-- caustica render seed={_seed(args)} -->',
+        f'<!-- caustica render seed={args.seed} -->',
         '<g transform="scale(1,-1)" fill="none">',
         f'<ellipse cx="0" cy="0" rx="1" ry="{_svg_fmt(b)}" '
         'stroke="black" stroke-width="0.008"/>',
@@ -428,20 +363,24 @@ def _svg_caustic(e, param):
 # parser
 
 
-def _add_common(sp):
-    sp.add_argument("--config", default=None,
-                    help="JSON file whose keys mirror the flags")
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--seed", type=int, default=None,
+def _subcommand(sub, name, func, help, required=()):
+    """Subparser `name` with the common flags.  `required` names the
+    flags (as attributes) that main demands, from the command line or
+    the config file."""
+    sp = sub.add_parser(name, help=help)
+    sp.add_argument("--config", help="JSON file whose keys mirror the flags")
+    sp.add_argument("--out", help="output path (default stdout)")
+    sp.add_argument("--seed", type=int, default=0,
                     help="seed for any randomized stage, recorded in output")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="accepted for compatibility; scans run on one "
-                         "thread (CAUSTICA_THREADS fallback)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; scans run on one thread")
+    sp.set_defaults(func=func, required=required)
+    return sp
 
 
-def _float(sp, *names, **kw):
+def _float(sp, *names, default=None):
     for name in names:
-        sp.add_argument(name, type=float, default=None, **kw)
+        sp.add_argument(name, type=float, default=default)
 
 
 @functools.cache
@@ -453,124 +392,136 @@ def build_parser():
         description="Elliptical billiards, caustics and exact orbit search")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="bounce a shot, CSV trajectory")
+    sp = _subcommand(sub, "simulate", _cmd_simulate,
+                     "bounce a shot, CSV trajectory", ("c", "x", "y"))
     _float(sp, "--c", "--x", "--y", "--slope", "--vx", "--vy")
-    sp.add_argument("--bounces", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_simulate)
+    sp.add_argument("--bounces", type=int, default=100)
 
-    sp = sub.add_parser("betti-scan", help="Betti coordinates over lambda")
+    sp = _subcommand(sub, "betti-scan", _cmd_betti_scan,
+                     "Betti coordinates over lambda", ("c", "lmin", "lmax"))
     _float(sp, "--c", "--lmin", "--lmax")
-    sp.add_argument("--num", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_betti_scan)
+    sp.add_argument("--num", type=int, default=101)
 
-    sp = sub.add_parser("count-periodic",
-                        help="periodic-direction counts per period")
+    sp = _subcommand(sub, "count-periodic", _cmd_count_periodic,
+                     "periodic-direction counts per period",
+                     ("c", "px", "py", "nmax"))
     _float(sp, "--c", "--px", "--py")
-    sp.add_argument("--nmin", type=int, default=None)
-    sp.add_argument("--nmax", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_count_periodic)
+    sp.add_argument("--nmin", type=int, default=2)
+    sp.add_argument("--nmax", type=int)
 
-    sp = sub.add_parser("find-periodic",
-                        help="certified periodic directions for one period")
+    sp = _subcommand(sub, "find-periodic", _cmd_find_periodic,
+                     "certified periodic directions for one period",
+                     ("c", "px", "py", "n"))
     _float(sp, "--c", "--px", "--py")
-    sp.add_argument("--n", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_find_periodic)
+    sp.add_argument("--n", type=int)
 
-    sp = sub.add_parser("connect",
-                        help="billiard path between two interior points")
+    sp = _subcommand(sub, "connect", _cmd_connect,
+                     "billiard path between two interior points",
+                     ("c", "x1", "y1", "x2", "y2", "n"))
     _float(sp, "--c", "--x1", "--y1", "--x2", "--y2")
-    sp.add_argument("--n", type=int, default=None, help="segment count")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_connect)
+    sp.add_argument("--n", type=int, help="segment count")
 
-    sp = sub.add_parser("poncelet",
-                        help="closure test on a rational-rotation caustic")
+    sp = _subcommand(sub, "poncelet", _cmd_poncelet,
+                     "closure test on a rational-rotation caustic",
+                     ("c", "rot"))
     _float(sp, "--c")
-    sp.add_argument("--rot", default=None, help="rotation number p/q")
-    sp.add_argument("--starts", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_poncelet)
+    sp.add_argument("--rot", help="rotation number p/q")
+    sp.add_argument("--starts", type=int, default=20)
 
-    sp = sub.add_parser("birkhoff", help="cosine sums along a caustic")
+    sp = _subcommand(sub, "birkhoff", _cmd_birkhoff,
+                     "cosine sums along a caustic", ("c", "s"))
     _float(sp, "--c", "--s")
-    sp.add_argument("--bounces", type=int, default=None)
-    sp.add_argument("--window", type=int, default=None)
-    sp.add_argument("--num", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_birkhoff)
+    sp.add_argument("--bounces", type=int)
+    sp.add_argument("--window", type=int)
+    sp.add_argument("--num", type=int, default=64)
 
-    sp = sub.add_parser("moebius-fit",
-                        help="Moebius model of the symmetric sum")
+    sp = _subcommand(sub, "moebius-fit", _cmd_moebius_fit,
+                     "Moebius model of the symmetric sum", ("c", "s", "n"))
     _float(sp, "--c", "--s")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_moebius_fit)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--samples", type=int, default=20)
 
-    sp = sub.add_parser("scan-boomerang",
-                        help="shots returning through their start")
-    _float(sp, "--c", "--px", "--py", "--tol")
-    sp.add_argument("--nmax", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_scan_boomerang)
+    sp = _subcommand(sub, "scan-boomerang", _cmd_scan_boomerang,
+                     "shots returning through their start",
+                     ("c", "px", "py", "nmax"))
+    _float(sp, "--c", "--px", "--py")
+    _float(sp, "--tol", default=1e-9)
+    sp.add_argument("--nmax", type=int)
+    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
 
-    sp = sub.add_parser("scan-hole",
-                        help="trajectories through a point that reach a hole")
-    _float(sp, "--c", "--x1", "--y1", "--x2", "--y2", "--hx", "--hy", "--tol")
-    sp.add_argument("--nmax", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_scan_hole)
+    sp = _subcommand(sub, "scan-hole", _cmd_scan_hole,
+                     "trajectories through a point that reach a hole",
+                     ("c", "x1", "y1", "x2", "y2", "hx", "hy", "nmax"))
+    _float(sp, "--c", "--x1", "--y1", "--x2", "--y2", "--hx", "--hy")
+    _float(sp, "--tol", default=1e-6)
+    sp.add_argument("--nmax", type=int)
+    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
 
-    sp = sub.add_parser("scan-angle-pair",
-                        help="periodic direction pairs at a fixed angle")
-    _float(sp, "--c", "--px", "--py", "--alpha", "--tol")
-    sp.add_argument("--nmax", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_scan_angle_pair)
+    sp = _subcommand(sub, "scan-angle-pair", _cmd_scan_angle_pair,
+                     "periodic direction pairs at a fixed angle",
+                     ("c", "px", "py", "alpha", "nmax"))
+    _float(sp, "--c", "--px", "--py", "--alpha")
+    _float(sp, "--tol", default=1e-6)
+    sp.add_argument("--nmax", type=int)
 
-    sp = sub.add_parser("lattice-pairs",
-                        help="lattice vector pairs at a fixed angle ratio")
+    sp = _subcommand(sub, "lattice-pairs", _cmd_lattice_pairs,
+                     "lattice vector pairs at a fixed angle ratio",
+                     ("tau_re", "tau_im", "alpha"))
     _float(sp, "--tau-re", "--tau-im", "--alpha")
-    sp.add_argument("--hmax", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_lattice_pairs)
+    sp.add_argument("--hmax", type=int, default=3)
 
     dml = sub.add_parser("dml", help="exact projective orbit tools")
     dsub = dml.add_subparsers(dest="dml_command", required=True)
-    sp = dsub.add_parser("classify", help="closure group of a matrix")
-    sp.add_argument("--input", default=None, help="JSON with matrix")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_dml_classify)
-    sp = dsub.add_parser("search", help="orbits meeting three lines")
-    sp.add_argument("--input", default=None,
-                    help="JSON with matrix, lines, range")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_dml_search)
+    sp = _subcommand(dsub, "classify", _cmd_dml_classify,
+                     "closure group of a matrix", ("input",))
+    sp.add_argument("--input", help="JSON with matrix")
+    sp = _subcommand(dsub, "search", _cmd_dml_search,
+                     "orbits meeting three lines", ("input",))
+    sp.add_argument("--input", help="JSON with matrix, lines, range")
 
-    sp = sub.add_parser("render", help="SVG of table, caustic and trajectory")
+    sp = _subcommand(sub, "render", _cmd_render,
+                     "SVG of table, caustic and trajectory",
+                     ("c", "x", "y", "slope"))
     _float(sp, "--c", "--x", "--y", "--slope")
-    sp.add_argument("--bounces", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_render)
+    sp.add_argument("--bounces", type=int, default=20)
 
     return ap
 
 
+# Namespace attributes that no flag sets.
+_NOT_FLAGS = {"command", "dml_command", "func", "required"}
+
+
+def _with_config(ap, argv, args):
+    """Parse argv again with each entry of the --config file that names a
+    flag of the subcommand written as --key=value right after the
+    subcommand name: every config value gets its flag's type, and the
+    explicit flags, later on the line, win.  Keys may use dashes or
+    underscores; a key that names no flag, or a null value, is ignored."""
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("--config must hold a JSON object")
+    flags = vars(args).keys() - _NOT_FLAGS
+    tokens = [f"--{key.replace('_', '-')}={val}" for key, val in cfg.items()
+              if val is not None and key.replace("-", "_") in flags]
+    names = 2 if args.command == "dml" else 1
+    return ap.parse_args(argv[:names] + tokens + argv[names:])
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    args.config_data = {}
     try:
-        cfg_path = getattr(args, "config", None)
-        if cfg_path:
-            with open(cfg_path) as fh:
-                args.config_data = json.load(fh)
+        if args.config:
+            args = _with_config(ap, argv, args)
+        for key in args.required:
+            if getattr(args, key) is None:
+                raise ValueError(
+                    f"missing required option --{key.replace('_', '-')}")
+        if args.threads < 1:
+            raise ValueError("--threads must be >= 1")
         return args.func(args)
     except (ValueError, TypeError, ConvergenceError, OSError, KeyError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

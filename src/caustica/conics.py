@@ -69,17 +69,9 @@ class Ellipse:
     def boundary_residual(self, x, y):
         return x * x + y * y / self.b2 - 1.0
 
-    def contains(self, x, y, tol=1e-12):
-        return self.boundary_residual(x, y) <= tol
-
     def boundary_point(self, theta):
         """Point (cos theta, sqrt(1-c^2) sin theta) on the boundary."""
         return math.cos(theta), math.sqrt(self.b2) * math.sin(theta)
-
-    def project_to_boundary(self, x, y):
-        """Radial projection onto the boundary (drift control)."""
-        r = math.sqrt(x * x + y * y / self.b2)
-        return x / r, y / r
 
 
 @dataclass(frozen=True)
@@ -92,14 +84,15 @@ class CausticParam:
         return self.kind not in (CausticKind.HYPERBOLIC, CausticKind.ELLIPTIC)
 
 
-def classify_caustic(e, s, rtol=DEGENERACY_RTOL):
-    """CausticParam for a confocal parameter s, with degeneracy tolerance."""
+def classify_caustic(e, s):
+    """CausticParam for a confocal parameter s; s within the relative
+    tolerance DEGENERACY_RTOL (1e-9) of c^2, 1 or 0 is degenerate."""
     c2 = e.c2
-    if abs(s - c2) < rtol * c2:
+    if abs(s - c2) < DEGENERACY_RTOL * c2:
         return CausticParam(s, CausticKind.DEGENERATE_FOCAL)
-    if abs(s - 1.0) < rtol:
+    if abs(s - 1.0) < DEGENERACY_RTOL:
         return CausticParam(s, CausticKind.DEGENERATE_BOUNDARY)
-    if abs(s) < rtol:
+    if abs(s) < DEGENERACY_RTOL:
         return CausticParam(s, CausticKind.DEGENERATE_CENTER)
     if 0.0 < s < c2:
         return CausticParam(s, CausticKind.HYPERBOLIC)
@@ -181,10 +174,11 @@ def caustic_of_line(e, p, slope):
     return classify_caustic(e, s)
 
 
-def reflect(e, q, v_in, tol=_REFLECT_TOL):
-    """Specular reflection of v_in at boundary point q."""
+def reflect(e, q, v_in):
+    """Specular reflection of v_in at boundary point q, which must lie
+    within _REFLECT_TOL (1e-9) of the boundary."""
     x, y = q
-    if abs(e.boundary_residual(x, y)) > tol:
+    if abs(e.boundary_residual(x, y)) > _REFLECT_TOL:
         raise ValueError("reflection point off the boundary")
     nx, ny = x, y / e.b2
     nn = nx * nx + ny * ny
@@ -466,25 +460,22 @@ def inward(e, p, slope):
     return vx, vy
 
 
-def caustic_phase_point(e, s, theta, clockwise=True):
+def caustic_phase_point(e, s, theta):
     """PhasePoint at boundary angle theta tangent to the caustic s.
 
-    With clockwise=True the direction is chosen so the caustic lies to
-    the right of the motion, which makes the induced circle map rotate
-    clockwise; the other choice generates the inverse map.
+    The direction is always the clockwise one: the caustic lies to the
+    right of the motion, which makes the induced circle map rotate
+    clockwise (the other tangent generates the inverse map).
     """
     p = e.boundary_point(theta)
     slopes = tangent_slopes(e, p, s)
     if not slopes:
         raise ValueError("caustic not reachable from this boundary point")
-    best = None
     for xi in slopes:
         vx, vy = inward(e, p, xi)
-        cross = p[0] * vy - p[1] * vx
-        cand = (cross, PhasePoint(p[0], p[1], vx, vy))
-        if clockwise == (cross < 0.0):
-            return cand[1]
-        best = cand[1]
+        best = PhasePoint(p[0], p[1], vx, vy)
+        if p[0] * vy - p[1] * vx < 0.0:
+            return best
     # Both tangents wind the same way only at degenerate configurations;
     # fall back to the last candidate reversed in time.
     return best

@@ -84,8 +84,9 @@ class LegendreCurve:
         scale = max(1.0, abs(Y) ** 2, abs(X) ** 3)
         return abs(Y * Y - rhs) / scale
 
-    def contains(self, P, tol=1e-6):
-        return self.residual(P) <= tol
+    def contains(self, P):
+        """Whether P lies on the curve: residual at most 1e-6."""
+        return self.residual(P) <= 1e-6
 
 
 def lambda_of(e, s):
@@ -314,13 +315,11 @@ class ConjugationChecker:
         return point_distance(Q, _add_raw(self.curve, P, target))
 
 
-def conjugation_defect(e, s, x, checker=None):
+def conjugation_defect(e, s, x):
     """Distance between the advanced phase point and P + sigma*B on the
-    Legendre curve; a fresh call minimizes over sigma, a shared
-    ConjugationChecker pins it."""
-    if checker is None:
-        checker = ConjugationChecker(e, s)
-    return checker.defect(x)
+    Legendre curve, minimized over sigma by a fresh ConjugationChecker;
+    use one ConjugationChecker across calls to pin sigma."""
+    return ConjugationChecker(e, s).defect(x)
 
 
 def point_to_json(P):

@@ -516,10 +516,11 @@ def _grid_passages(e, p, q, thetas, n_max):
 
 def _sign_changes(vals):
     """Cells j whose values vals[j], vals[j + 1] (cyclically) change
-    sign; a cell whose left value is exactly zero is skipped, and a NaN
-    product counts as a change (the test is "not >= 0")."""
+    sign, or whose left value is exactly zero (the root on that node,
+    which the cell before does not report); a NaN product counts as a
+    change (the test is "not >= 0")."""
     nxt = np.roll(vals, -1)
-    return np.flatnonzero((vals != 0.0) & ~(vals * nxt >= 0.0))
+    return np.flatnonzero((vals == 0.0) | ~(vals * nxt >= 0.0))
 
 
 def _passages(e, p, q, n_max, tol, grid, n_states):
@@ -679,7 +680,10 @@ def parallelogram_angle_pairs(tau, alpha, H):
     return pairs, cm
 
 
-def _is_quadratic(tau, bound=50, tol=1e-10):
+def _is_quadratic(tau):
+    """Whether A tau^2 + B tau + C = 0 within 1e-10 for integers with
+    1 <= A <= 50 and |B|, |C| <= 100."""
+    bound, tol = 50, 1e-10
     for A in range(1, bound + 1):
         v = A * tau * tau
         for B in range(-2 * bound, 2 * bound + 1):

@@ -321,24 +321,20 @@ def _gamma_operator(f, lam, h):
     return lam * (1.0 - lam) * d2 + (1.0 - 2.0 * lam) * d1 - 0.25 * f0
 
 
-def picard_fuchs_residual(lam, h=1e-4, richardson=True):
-    """|Gamma omega2| at lambda by central differences.
-
-    One Richardson level (steps h and h/2) cancels the O(h^2) term;
-    with richardson=False the raw O(h^2) residual is returned.
+def picard_fuchs_residual(lam):
+    """|Gamma omega2| at lambda by central differences with the fixed
+    step h = 1e-4; one Richardson level (steps h and h/2) cancels the
+    O(h^2) term.
     """
-    if h > 1e-2:
-        raise ValueError("step too large for the target tolerance")
+    h = 1e-4
     if not (0.0 < lam - 2.0 * h and lam + 2.0 * h < 1.0):
-        raise ValueError("lambda +- 2h must stay inside (0, 1)")
+        raise ValueError("lambda +- 2h (h = 1e-4) must stay inside (0, 1)")
     r1 = _gamma_operator(omega2, lam, h)
-    if not richardson:
-        return abs(r1)
     r2 = _gamma_operator(omega2, lam, 0.5 * h)
     return abs((4.0 * r2 - r1) / 3.0)
 
 
-def manin_residual(e, lam, h=1e-3, richardson=True):
+def manin_residual(e, lam):
     """Distance of the Manin map of the billiard section from its closed
     value 2c sqrt(1-c^2) (1-c^2 lambda)^(-3/2).
 
@@ -347,13 +343,14 @@ def manin_residual(e, lam, h=1e-3, richardson=True):
     normalization of the closed form equals 8 Gamma(ell): the factor 8
     between the bare Gauss-Legendre image and the corrected Manin map is
     constant in (c, lambda) and was pinned at 40-digit precision.  A
-    nonzero value certifies the section is non-torsion.
+    nonzero value certifies the section is non-torsion.  Gamma(ell) is
+    taken by central differences with the fixed step h = 1e-3 and one
+    Richardson level (steps h and h/2).
     """
+    h = 1e-3
     U = 1.0 / e.c2
     if not (1.0 < lam - 2.0 * h and lam + 2.0 * h < U):
-        raise ValueError("lambda +- 2h must stay inside (1, 1/c^2)")
-    if h > 1e-2:
-        raise ValueError("step too large for the target tolerance")
+        raise ValueError("lambda +- 2h (h = 1e-3) must stay inside (1, 1/c^2)")
 
     def ell(t):
         v = 0.5 * elliptic_numerator(e, t)
@@ -362,8 +359,7 @@ def manin_residual(e, lam, h=1e-3, richardson=True):
         return v
 
     r1 = _gamma_operator(ell, lam, h)
-    if richardson:
-        r2 = _gamma_operator(ell, lam, 0.5 * h)
-        r1 = (4.0 * r2 - r1) / 3.0
+    r2 = _gamma_operator(ell, lam, 0.5 * h)
+    gamma = (4.0 * r2 - r1) / 3.0
     expected = 2.0 * e.c * math.sqrt(e.b2) * (1.0 - e.c2 * lam) ** -1.5
-    return abs(8.0 * r1 - expected)
+    return abs(8.0 * gamma - expected)

@@ -450,3 +450,79 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
     (connect_rc, after_connect), (betti_rc, after_betti) = report[-2:]
     assert connect_rc == 0 and after_connect == ["scipy", "scipy.special", "scipy.optimize"]
     assert betti_rc == 0 and len(after_betti) == 4
+
+
+def _config_of(argv):
+    """The flags of argv as a config object: underscores in keys, and
+    numbers as JSON numbers, integral ones (1.0 on a float flag) as
+    integers."""
+    cfg = {}
+    for flag, text in zip(argv[::2], argv[1::2]):
+        try:
+            val = float(text)
+        except ValueError:
+            val = text
+        else:
+            val = int(val) if val.is_integer() else val
+        cfg[flag[2:].replace("-", "_")] = val
+    return cfg
+
+
+def test_readme_invocations_as_config_files_match_flags(tmp_path):
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps({
+        "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+        "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 25}))
+    jobs = README_ARGV + [
+        ["betti-scan", "--c", "0.6", "--lmin", "1.1", "--lmax", "2.5",
+         "--num", "11"],
+        ["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
+         "--x2", "-0.3", "--y2", "0.1", "--n", "12"]]
+    for i, job in enumerate(jobs):
+        job = [a.format(input=inp) for a in job]
+        names = 2 if job[0] == "dml" else 1
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(_config_of(job[names:])))
+        from_cfg = run_to(tmp_path, f"c{i}", job[:names] + ["--config", str(cfg)])
+        assert from_cfg == run_to(tmp_path, f"f{i}", job), job
+
+
+def test_config_string_value_gets_the_flag_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"c": "0.6", "px": 0.2, "py": 0.3, "nmax": "6", "tol": "1e-7"}))
+    raw = run_to(tmp_path, "s.json", ["scan-boomerang", "--config", str(cfg)])
+    assert raw == (SCAN_DATA / "boomerang.json").read_bytes()
+
+
+def test_config_ignores_keys_that_name_no_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"c": 0.6, "lmin": 0.5, "lmax": 0.9, "num": 7, "seed": None,
+         "colour": "red", "grid": 64, "tau-re": 1.0, "func": "x"}))
+    from_cfg = run_to(tmp_path, "c.csv", ["betti-scan", "--config", str(cfg)])
+    from_flags = run_to(tmp_path, "f.csv", [
+        "betti-scan", "--c", "0.6", "--lmin", "0.5", "--lmax", "0.9",
+        "--num", "7"])
+    assert from_cfg == from_flags
+
+
+def test_config_that_is_not_an_object_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([["c", 0.6]]))
+    assert main(["betti-scan", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+def test_zero_threads_rejected_on_every_subcommand(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({
+        "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+        "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 5}))
+    for argv in (["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3",
+                  "--slope", "0.7", "--bounces", "3"],
+                 ["dml", "search", "--input", str(inp)]):
+        assert main(argv + ["--threads", "0"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "--threads must be >= 1"}

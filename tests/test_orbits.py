@@ -337,6 +337,17 @@ def test_boomerang_scan_certifies_and_shrinks():
     assert set(map(key, tight)) <= set(map(key, hits))
 
 
+def test_boomerang_scan_reports_a_root_on_a_grid_node():
+    # From (0.2, 0) the shots along the major axis retrace themselves
+    # through p at bounce 2.  theta = 0 is a node of the direction grid
+    # where the passage distance is exactly 0.0; theta = pi, the mirror
+    # shot, is found by a sign change.  Both are reported, once each.
+    hits = boomerang_scan(Ellipse(0.6), (0.2, 0.0), 3, 1e-9, 1024)
+    axial = [h for h in hits if abs(h.direction[1]) < 1e-12]
+    assert sorted((h.direction[0], h.bounce, h.kind) for h in axial) == [
+        (-1.0, 2, 2), (1.0, 2, 2)]
+
+
 def test_boomerang_scan_rejects_boundary_point():
     with pytest.raises(ValueError):
         boomerang_scan(E, (1.0, 0.0), 4, 1e-7)
