@@ -71,6 +71,7 @@ from .orbits import (
     closure_error,
     connecting_trajectory,
     count_periodic,
+    count_periodic_range,
     find_periodic_directions,
     hole_scan,
     parallelogram_angle_pairs,

@@ -29,8 +29,8 @@ from .dml import (ExponentialFamily, FiniteSet, LineFamily, ProjectiveLine,
                   ProjectiveMap, classify, family_detect, triple_orbit_search)
 from .orbits import (DEFAULT_GRID, ConvergenceError, angle_pair_scan,
                      boomerang_scan, closure_error, connecting_trajectory,
-                     count_periodic, find_periodic_directions, hole_scan,
-                     parallelogram_angle_pairs, predicted_count,
+                     count_periodic_range, find_periodic_directions,
+                     hole_scan, parallelogram_angle_pairs, predicted_count,
                      reflection_residual, segment_caustics)
 from .periods import betti_scan, lambda_for_beta2
 
@@ -98,13 +98,10 @@ def _cmd_count_periodic(args):
     e = Ellipse(args.c)
     p = (args.px, args.py)
 
-    def row(n):
-        count = count_periodic(e, p, n).total
-        pred = predicted_count(e, p, n)
-        return ",".join([str(n), "odd" if n % 2 else "even",
-                         str(count), _fmt(pred)])
-
-    rows = [row(n) for n in range(args.nmin, args.nmax + 1)]
+    ns = range(args.nmin, args.nmax + 1)
+    rows = [",".join([str(n), "odd" if n % 2 else "even", str(bd.total),
+                      _fmt(predicted_count(e, p, n))])
+            for n, bd in zip(ns, count_periodic_range(e, p, ns))]
     _csv(args, "count-periodic", "n,parity,count,predicted", rows)
     return 0
 

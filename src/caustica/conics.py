@@ -16,6 +16,14 @@ s*t^2 + (s - c^2)*u^2 = 1 (the dual conic).  This module implements the
 reflection law, the billiard map, trajectory simulation, the tangency
 invariant (1 - c^2)*x*v1 + y*v2, and the invariant boundary measure in
 the rational parameter z = y/(x - 1).
+
+There are two bounce kernels, equal bit for bit: the scalar _step on
+floats, and advance_batch, one step for k shots held in numpy arrays.
+advance_batch returns every row exactly as _step would, grazing and
+missing rows unchanged, lets no numpy warning escape and raises
+ValueError when a moving row lands off the boundary.  Its cost is
+numpy's fixed per-call overhead, so it is written as a lean sequence of
+augmented operations with its masks only on batches that need them.
 """
 
 import enum
@@ -195,8 +203,9 @@ def _step(b2, x, y, vx, vy):
     the current point: a point on the boundary has one root near 0,
     excluded by the tangency threshold, an interior one has a root of
     each sign.  A tangent (grazing) shot, or one with no root ahead,
-    returns its state unchanged.  advance_batch repeats these operations
-    in this order, so both agree bit for bit.
+    returns its state unchanged.  advance_batch computes these same
+    floats for a whole batch (its reorderings are exact), so both agree
+    bit for bit.
     """
     A = vx * vx + vy * vy / b2
     B = 2.0 * (x * vx + y * vy / b2)
@@ -237,42 +246,97 @@ def _step(b2, x, y, vx, vy):
 
 
 def advance_batch(e, x, y, vx, vy):
-    """advance on float arrays of k shots at once.
+    """_step on float arrays of k shots at once.
 
-    Row i of the result is bit for bit the scalar step from
-    (x[i], y[i], vx[i], vy[i]): the same operations in the same order,
-    with grazing rows returned unchanged.  Raises ValueError if any
-    moving row lands off the boundary.
+    Row i of the result is bit for bit _step from (x[i], y[i], vx[i],
+    vy[i]); grazing and missing rows come back unchanged, no numpy
+    warning escapes, and ValueError is raised if any moving row lands
+    off the boundary.
+
+    A step costs about one numpy call per operation of _step whatever
+    k is, so the kernel keeps the calls few: augmented operators in
+    place of temporaries, no np.errstate (the arithmetic is kept finite
+    instead), three reductions that check that every row is an ordinary
+    one, and the np.where masks only for a batch holding a grazing,
+    missing or outside row.  Each float is the one _step computes: the
+    reorderings below are exact (a + b = b + a, -(a + b) = -a - b and
+    (-a) / b = a / (-b) in IEEE arithmetic).
     """
+    if not x.size:
+        return x, y, vx, vy
     b2 = e.b2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        A = vx * vx + vy * vy / b2
-        B = 2.0 * (x * vx + y * vy / b2)
-        C = x * x + y * y / b2 - 1.0
-        disc = B * B - 4.0 * A * C
-        sq = np.sqrt(disc)
-        t1 = np.where(B >= 0.0, -B - sq, -B + sq) / (2.0 * A)
-        t2 = np.where(t1 != 0.0, C / (A * t1), 0.0)
-        ahead1 = t1 > TANGENCY_EPS
-        ahead2 = t2 > TANGENCY_EPS
-        t = np.where(ahead1, np.where(ahead2, np.minimum(t1, t2), t1),
-                     np.where(ahead2, t2, 0.0))
-        moving = (disc > 0.0) & (t != 0.0)
-        px = x + t * vx
-        py = y + t * vy
-        r = np.sqrt(px * px + py * py / b2)
-        qx = px / r
-        qy = py / r
-        off = np.abs(qx * qx + qy * qy / b2 - 1.0) > _REFLECT_TOL
-        if np.any(off & moving):
-            raise ValueError("reflection point off the boundary")
-        ny = qy / b2
-        d = (vx * qx + vy * ny) / (qx * qx + ny * ny)
-        wx = vx - 2.0 * d * qx
-        wy = vy - 2.0 * d * ny
-        n = np.sqrt(wx * wx + wy * wy)
-        return (np.where(moving, qx, x), np.where(moving, qy, y),
-                np.where(moving, wx / n, vx), np.where(moving, wy / n, vy))
+    A = vx * vx
+    A += vy * vy / b2
+    B = x * vx
+    B += y * vy / b2
+    B *= 2.0
+    C = x * x
+    C += y * y / b2
+    C -= 1.0
+    disc = B * B
+    disc -= 4.0 * A * C
+    real = None
+    if not disc.min() > 0.0:
+        # Rows without two real roots stay put; a stand-in discriminant
+        # keeps their arithmetic finite and quiet.
+        real = disc > 0.0
+        disc = np.where(real, disc, 1.0)
+    # t1 = (-B -+ sq) / (2A), the root without cancellation, written
+    # (B +- sq) / (-2A); sq takes the sign of B, with B = -0.0 counted
+    # as positive (B + 0.0 is +0.0) as in _step's B >= 0.0.  |t1| >= sq /
+    # (2A) > 0, so t2 needs no zero guard.
+    t1 = np.copysign(np.sqrt(disc), B + 0.0)
+    t1 += B
+    t1 /= -2.0 * A
+    t2 = C / (A * t1)
+    # _step's choice of root: the smaller if both lie ahead, else the
+    # one ahead, else none (the row stays put).
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1, t2)
+    t = np.where(lo > TANGENCY_EPS, lo, hi) if lo.max() > TANGENCY_EPS else hi
+    moving = None  # every row moves
+    if real is not None or not hi.min() > TANGENCY_EPS:
+        moving = hi > TANGENCY_EPS
+        if real is not None:
+            moving &= real
+        t *= moving
+    # Radial projection controls drift off the boundary.
+    qx = t * vx
+    qx += x
+    qy = t * vy
+    qy += y
+    r = qx * qx
+    r += qy * qy / b2
+    r = np.sqrt(r)
+    qx /= r
+    qy /= r
+    qx2 = qx * qx
+    res = qy * qy / b2
+    res += qx2
+    res -= 1.0
+    if moving is None:
+        off = np.abs(res).max() > _REFLECT_TOL
+    else:
+        off = (moving & (np.abs(res) > _REFLECT_TOL)).any()
+    if off:
+        raise ValueError("reflection point off the boundary")
+    ny = qy / b2
+    d = vx * qx
+    d += vy * ny
+    qx2 += ny * ny
+    d /= qx2
+    d += d
+    wx = vx - d * qx
+    wy = vy - d * ny
+    n = wx * wx
+    n += wy * wy
+    n = np.sqrt(n)
+    wx /= n
+    wy /= n
+    if moving is None:
+        return qx, qy, wx, wy
+    return (np.where(moving, qx, x), np.where(moving, qy, y),
+            np.where(moving, wx, vx), np.where(moving, wy, vy))
 
 
 def _walk(e, x, y, vx, vy, n):

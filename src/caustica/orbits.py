@@ -14,7 +14,11 @@ caustic level has exactly two tangent lines through p, in closed form.
 beta2 is strictly monotone in lambda = s/c^2 on each side of the focal
 transition lambda = 1, so each level k/n is inverted once for its
 lambda_k; both lines tangent to s = c^2 lambda_k are then certified by
-simulating the n bounces.  Levels with |1 - lambda| below a resolution
+simulating the n bounces.  The candidates of every n of a range are
+simulated together in one retiring lockstep of advance_batch (rows
+stacked by n in descending order; step j advances the rows with
+n >= j), and each closure error equals that of a walk of its n alone,
+bit for bit, since rows never interact.  Levels with |1 - lambda| below a resolution
 band correspond to caustics within ~4^(-n) of the focal degeneration;
 they are provably present by monotonicity and the exact limit
 beta2 -> 1/2 and are counted by integer arithmetic, since no
@@ -54,6 +58,9 @@ LAYER_BAND = 1e-6
 # Default number of direction cells for the passage scans.
 DEFAULT_GRID = 4096
 _AXIS_TOL = 1e-12
+# Candidate rows certified in one lockstep (a few MB of state); a longer
+# range of n is certified band by band.
+_BAND_ROWS = 1 << 16
 # Random starts of connecting_trajectory, besides the three wound
 # interpolations.
 _CONNECT_STARTS = 8
@@ -187,21 +194,37 @@ def closure_error(e, p, v, n):
     return _defect(p, vx, vy, *_walk(e, p[0], p[1], vx, vy, n)[-1])
 
 
-def _closure_errors(e, p, dirs, n):
-    """closure_error for every direction in dirs, the shots run in
-    lockstep through advance_batch; only the final states are kept."""
-    units = [unit(vx, vy) for vx, vy in dirs]
-    if not units:
-        return []
-    vx = np.array([u[0] for u in units])
-    vy = np.array([u[1] for u in units])
+def _closure_errors(e, p, band):
+    """closure_error of every direction of every (n, dirs) of band, in
+    ascending n, as one list per entry.
+
+    All shots run in one retiring lockstep through advance_batch: the
+    rows are stacked by n in descending order, step j advances only the
+    prefix of rows with n >= j, and each group's final states are read
+    when it retires.  Rows do not interact in advance_batch, so every
+    error is bit for bit the one a walk of its n alone gives.
+    """
+    units = [unit(vx, vy) for _, dirs in reversed(band) for vx, vy in dirs]
     x = np.full(len(units), p[0], dtype=float)
     y = np.full(len(units), p[1], dtype=float)
-    wx, wy = vx, vy
-    for _ in range(n):
-        x, y, wx, wy = advance_batch(e, x, y, wx, wy)
-    ends = zip(x.tolist(), y.tolist(), wx.tolist(), wy.tolist())
-    return [_defect(p, *u, *end) for u, end in zip(units, ends)]
+    wx = np.array([u[0] for u in units], dtype=float)
+    wy = np.array([u[1] for u in units], dtype=float)
+    errs = []
+    stop = len(units)
+    done = 0
+    for n, dirs in band:
+        start = stop - len(dirs)
+        if stop:
+            x, y, wx, wy = x[:stop], y[:stop], wx[:stop], wy[:stop]
+            for _ in range(n - done):
+                x, y, wx, wy = advance_batch(e, x, y, wx, wy)
+            done = n
+        ends = zip(x[start:].tolist(), y[start:].tolist(),
+                   wx[start:].tolist(), wy[start:].tolist())
+        errs.append([_defect(p, *u, *end)
+                     for u, end in zip(units[start:stop], ends)])
+        stop = start
+    return errs
 
 
 def _axis_directions(e, p, n):
@@ -289,26 +312,49 @@ def _line_roots(e, p, n):
     return roots, layer_lines
 
 
-def _certified(e, p, n, roots):
-    """Axis orbits and both orientations of every root line whose
-    closure error after n bounces is below CERT_TOL, sorted by angle.
-    Rejected candidates are reported in a RuntimeWarning, not returned."""
-    cands = _axis_directions(e, p, n)
-    for phi, s in roots:
-        caustic = classify_caustic(e, s)
-        for ang in (phi, phi + math.pi):
-            cands.append(((math.cos(ang), math.sin(ang)), caustic))
-    errs = _closure_errors(e, p, [v for v, _ in cands], n)
-    rejected = [err for err in errs if not err < CERT_TOL]
-    if rejected:
-        warnings.warn(f"n = {n}: {len(rejected)} of {len(errs)} candidate "
-                      f"directions rejected, worst closure error "
-                      f"{max(rejected):.3g} (CERT_TOL = {CERT_TOL:g})",
-                      RuntimeWarning, stacklevel=3)
-    out = [PeriodicDirection(v, n, caustic, err)
-           for (v, caustic), err in zip(cands, errs) if err < CERT_TOL]
-    out.sort(key=lambda d: math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi))
-    return out
+def _certify(e, p, ns):
+    """(n, certified directions, number of layer directions) for every
+    distinct n of ns, in ascending order.
+
+    The candidates of n are its axis orbits and both orientations of
+    every root line of _line_roots.  Those of consecutive n are gathered
+    into bands of about _BAND_ROWS rows, and each band is certified in
+    one retiring lockstep (_closure_errors), so memory stays bounded on
+    a long range.  A candidate is certified when its closure error after
+    n bounces is below CERT_TOL; the rejected ones of each n are
+    reported in a RuntimeWarning, not returned.  Directions are sorted
+    by angle.  A generator: the warning points at the caller of the
+    function that iterates it.
+    """
+    ns = sorted(set(ns))
+    if ns and ns[0] < 2:
+        raise ValueError("period search needs n >= 2")
+    band, rows = [], 0
+    for i, n in enumerate(ns):
+        roots, layer_lines = _line_roots(e, p, n)
+        cands = _axis_directions(e, p, n)
+        for phi, s in roots:
+            caustic = classify_caustic(e, s)
+            for ang in (phi, phi + math.pi):
+                cands.append(((math.cos(ang), math.sin(ang)), caustic))
+        band.append((n, cands, 2 * layer_lines))
+        rows += len(cands)
+        if rows < _BAND_ROWS and i + 1 < len(ns):
+            continue
+        walked = _closure_errors(e, p, [(n, [v for v, _ in cands])
+                                        for n, cands, _ in band])
+        for (n, cands, layer), errs in zip(band, walked):
+            rejected = [err for err in errs if not err < CERT_TOL]
+            if rejected:
+                warnings.warn(f"n = {n}: {len(rejected)} of {len(errs)} candidate "
+                              f"directions rejected, worst closure error "
+                              f"{max(rejected):.3g} (CERT_TOL = {CERT_TOL:g})",
+                              RuntimeWarning, stacklevel=3)
+            out = [PeriodicDirection(v, n, caustic, err)
+                   for (v, caustic), err in zip(cands, errs) if err < CERT_TOL]
+            out.sort(key=lambda d: math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi))
+            yield n, out, layer
+        band, rows = [], 0
 
 
 def find_periodic_directions(e, p, n):
@@ -320,21 +366,31 @@ def find_periodic_directions(e, p, n):
     caustics fall in the focal boundary layer are not representable and
     are omitted here; count_periodic adds their exact number.
     """
-    if n < 2:
-        raise ValueError("period search needs n >= 2")
-    roots, _ = _line_roots(e, p, n)
-    return _certified(e, p, n, roots)
+    [(_, dirs, _)] = _certify(e, p, [n])
+    return dirs
 
 
 def count_periodic(e, p, n):
     """Number of periodic directions (period dividing n) from p:
     certified directions plus the exact count of focal-layer levels
     (two directions per unrepresentable tangent line)."""
-    if n < 2:
-        raise ValueError("period search needs n >= 2")
-    roots, layer_lines = _line_roots(e, p, n)
-    dirs = _certified(e, p, n, roots)
-    return CountBreakdown(len(dirs) + 2 * layer_lines, len(dirs), 2 * layer_lines)
+    [(_, dirs, layer)] = _certify(e, p, [n])
+    return CountBreakdown(len(dirs) + layer, len(dirs), layer)
+
+
+def count_periodic_range(e, p, ns):
+    """count_periodic for every n of ns, in the order of ns.
+
+    The candidates of all n are certified together, in retiring
+    lockstep (see _certify), which amortizes the per-step cost of
+    advance_batch over the whole range; each CountBreakdown equals the
+    one-n call's.
+    """
+    ns = list(ns)
+    counts = {}
+    for n, dirs, layer in _certify(e, p, ns):
+        counts[n] = CountBreakdown(len(dirs) + layer, len(dirs), layer)
+    return [counts[n] for n in ns]
 
 
 def predicted_count(e, p, n):
@@ -616,12 +672,13 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
 def angle_pair_scan(e, p, alpha, n_max, tol):
     """Pairs of periodic directions from p separated by exactly the
     angle alpha, assembled from the certified period-dividing-n lists
-    for n <= n_max; both members close within tol."""
+    for 2 <= n <= n_max (certified together, in one retiring lockstep);
+    both members close within tol."""
     if not 0.0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
     found = {}
-    for n in range(2, n_max + 1):
-        for d in find_periodic_directions(e, p, n):
+    for n, dirs, _ in _certify(e, p, range(2, n_max + 1)):
+        for d in dirs:
             ang = math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi)
             key = round(ang / 1e-9)
             if key not in found or found[key][1] > n:

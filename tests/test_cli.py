@@ -315,6 +315,35 @@ def test_scan_bytes_frozen(tmp_path, name):
     assert raw == (SCAN_DATA / f"{name}.json").read_bytes()
 
 
+PERIODIC_DATA = Path(__file__).parent / "data" / "periodic"
+PERIODIC_ARGV = {
+    "count_readme.csv": ["count-periodic", "--c", "0.6", "--px", "0.2",
+                         "--py", "0.3", "--nmax", "30"],
+    "count_100_180.csv": ["count-periodic", "--c", "0.6", "--px", "0.2",
+                          "--py", "0.3", "--nmin", "100", "--nmax", "180"],
+    "angle_pair.json": ["scan-angle-pair", "--c", "0.6", "--px", "0.2",
+                        "--py", "0.3", "--alpha", "2.155641747208",
+                        "--nmax", "12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_ARGV))
+def test_periodic_bytes_frozen(tmp_path, name):
+    # The expected bytes were written by one certification walk per n,
+    # the reference for the retiring lockstep over a range of n.
+    raw = run_to(tmp_path, name, PERIODIC_ARGV[name])
+    assert raw == (PERIODIC_DATA / name).read_bytes()
+
+
+def test_count_periodic_range_edges(tmp_path, capsys):
+    argv = ["count-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3"]
+    assert main(argv + ["--nmin", "1", "--nmax", "5"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "period search needs n >= 2"}
+    raw = run_to(tmp_path, "e.csv", argv + ["--nmin", "9", "--nmax", "5"])
+    assert raw == b"# caustica count-periodic seed=0\nn,parity,count,predicted\n"
+
+
 def test_scan_angle_pair_has_no_grid_flag(capsys):
     # The pair search is exact: it takes no direction grid.
     with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """Geometry layer: reflection law, billiard map, caustic invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from caustica import conics
 from caustica import Ellipse, Shot, caustic_phase_point, classify_caustic, first_hit, inward, simulate
-from caustica.conics import (CausticKind, PhasePoint, _walk, advance, advance_batch,
+from caustica.conics import (CausticKind, PhasePoint, _step, _walk, advance, advance_batch,
                              arc_measure, boundary_caustic_intersection, caustic_of_line,
                              chord_dual, dual_tangency_residual,
                              invariant_density, phase_invariant, point_of_z,
@@ -170,12 +171,18 @@ def test_advance_from_boundary_moves():
        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=12),
        bounces=st.integers(1, 12))
 @example(c=0.6, rho=1.0, theta=0.0, angles=[math.pi], bounces=3)
+@example(c=0.6, rho=0.0, theta=0.0, angles=[0.3, 2.0, 3.5, 3.9, 5.5], bounces=3)
+@example(c=0.6, rho=0.0, theta=math.pi, angles=[0.3, 2.0, 3.5, 5.5, 6.0],
+         bounces=3)
 def test_advance_batch_matches_scalar_bitwise(c, rho, theta, angles, bounces):
     # Rows of the batched step equal first_hit/advance states and the
     # states of _walk bit for bit.  rho = 1 starts on the boundary, where the two tangent shots
     # graze (at the vertex example, exactly: the row stays in place);
     # rho > 1 starts outside, where both chord roots can lie ahead or a
-    # shot can miss the table.
+    # shot can miss the table.  rho = 0 starts at the centre: there B is
+    # -0.0 for third-quadrant directions from (0.0, 0.0) and for
+    # fourth-quadrant ones from (-0.0, 0.0) (theta = pi), which _step
+    # sends down its B >= 0.0 branch.
     e = Ellipse(c)
     bx, by = e.boundary_point(theta)
     x0, y0 = rho * bx, rho * by
@@ -193,6 +200,24 @@ def test_advance_batch_matches_scalar_bitwise(c, rho, theta, angles, bounces):
         assert got == [(r.x, r.y, r.vx, r.vy) for r in rows]
         assert got == [w[i] for w in walks]
         rows = [advance(e, r) for r in rows]
+
+
+def test_advance_batch_lets_no_warning_escape():
+    # Grazing, missing and outside rows, alone and beside ordinary ones,
+    # step without a numpy RuntimeWarning and match _step.
+    rows = [(1.0, 0.0, 0.0, 1.0),    # grazing at the vertex
+            (0.0, 2.0, 1.0, 0.0),    # outside, misses the table
+            (2.0, 0.0, -1.0, 0.0),   # outside, both roots ahead
+            (2.0, 0.0, 1.0, 0.0),    # outside, both roots behind
+            (0.0, 0.0, -0.6, -0.8),  # the centre, B = -0.0
+            (0.1, 0.2, 0.6, 0.8)]    # interior
+    for batch in [rows] + [[r] for r in rows]:
+        x, y, vx, vy = (np.array(col) for col in zip(*batch))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = advance_batch(E, x, y, vx, vy)
+        assert list(zip(*(a.tolist() for a in got))) == \
+            [_step(E.b2, *r) for r in batch]
 
 
 def test_first_hit_is_advance():

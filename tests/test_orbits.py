@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from caustica import (ConvergenceError, Ellipse, closure_error,
                       connecting_trajectory, count_periodic,
-                      find_periodic_directions, reflection_residual,
-                      segment_caustics)
+                      count_periodic_range, find_periodic_directions,
+                      reflection_residual, segment_caustics)
+from caustica import orbits
 from caustica.cli import main
 from caustica.conics import (CausticKind, Shot, advance, caustic_of_line,
                              first_hit, simulate)
-from caustica.orbits import (CERT_TOL, LAYER_BAND, _grid_passages, _line_roots,
-                             angle_pair_scan, boomerang_scan, branch_intervals,
-                             caustic_extrema, hole_scan,
+from caustica.orbits import (CERT_TOL, LAYER_BAND, _certify, _grid_passages,
+                             _line_roots, angle_pair_scan, boomerang_scan,
+                             branch_intervals, caustic_extrema, hole_scan,
                              parallelogram_angle_pairs, predicted_count)
 from caustica.periods import BettiModel
 
@@ -81,6 +82,53 @@ def test_batched_certification_matches_scalar_closure_error():
         assert dirs
         for d in dirs:
             assert d.closure_error == closure_error(E, p, d.direction, n)
+
+
+# A generic point, off the axes and the foci.
+GENERIC = (0.614500423, -0.339779057)
+
+
+@pytest.mark.parametrize("p", [P, GENERIC])
+def test_range_counts_equal_one_n_calls(p, monkeypatch):
+    ns = range(2, 61)
+    one = [count_periodic(E, p, n) for n in ns]
+    assert count_periodic_range(E, p, ns) == one
+    # Small bands split the range into many lockstep walks.
+    monkeypatch.setattr(orbits, "_BAND_ROWS", 40)
+    assert count_periodic_range(E, p, ns) == one
+    # Any order, repeats allowed; the result follows ns.
+    assert count_periodic_range(E, p, [9, 3, 9, 4]) == [one[7], one[1], one[7], one[2]]
+    with pytest.raises(ValueError, match="n >= 2"):
+        count_periodic_range(E, p, [3, 1])
+
+
+@pytest.mark.parametrize("p", [P, GENERIC])
+def test_range_directions_equal_one_n_calls(p):
+    def key(d):
+        return d.direction, d.period, d.caustic, d.closure_error.hex()
+
+    walked = list(_certify(E, p, range(2, 61)))
+    assert [n for n, _, _ in walked] == list(range(2, 61))
+    for n, dirs, _ in walked:
+        assert list(map(key, dirs)) == list(map(key, find_periodic_directions(E, p, n)))
+
+
+def test_range_warns_per_n_like_one_n_calls(monkeypatch):
+    # With a tolerance nothing meets, every n with candidates reports
+    # them: n, the number rejected and the worst closure error.
+    monkeypatch.setattr(orbits, "CERT_TOL", 1e-17)
+    ns = range(3, 13)
+    with warnings.catch_warnings(record=True) as one:
+        warnings.simplefilter("always")
+        for n in ns:
+            count_periodic(E, P, n)
+    with warnings.catch_warnings(record=True) as walked:
+        warnings.simplefilter("always")
+        count_periodic_range(E, P, ns)
+    assert len(one) == 9  # n = 4 has no candidate
+    assert [(w.category, str(w.message)) for w in walked] == \
+        [(w.category, str(w.message)) for w in one]
+    assert all(w.category is RuntimeWarning for w in one)
 
 
 def test_count_periodic_frozen_values():
