@@ -14,6 +14,12 @@ function of t = x^2: H1 = (a t + b)/(c t + d).  Its extremes sit at
 the vertices x in {0, +-1} and no interior value is attained more than
 twice per semi-ellipse.  The weight h(p) = 1/(1 - c^2 x^2) is the
 natural boundary density entering the same analysis.
+
+The billiard map is reversible: the orbit through (p, -u), with u the
+incoming direction at p, retraces the bounces before p backwards and
+meets the same angle at each of them.  So the window is the centre
+cosine u.v plus two forward walks of m bounces, one from (p, v) and one
+from (p, -u); no inverse step is needed.
 """
 
 import math
@@ -21,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import (PhasePoint, _walk, caustic_of_line, caustic_phase_point,
-                     reflect, slope_of, unit, CausticParam)
+from .conics import (_walk, caustic_of_line, caustic_phase_point, reflect,
+                     slope_of, CausticParam)
 from .periods import BettiModel
 
 # Distance of n*beta2 from the integers below which a caustic is
@@ -55,6 +61,16 @@ def h_weight(e, p):
     return 1.0 / (1.0 - e.c2 * x * x)
 
 
+def _cos_sum(e, x, y, vx, vy, n):
+    """Sum of v_{i-1}.v_i over the n bounces from (x, y) along (vx, vy),
+    with v_0 = (vx, vy) and v_i the direction after bounce i."""
+    total = 0.0
+    for _, _, wx, wy in _walk(e, x, y, vx, vy, n):
+        total += vx * wx + vy * wy
+        vx, vy = wx, wy
+    return total
+
+
 def birkhoff_sum(e, start, n):
     """Sum of cos alpha_i over the first n bounces from the boundary
     phase point start; alpha_i is the angle between consecutive segment
@@ -64,34 +80,26 @@ def birkhoff_sum(e, start, n):
     cp = caustic_of_line(e, start.p, slope_of(start.vx, start.vy))
     if cp.is_degenerate:
         raise ValueError("Birkhoff sum undefined on a degenerate caustic")
-    total = 0.0
-    vx, vy = start.vx, start.vy
-    for _, _, wx, wy in _walk(e, start.x, start.y, vx, vy, n):
-        total += vx * wx + vy * wy
-        vx, vy = wx, wy
-    return total
-
-
-def _step_back(e, x, y, vx, vy):
-    """Inverse billiard step: the state (x, y, vx, vy) one bounce
-    earlier."""
-    ux, uy = reflect(e, (x, y), (vx, vy))
-    qx, qy, _, _ = _walk(e, x, y, -ux, -uy, 1)[0]
-    return (qx, qy) + unit(x - qx, y - qy)
+    return _cos_sum(e, start.x, start.y, start.vx, start.vy, n)
 
 
 def symmetric_sum(e, center, m):
     """Window sum of cos alpha_i for i = -m..m centered at the bounce
-    of the boundary phase point center (2m+1 cosines in total)."""
+    of the boundary phase point center (2m+1 cosines in total).
+
+    With v the outgoing and u = reflect(v) the incoming direction at the
+    centre, the sum is u.v plus the m cosines ahead, walked from
+    (p, v), plus the m behind, walked forward from the reversed state
+    (p, -u): reversal keeps the angle at every bounce."""
     if m < 0:
         raise ValueError("window half-width must be >= 0")
     cp = caustic_of_line(e, center.p, slope_of(center.vx, center.vy))
     if cp.is_degenerate:
         raise ValueError("window sum undefined on a degenerate caustic")
-    x = (center.x, center.y, center.vx, center.vy)
-    for _ in range(m + 1):
-        x = _step_back(e, *x)
-    return birkhoff_sum(e, PhasePoint(*x), 2 * m + 1)
+    x, y, vx, vy = center.x, center.y, center.vx, center.vy
+    ux, uy = reflect(e, (x, y), (vx, vy))
+    return (ux * vx + uy * vy + _cos_sum(e, x, y, vx, vy, m)
+            + _cos_sum(e, x, y, -ux, -uy, m))
 
 
 def _window_value(e, sv, theta, m):

@@ -145,6 +145,8 @@ def _cmd_connect(args):
 
 def _cmd_poncelet(args):
     e = Ellipse(args.c)
+    if args.starts < 1:
+        raise ValueError("--starts must be >= 1")
     rot = Fraction(args.rot)
     lam = lambda_for_beta2(e, float(rot))
     s = e.c2 * lam
@@ -170,6 +172,8 @@ def _cmd_birkhoff(args):
     if (bounces is None) == (window is None):
         raise ValueError("give exactly one of --bounces (plain sum) or "
                          "--window (symmetric sum half-width)")
+    if num < 1:
+        raise ValueError("--num must be >= 1")
     param = classify_caustic(e, args.s)
     thetas = [math.pi * (j + 0.5) / num for j in range(num)]
 

@@ -540,6 +540,6 @@ def caustic_phase_point(e, s, theta):
         best = PhasePoint(p[0], p[1], vx, vy)
         if p[0] * vy - p[1] * vx < 0.0:
             return best
-    # Both tangents wind the same way only at degenerate configurations;
-    # fall back to the last candidate reversed in time.
+    # Both tangents can wind the same way (on hyperbolic caustics); fall
+    # back to the last candidate, unchanged.
     return best

@@ -291,30 +291,10 @@ def _rational_roots(c2, c1, c0):
     return [r], (p, q)
 
 
-def _rank(M):
-    """Exact rank by fraction-free Gaussian elimination."""
-    M = [list(r) for r in M]
-    rank, col = 0, 0
-    rows, cols = len(M), len(M[0])
-    while rank < rows and col < cols:
-        piv = next((i for i in range(rank, rows) if M[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        for i in range(rank + 1, rows):
-            f = M[i][col] / M[rank][col]
-            for j in range(col, cols):
-                M[i][j] -= f * M[rank][j]
-        rank += 1
-        col += 1
-    return rank
-
-
 def _eigen_multiplicity(A, lam):
     B = tuple(tuple(A[i][j] - (lam if i == j else 0) for j in range(3))
               for i in range(3))
-    return 3 - _rank(B)
+    return len(_null_space(B))
 
 
 def _prime_exponents(r):
@@ -340,7 +320,7 @@ def _ratio_rank(ratios):
         return 0
     rows = [[Fraction(_prime_exponents(r).get(p, 0)) for p in primes]
             for r in ratios]
-    return _rank(rows)
+    return len(primes) - len(_null_space(rows))
 
 
 def classify(beta):
@@ -552,29 +532,31 @@ def fixed_point_check(beta, L):
 
 
 def _null_space(M):
-    """Basis of the exact null space of a 3x3 rational matrix."""
+    """Basis of the exact null space of a rational matrix of any shape,
+    by Gauss-Jordan elimination to reduced row echelon form."""
     M = [list(r) for r in M]
+    rows, cols = len(M), len(M[0])
     pivots = []
     rank, col = 0, 0
-    while rank < 3 and col < 3:
-        piv = next((i for i in range(rank, 3) if M[i][col] != 0), None)
+    while rank < rows and col < cols:
+        piv = next((i for i in range(rank, rows) if M[i][col] != 0), None)
         if piv is None:
             col += 1
             continue
         M[rank], M[piv] = M[piv], M[rank]
         inv = 1 / M[rank][col]
         M[rank] = [x * inv for x in M[rank]]
-        for i in range(3):
+        for i in range(rows):
             if i != rank and M[i][col] != 0:
                 f = M[i][col]
                 M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
         pivots.append(col)
         rank += 1
         col += 1
-    free = [j for j in range(3) if j not in pivots]
+    free = [j for j in range(cols) if j not in pivots]
     basis = []
     for j in free:
-        v = [Fraction(0)] * 3
+        v = [Fraction(0)] * cols
         v[j] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -M[r][j]

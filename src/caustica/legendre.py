@@ -21,7 +21,6 @@ executable form of Poncelet's theorem).
 """
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -321,23 +320,3 @@ def conjugation_defect(e, s, x):
     use one ConjugationChecker across calls to pin sigma."""
     return ConjugationChecker(e, s).defect(x)
 
-
-def point_to_json(P):
-    if P.inf:
-        return json.dumps({"inf": True})
-    def _num(v):
-        if isinstance(v, complex):
-            return {"re": v.real, "im": v.imag} if v.imag else v.real
-        return v
-    return json.dumps({"x": _num(P.X), "y": _num(P.Y)})
-
-
-def point_from_json(text):
-    obj = json.loads(text)
-    if obj.get("inf"):
-        return Infinity
-    def _num(v):
-        if isinstance(v, dict):
-            return complex(v["re"], v["im"])
-        return v
-    return LegendrePoint(_num(obj["x"]), _num(obj["y"]))

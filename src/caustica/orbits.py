@@ -589,8 +589,11 @@ def _passages(e, p, q, n_max, tol, grid, n_states):
     max(n_states, k + 2) states.  Yields (k, phi, states, cross) for
     every root within tol of q whose foot lies within tol of the segment
     from states[k] to states[k + 1]; brackets the solver rejects (a NaN
-    value or no sign change) are skipped.
+    value or no sign change) are skipped.  A grid of no cells scans
+    nothing and raises ValueError.
     """
+    if grid < 1:
+        raise ValueError("direction grid needs grid >= 1")
     thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
     rows = _grid_passages(e, p, q, thetas[:-1], n_max)
     for k, vals in enumerate(rows, start=1):

@@ -13,6 +13,7 @@ from caustica.conics import Shot, advance, caustic_phase_point, first_hit
 E = Ellipse(0.6)
 S_PERIODIC = lambda_for_beta2(E, 1.0 / 7.0) * E.c2  # 7-periodic caustic
 S_GENERIC = 0.62
+S_HYPERBOLIC = 0.126  # orbits meet the boundary where |x| < 0.59
 
 
 def test_birkhoff_sum_matches_direct_cosines():
@@ -50,16 +51,19 @@ def test_birkhoff_sum_rejects_degenerate_caustic():
         birkhoff_sum(E, caustic_phase_point(E, S_GENERIC, 0.3), 0)
 
 
-def test_symmetric_sum_recenters_forward_sum():
+@pytest.mark.parametrize("theta", [1.1, 1.9, 4.3])
+def test_symmetric_sum_recenters_forward_sum(theta):
     # The window of half-width m centered at the (m+1)-th bounce of an
-    # orbit equals the plain sum of 2m+1 cosines from the orbit start.
-    m = 3
-    z = caustic_phase_point(E, S_GENERIC, 1.1)
-    plain = birkhoff_sum(E, z, 2 * m + 1)
-    center = z
-    for _ in range(m + 1):
-        center = advance(E, center)
-    assert symmetric_sum(E, center, m) == pytest.approx(plain, abs=1e-9)
+    # orbit equals the plain sum of 2m+1 cosines from the orbit start,
+    # on an elliptic and a hyperbolic caustic.
+    for s in (S_GENERIC, S_HYPERBOLIC):
+        for m in (0, 3):
+            z = caustic_phase_point(E, s, theta)
+            plain = birkhoff_sum(E, z, 2 * m + 1)
+            center = z
+            for _ in range(m + 1):
+                center = advance(E, center)
+            assert symmetric_sum(E, center, m) == pytest.approx(plain, abs=1e-9)
 
 
 def test_symmetric_sum_even_in_x():

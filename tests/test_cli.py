@@ -335,6 +335,26 @@ def test_periodic_bytes_frozen(tmp_path, name):
     assert raw == (PERIODIC_DATA / name).read_bytes()
 
 
+BIRKHOFF_DATA = Path(__file__).parent / "data" / "birkhoff"
+BIRKHOFF_ARGV = {
+    "bounces_100.csv": ["birkhoff", "--c", "0.6", "--s", "0.62",
+                        "--bounces", "100"],
+    "window_3.csv": ["birkhoff", "--c", "0.6", "--s", "0.62", "--window", "3"],
+    "moebius_fit_7.json": ["moebius-fit", "--c", "0.6", "--s", "0.62",
+                           "--n", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIRKHOFF_ARGV))
+def test_birkhoff_bytes_frozen(tmp_path, name):
+    # The README invocations.  The plain sums were written before window
+    # sums were walked by time reversal, which left them unchanged; the
+    # window sums and the fit were written by the time-reversed walk,
+    # once it matched a 40-digit mpmath walk (tests/test_oracles.py).
+    raw = run_to(tmp_path, name, BIRKHOFF_ARGV[name])
+    assert raw == (BIRKHOFF_DATA / name).read_bytes()
+
+
 def test_count_periodic_range_edges(tmp_path, capsys):
     argv = ["count-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3"]
     assert main(argv + ["--nmin", "1", "--nmax", "5"]) == 2
@@ -397,6 +417,23 @@ def test_invalid_parameters_exit_two(capsys):
         assert main(["connect", "--c", "0.6", "--x1", x1, "--y1", y1,
                      "--x2", "-0.3", "--y2", "0.1", "--n", "3"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan-boomerang", "--c", "0.6", "--px", "0.2", "--py", "0.3",
+      "--nmax", "6", "--grid", "0"], "direction grid needs grid >= 1"),
+    (["scan-hole", "--c", "0.6", "--x1", "0.1", "--y1", "0.2", "--x2", "-0.3",
+      "--y2", "0.1", "--hx", "1.0", "--hy", "0.0", "--nmax", "8",
+      "--grid", "-1"], "direction grid needs grid >= 1"),
+    (["birkhoff", "--c", "0.6", "--s", "0.62", "--bounces", "5", "--num", "0"],
+     "--num must be >= 1"),
+    (["poncelet", "--c", "0.6", "--rot", "1/7", "--starts", "0"],
+     "--starts must be >= 1"),
+])
+def test_sizes_that_scan_nothing_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": message}
 
 
 def test_console_script_installed(tmp_path):

@@ -11,8 +11,7 @@ from caustica import Ellipse, add, mul, neg, point_distance
 from caustica.legendre import (ConjugationChecker, Infinity, LegendreCurve,
                                LegendrePoint, billiard_section,
                                conjugation_defect, j_invariant, lambda_of,
-                               masser_point, phase_to_legendre,
-                               point_from_json, point_to_json)
+                               masser_point, phase_to_legendre)
 from caustica.conics import caustic_phase_point
 
 E = Ellipse(0.6)
@@ -270,13 +269,6 @@ def test_point_distance_properties():
     Q = LegendrePoint(P.X * (1.0 + 1e-12), P.Y)
     d = point_distance(P, Q)
     assert 1e-14 < d < 1e-11
-
-
-def test_json_roundtrip():
-    P = LegendrePoint(1.25, -0.5)
-    Q = point_from_json(point_to_json(P))
-    assert Q == P
-    assert point_from_json(point_to_json(Infinity)).inf
 
 
 def test_add_rejects_off_curve_points():

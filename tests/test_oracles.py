@@ -1,8 +1,9 @@
-"""High-precision oracles for the numerical contracts of periods.
+"""High-precision oracles for the numerical contracts of periods and of
+the cosine sums along orbits.
 
 Every reference value here is computed by mpmath at 30-40 digits from
-the defining integrals or the hypergeometric/AGM closed forms; nothing
-is shared with the code under test.  The table parameter U = 1/c^2 is
+the defining integrals, the hypergeometric/AGM closed forms or a bounce
+formula of its own; nothing is shared with the code under test.  The table parameter U = 1/c^2 is
 read from the float the library uses (1.0 / e.c2): near lambda = U a
 one-ulp change in U moves beta2 by about 1e-11.
 """
@@ -12,7 +13,8 @@ import math
 import mpmath as mp
 import pytest
 
-from caustica import Ellipse
+from caustica import Ellipse, PhasePoint
+from caustica.birkhoff import birkhoff_sum, symmetric_sum
 from caustica.orbits import LAYER_BAND
 from caustica.periods import (BettiModel, _beta2_inverse, betti_billiard,
                               lambda_for_beta2, omega1, omega2,
@@ -126,3 +128,95 @@ def test_manin_closed_form_and_its_factor_eight():
             gamma = lm * (1 - lm) * d2 + (1 - 2 * lm) * d1 - d0 / 4
             closed = 2 * c * mp.sqrt(1 - c ** 2) * (1 - c ** 2 * lm) ** mp.mpf(-1.5)
             assert abs(8 * gamma - closed) < mp.mpf("1e-30")
+
+
+# ---------------------------------------------------------------------------
+# window sums
+
+
+def _center_mp(c, s, theta):
+    """An inward unit direction at the boundary point of angle theta
+    tangent to the confocal conic x^2/s + y^2/(s - c^2) = 1, in mpmath:
+    the line y - b = xi (x - a) touches it where
+    (b - xi a)^2 = s xi^2 + s - c^2."""
+    b2 = 1 - c * c
+    a, b = mp.cos(theta), mp.sqrt(b2) * mp.sin(theta)
+    qa, qb, qc = s - a * a, 2 * a * b, s - b * b - c * c
+    xi = (-qb + mp.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
+    n = mp.sqrt(1 + xi * xi)
+    vx, vy = 1 / n, xi / n
+    if a * vx + b * vy / b2 > 0:  # point inward
+        vx, vy = -vx, -vy
+    return a, b, vx, vy
+
+
+def _bounce_mp(b2, x, y, vx, vy):
+    """The next bounce from boundary point (x, y) along the unit (vx, vy):
+    the far root of the chord quadratic, then the reflected unit
+    direction."""
+    A = vx * vx + vy * vy / b2
+    B = 2 * (x * vx + y * vy / b2)
+    C = x * x + y * y / b2 - 1
+    t = (-B + mp.sqrt(B * B - 4 * A * C)) / (2 * A)
+    x, y = x + t * vx, y + t * vy
+    nx, ny = x, y / b2
+    d = 2 * (vx * nx + vy * ny) / (nx * nx + ny * ny)
+    wx, wy = vx - d * nx, vy - d * ny
+    n = mp.sqrt(wx * wx + wy * wy)
+    return x, y, wx / n, wy / n
+
+
+def _cos_walk_mp(b2, x, y, vx, vy, n):
+    total = mp.mpf(0)
+    for _ in range(n):
+        x, y, wx, wy = _bounce_mp(b2, x, y, vx, vy)
+        total += vx * wx + vy * wy
+        vx, vy = wx, wy
+    return total
+
+
+def _window_mp(c, x, y, vx, vy, m):
+    """sum_{i=-m..m} cos alpha_i, by walking 2m+1 bounces forward from
+    the boundary point m+1 bounces behind (x, y).  That point is found
+    by bouncing the reversed state (x, y, -u) m+1 times, with u the
+    incoming direction at (x, y); its last direction, reversed, starts
+    the forward walk."""
+    b2 = 1 - c * c
+    nx, ny = x, y / b2
+    d = 2 * (vx * nx + vy * ny) / (nx * nx + ny * ny)
+    ux, uy = vx - d * nx, vy - d * ny
+    px, py, wx, wy = x, y, -ux, -uy
+    for _ in range(m + 1):
+        sx, sy = wx, wy
+        px, py, wx, wy = _bounce_mp(b2, px, py, wx, wy)
+    # The forward orbit leaves (px, py) along the reverse of the last
+    # reversed segment.
+    return _cos_walk_mp(b2, px, py, -sx, -sy, 2 * m + 1)
+
+
+# s = frac c^2: hyperbolic (frac < 1) or elliptic.  Orbits on the
+# hyperbolic caustic meet the boundary only where |x| < sqrt(frac), so
+# every theta has |cos theta| < 0.46.
+WINDOW_CASES = [(c, frac, theta) for c in CS for frac in (0.35, 1.1)
+                for theta in (1.1, 1.4, 1.9, 4.3, 5.0)]
+
+
+@pytest.mark.parametrize("c,frac,theta", WINDOW_CASES)
+def test_window_and_birkhoff_sums_against_mpmath_walk(c, frac, theta):
+    # A 40-digit walk with its own bounce formula.  The window oracle
+    # steps back along the reversed orbit and re-walks forward, so it
+    # does not lean on the reversal identity symmetric_sum uses.
+    e = Ellipse(c)
+    with mp.workdps(40):
+        cm = mp.mpf(c)
+        a, b, vx, vy = _center_mp(cm, mp.mpf(frac) * cm * cm, mp.mpf(theta))
+        center = PhasePoint(float(a), float(b), float(vx), float(vy))
+        x, y, vx, vy = (mp.mpf(v) for v in (center.x, center.y, center.vx,
+                                            center.vy))
+        n = mp.sqrt(vx * vx + vy * vy)
+        vx, vy = vx / n, vy / n
+        for m in (0, 1, 3, 6):
+            want = _window_mp(cm, x, y, vx, vy, m)
+            assert abs(symmetric_sum(e, center, m) - want) <= 1e-13, m
+            want = _cos_walk_mp(1 - cm * cm, x, y, vx, vy, 2 * m + 1)
+            assert abs(birkhoff_sum(e, center, 2 * m + 1) - want) <= 1e-13, m
