@@ -157,16 +157,6 @@ class ProjectiveMap:
                 base = _strip_mat(_mat_mul(base, base))
         return out
 
-    def true_power(self, k):
-        """beta^k with exact entries (no projective rescaling); k >= 0."""
-        if k < 0:
-            raise ValueError("true_power needs k >= 0")
-        out = tuple(tuple(Fraction(int(i == j)) for j in range(3))
-                    for i in range(3))
-        for _ in range(k):
-            out = _mat_mul(out, self.matrix)
-        return out
-
 
 @dataclass(frozen=True)
 class ProjectiveLine:

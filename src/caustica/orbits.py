@@ -14,12 +14,21 @@ caustic level has exactly two tangent lines through p, in closed form.
 beta2 is strictly monotone in lambda = s/c^2 on each side of the focal
 transition lambda = 1, so each level k/n is inverted once for its
 lambda_k; both lines tangent to s = c^2 lambda_k are then certified by
-simulating the n bounces.  The candidates of every n of a range are
-simulated together in one retiring lockstep of advance_batch (rows
-stacked by n in descending order; step j advances the rows with
-n >= j), and each closure error equals that of a walk of its n alone,
-bit for bit, since rows never interact.  Levels with |1 - lambda| below a resolution
-band correspond to caustics within ~4^(-n) of the focal degeneration;
+simulation, meeting in the middle.  The billiard map is reversible, so
+the orbit of (p, v) closes after n bounces exactly when the state after
+ceil(n/2) bounces from (p, v) and the state after floor(n/2) bounces
+from (p, -v) ride one chord in opposite directions; closure_error
+measures how far they are from it.  On true candidates its rounding
+error grows like n^2-n^2.5 and stays below CERT_TOL over the measured
+n <= 4001 (worst 5e-8 at 4001, at two points) and, extrapolated, up to
+n of about 1.3-2 * 10^4; that of one n-bounce walk from p passes 1e-6
+near n = 2001.  The candidates of every n of a range are simulated
+together in one retiring lockstep of advance_batch (rows stacked by
+their number of steps in descending order; step j advances the rows
+with at least j steps), and each closure error equals that of a walk
+of its n alone, bit for bit, since rows never interact.  Levels with
+|1 - lambda| below a resolution band correspond to caustics within
+~4^(-n) of the focal degeneration;
 they are provably present by monotonicity and the exact limit
 beta2 -> 1/2 and are counted by integer arithmetic, since no
 double-precision direction can represent them.  The resulting direction
@@ -34,6 +43,7 @@ bracket sign changes of passage distances over a direction grid and
 re-simulate every hit.
 """
 
+import bisect
 import cmath
 import math
 import random as _random
@@ -46,7 +56,7 @@ import numpy as np
 from ._roots import brentq
 from .conics import (CausticKind, CausticParam, PhasePoint, Trajectory,
                      _walk, advance_batch, caustic_of_line, classify_caustic,
-                     slope_of, unit)
+                     reflect, slope_of, unit)
 from .periods import BettiModel, _beta2_inverse
 
 # Certification bound on the phase-space closure defect of a returned
@@ -58,8 +68,11 @@ LAYER_BAND = 1e-6
 # Default number of direction cells for the passage scans.
 DEFAULT_GRID = 4096
 _AXIS_TOL = 1e-12
-# Candidate rows certified in one lockstep (a few MB of state); a longer
-# range of n is certified band by band.
+# Largest gap (rad, mod 2 pi) between a direction angle plus alpha and
+# its partner's angle in angle_pair_scan.
+_PAIR_WINDOW = 1e-7
+# Rows (two per candidate direction) walked in one lockstep (a few MB of
+# state); a longer range of n is certified band by band.
 _BAND_ROWS = 1 << 16
 # Random starts of connecting_trajectory, besides the three wound
 # interpolations.
@@ -84,6 +97,8 @@ class CountBreakdown(NamedTuple):
     total: int
     certified: int
     layer: int
+    # Candidates whose closure error missed CERT_TOL, not in the total.
+    rejected: int
 
 
 @dataclass(frozen=True)
@@ -111,8 +126,12 @@ class AnglePair:
     period2: int
 
 
+def _interior(e, p):
+    return p[0] * p[0] + p[1] * p[1] / e.b2 < 1.0 - 1e-12
+
+
 def _require_interior(e, p):
-    if p[0] * p[0] + p[1] * p[1] / e.b2 >= 1.0 - 1e-12:
+    if not _interior(e, p):
         raise ValueError("point must be strictly interior")
 
 
@@ -180,74 +199,99 @@ def _cross(p, x, y, wx, wy):
     return wx * (p[1] - y) - wy * (p[0] - x)
 
 
-def _defect(p, vx, vy, x, y, wx, wy):
-    """Distance of p from the line through (x, y) along the unit (wx, wy)
-    plus the mismatch of (wx, wy) with the start direction (vx, vy)."""
-    return abs(_cross(p, x, y, wx, wy)) + math.hypot(wx - vx, wy - vy)
+def _defect(fx, fy, fwx, fwy, bx, by, bwx, bwy):
+    """Mid-chord defect of a forward state (fx, fy, fwx, fwy) against a
+    backward one: the distance of the forward bounce point from the
+    backward outgoing line plus |fw + bw|; zero exactly when the two
+    states ride one chord in opposite directions."""
+    return (abs(_cross((fx, fy), bx, by, bwx, bwy))
+            + math.hypot(fwx + bwx, fwy + bwy))
 
 
 def closure_error(e, p, v, n):
-    """Phase-space defect of the claim "the shot (p, v) has period n":
-    distance of p from the outgoing line after n bounces plus the
-    direction mismatch."""
+    """Phase-space defect of the claim "the shot (p, v) has period n",
+    measured in the middle of the orbit.
+
+    The billiard map is reversible: the orbit of (p, -v) retraces that
+    of (p, v) backwards.  So the orbit closes after n bounces exactly
+    when the state after ceil(n/2) bounces from (p, v) and the state
+    after floor(n/2) bounces from (p, -v) ride one chord in opposite
+    directions, and the defect is _defect of the two.  n bounces are
+    walked in all, half each way.  On true periodic directions the
+    defect is rounding error, 7e-11 at n = 301 and 4e-8 at n = 4001 at
+    p = (0.2, 0.3), c = 0.6 (the walk of all n bounces from p gives 9e-9
+    and 8e-6), so CERT_TOL holds over the measured n <= 4001 and, by
+    its n^2-n^2.5 growth, up to n of about 1.3-2 * 10^4.  A direction
+    turned by 1e-9 rad shows a defect of the same size on either walk
+    (median 1.6e-6 at n = 301).  At a boundary p, where -v points out
+    of the table, the first backward bounce is the reflection at p
+    itself: the backward walk starts from the reversed incoming state
+    (p, -reflect(v)), as in birkhoff.symmetric_sum.
+    """
+    if n < 1:
+        raise ValueError("closure needs n >= 1")
     vx, vy = unit(v[0], v[1])
-    return _defect(p, vx, vy, *_walk(e, p[0], p[1], vx, vy, n)[-1])
+    k, j = n - n // 2, n // 2
+    back = (p[0], p[1], -vx, -vy)
+    if j and not _interior(e, p):
+        ux, uy = reflect(e, p, (vx, vy))
+        back, j = (p[0], p[1], -ux, -uy), j - 1
+    if j:
+        back = _walk(e, *back, j)[-1]
+    return _defect(*_walk(e, p[0], p[1], vx, vy, k)[-1], *back)
 
 
 def _closure_errors(e, p, band):
     """closure_error of every direction of every (n, dirs) of band, in
-    ascending n, as one list per entry.
+    ascending n, as one list per entry; p is interior.
 
-    All shots run in one retiring lockstep through advance_batch: the
-    rows are stacked by n in descending order, step j advances only the
-    prefix of rows with n >= j, and each group's final states are read
-    when it retires.  Rows do not interact in advance_batch, so every
-    error is bit for bit the one a walk of its n alone gives.
+    Every direction v walks two rows in one retiring lockstep through
+    advance_batch: a forward row from (p, v) for ceil(n/2) steps and a
+    backward row from (p, -v) for floor(n/2).  The rows are stacked by
+    n in descending order, forward rows before backward ones, so the
+    rows still moving at any step are a prefix; each group's states are
+    read when it retires, after half the steps of an n-bounce walk.
+    Rows do not interact in advance_batch, so every error is bit for bit
+    the one closure_error gives, with the same measured range of n.
     """
-    units = [unit(vx, vy) for _, dirs in reversed(band) for vx, vy in dirs]
-    x = np.full(len(units), p[0], dtype=float)
-    y = np.full(len(units), p[1], dtype=float)
-    wx = np.array([u[0] for u in units], dtype=float)
-    wy = np.array([u[1] for u in units], dtype=float)
+    units = [[unit(vx, vy) for vx, vy in dirs] for _, dirs in band]
+    wx = [s * u[0] for us in reversed(units) for s in (1.0, -1.0) for u in us]
+    wy = [s * u[1] for us in reversed(units) for s in (1.0, -1.0) for u in us]
+    x = np.full(len(wx), p[0], dtype=float)
+    y = np.full(len(wx), p[1], dtype=float)
+    wx, wy = np.array(wx, dtype=float), np.array(wy, dtype=float)
     errs = []
-    stop = len(units)
+    stop = len(wx)
     done = 0
-    for n, dirs in band:
-        start = stop - len(dirs)
-        if stop:
+    for (n, _), us in zip(band, units):
+        ends = []
+        for steps in (n // 2, n - n // 2):
             x, y, wx, wy = x[:stop], y[:stop], wx[:stop], wy[:stop]
-            for _ in range(n - done):
+            for _ in range(steps - done):
                 x, y, wx, wy = advance_batch(e, x, y, wx, wy)
-            done = n
-        ends = zip(x[start:].tolist(), y[start:].tolist(),
-                   wx[start:].tolist(), wy[start:].tolist())
-        errs.append([_defect(p, *u, *end)
-                     for u, end in zip(units[start:stop], ends)])
-        stop = start
+            done = steps
+            start = stop - len(us)
+            ends.append(zip(x[start:].tolist(), y[start:].tolist(),
+                            wx[start:].tolist(), wy[start:].tolist()))
+            stop = start
+        back, fwd = ends
+        errs.append([_defect(*f, *b) for f, b in zip(fwd, back)])
     return errs
 
 
 def _axis_directions(e, p, n):
-    """Two-bounce axis orbits through p, which close for every even n,
-    as (direction, caustic) candidates.  A boundary p contributes only
-    its inward axis direction."""
+    """Two-bounce axis orbits through the interior p, which close for
+    every even n, as (direction, caustic) candidates."""
     if n % 2:
         return []
     a, b = p
-    on_boundary = abs(e.boundary_residual(a, b)) < 1e-12
-
-    def inward_ok(vx, vy):
-        return not on_boundary or vx * a + vy * b / e.b2 < 0.0
-
     out = []
-    if abs(b) <= _AXIS_TOL and abs(a) <= 1.0:
+    if abs(b) <= _AXIS_TOL:
         caustic = classify_caustic(e, e.c2)
-        out += [((vx, 0.0), caustic) for vx in (1.0, -1.0)
-                if inward_ok(vx, 0.0)]
-    if abs(a) <= _AXIS_TOL and abs(b) <= math.sqrt(e.b2):
+        out += [((vx, 0.0), caustic) for vx in (1.0, -1.0)]
+    if abs(a) <= _AXIS_TOL:
         caustic = classify_caustic(e, 0.0)
-        out += [((0.0, vy), caustic) for vy in (1.0, -1.0)
-                if inward_ok(0.0, vy)]
+        out += [((0.0, vy), caustic) for vy in (1.0, -1.0)]
     return out
 
 
@@ -313,18 +357,18 @@ def _line_roots(e, p, n):
 
 
 def _certify(e, p, ns):
-    """(n, certified directions, number of layer directions) for every
-    distinct n of ns, in ascending order.
+    """(n, certified directions, CountBreakdown) for every distinct n of
+    ns, in ascending order.
 
     The candidates of n are its axis orbits and both orientations of
     every root line of _line_roots.  Those of consecutive n are gathered
     into bands of about _BAND_ROWS rows, and each band is certified in
     one retiring lockstep (_closure_errors), so memory stays bounded on
-    a long range.  A candidate is certified when its closure error after
-    n bounces is below CERT_TOL; the rejected ones of each n are
-    reported in a RuntimeWarning, not returned.  Directions are sorted
-    by angle.  A generator: the warning points at the caller of the
-    function that iterates it.
+    a long range.  A candidate is certified when its closure error (the
+    mid-chord defect) is below CERT_TOL; the rejected ones of each n are
+    counted and reported in a RuntimeWarning, not returned.  Directions
+    are sorted by angle.  A generator: the warning points at the caller
+    of the function that iterates it.
     """
     ns = sorted(set(ns))
     if ns and ns[0] < 2:
@@ -338,7 +382,7 @@ def _certify(e, p, ns):
             for ang in (phi, phi + math.pi):
                 cands.append(((math.cos(ang), math.sin(ang)), caustic))
         band.append((n, cands, 2 * layer_lines))
-        rows += len(cands)
+        rows += 2 * len(cands)
         if rows < _BAND_ROWS and i + 1 < len(ns):
             continue
         walked = _closure_errors(e, p, [(n, [v for v, _ in cands])
@@ -353,7 +397,8 @@ def _certify(e, p, ns):
             out = [PeriodicDirection(v, n, caustic, err)
                    for (v, caustic), err in zip(cands, errs) if err < CERT_TOL]
             out.sort(key=lambda d: math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi))
-            yield n, out, layer
+            yield n, out, CountBreakdown(len(out) + layer, len(out), layer,
+                                         len(rejected))
         band, rows = [], 0
 
 
@@ -373,9 +418,10 @@ def find_periodic_directions(e, p, n):
 def count_periodic(e, p, n):
     """Number of periodic directions (period dividing n) from p:
     certified directions plus the exact count of focal-layer levels
-    (two directions per unrepresentable tangent line)."""
-    [(_, dirs, layer)] = _certify(e, p, [n])
-    return CountBreakdown(len(dirs) + layer, len(dirs), layer)
+    (two directions per unrepresentable tangent line), with the number
+    of candidates that failed certification beside them."""
+    [(_, _, counts)] = _certify(e, p, [n])
+    return counts
 
 
 def count_periodic_range(e, p, ns):
@@ -387,9 +433,7 @@ def count_periodic_range(e, p, ns):
     one-n call's.
     """
     ns = list(ns)
-    counts = {}
-    for n, dirs, layer in _certify(e, p, ns):
-        counts[n] = CountBreakdown(len(dirs) + layer, len(dirs), layer)
+    counts = {n: bd for n, _, bd in _certify(e, p, ns)}
     return [counts[n] for n in ns]
 
 
@@ -676,7 +720,8 @@ def angle_pair_scan(e, p, alpha, n_max, tol):
     """Pairs of periodic directions from p separated by exactly the
     angle alpha, assembled from the certified period-dividing-n lists
     for 2 <= n <= n_max (certified together, in one retiring lockstep);
-    both members close within tol."""
+    both members close within tol.  Directions within 1e-9 rad of each
+    other count once, with their smallest period."""
     if not 0.0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
     found = {}
@@ -686,14 +731,35 @@ def angle_pair_scan(e, p, alpha, n_max, tol):
             key = round(ang / 1e-9)
             if key not in found or found[key][1] > n:
                 found[key] = (ang, n, d)
-    angles = sorted(found.values(), key=lambda t: (t[0], t[1]))
+    return _pair_angles(sorted(found.values(), key=lambda t: (t[0], t[1])),
+                        alpha, tol)
+
+
+def _pair_angles(angles, alpha, tol):
+    """AnglePairs (d1, d2) of the (angle, period, PeriodicDirection)
+    triples of angles, sorted by angle in [0, 2 pi), whose angles differ
+    by alpha to within _PAIR_WINDOW (mod 2 pi) and which both close
+    within tol; in the order of d1, then of d2.
+
+    The matches of d1 lie in windows around the target angle + alpha and
+    its images 2 pi below and above, so each window is found by
+    bisection and only its entries are tested, in ascending order, which
+    is the order of a scan over all of angles.  The windows are twice
+    _PAIR_WINDOW wide on each side, far more than the rounding of the
+    cyclic gap, so no match is missed.
+    """
+    keys = [t[0] for t in angles]
+    turn = 2.0 * math.pi
     pairs = []
     for ang, n1, d1 in angles:
-        target = (ang + alpha) % (2.0 * math.pi)
-        for ang2, n2, d2 in angles:
-            if abs((ang2 - target + math.pi) % (2.0 * math.pi) - math.pi) < 1e-7:
-                if d1.closure_error < tol and d2.closure_error < tol:
-                    pairs.append(AnglePair(d1.direction, d2.direction, n1, n2))
+        target = (ang + alpha) % turn
+        for image in (target - turn, target, target + turn):
+            lo = bisect.bisect_left(keys, image - 2.0 * _PAIR_WINDOW)
+            hi = bisect.bisect_right(keys, image + 2.0 * _PAIR_WINDOW)
+            for ang2, n2, d2 in angles[lo:hi]:
+                if abs((ang2 - target + math.pi) % turn - math.pi) < _PAIR_WINDOW:
+                    if d1.closure_error < tol and d2.closure_error < tol:
+                        pairs.append(AnglePair(d1.direction, d2.direction, n1, n2))
     return pairs
 
 

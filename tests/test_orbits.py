@@ -15,13 +15,15 @@ from caustica import (ConvergenceError, Ellipse, closure_error,
                       reflection_residual, segment_caustics)
 from caustica import orbits
 from caustica.cli import main
-from caustica.conics import (CausticKind, Shot, advance, caustic_of_line,
-                             first_hit, simulate)
-from caustica.orbits import (CERT_TOL, LAYER_BAND, _certify, _grid_passages,
-                             _line_roots, angle_pair_scan, boomerang_scan,
+from caustica.conics import (CausticKind, Shot, _walk, advance, advance_batch,
+                             caustic_of_line, caustic_phase_point, first_hit,
+                             simulate)
+from caustica.orbits import (CERT_TOL, LAYER_BAND, AnglePair, PeriodicDirection,
+                             _certify, _defect, _grid_passages, _line_roots,
+                             _pair_angles, angle_pair_scan, boomerang_scan,
                              branch_intervals, caustic_extrema, hole_scan,
                              parallelogram_angle_pairs, predicted_count)
-from caustica.periods import BettiModel
+from caustica.periods import BettiModel, lambda_for_beta2
 
 E = Ellipse(0.6)
 P = (0.2, 0.3)
@@ -111,6 +113,15 @@ def test_range_directions_equal_one_n_calls(p):
     assert [n for n, _, _ in walked] == list(range(2, 61))
     for n, dirs, _ in walked:
         assert list(map(key, dirs)) == list(map(key, find_periodic_directions(E, p, n)))
+
+
+def test_range_ending_in_an_n_without_candidates():
+    # n = 2 and 4 have no candidate at P; the walk has retired every row
+    # before it reaches n = 4, which must read no state.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert count_periodic_range(E, P, [2, 3, 4]) == [
+            (0, 0, 0, 0), (4, 4, 0, 0), (0, 0, 0, 0)]
 
 
 def test_range_warns_per_n_like_one_n_calls(monkeypatch):
@@ -207,10 +218,10 @@ def test_focal_layer_counts_every_level_above_the_extreme():
     assert 1.0 < lam_M < 1.0 + LAYER_BAND
     b_M = BettiModel(e).beta2(lam_M)
     assert b_M < 25 / 53 < b_M + 1e-5
-    assert count_periodic(e, p, 53) == (8, 0, 8)
+    assert count_periodic(e, p, 53) == (8, 0, 8, 0)
     for n in range(3, 302, 2):
         levels = sum(b_M < k / n < 0.5 for k in range(1, n))
-        assert count_periodic(e, p, n) == (4 * levels, 0, 4 * levels), n
+        assert count_periodic(e, p, n) == (4 * levels, 0, 4 * levels, 0), n
 
 
 @pytest.mark.parametrize("b", [1e-8, 3e-9, 1e-9])
@@ -220,7 +231,7 @@ def test_focal_layer_kept_when_the_extreme_rounds_to_one(b):
     # The 40-digit count is 20 at all three points.
     e = Ellipse(0.6)
     p = (0.3, b)
-    assert count_periodic(e, p, 301) == (20, 0, 20)
+    assert count_periodic(e, p, 301) == (20, 0, 20, 0)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         c2, a2, b2 = mp.mpf("0.36"), mp.mpf(p[0]) ** 2, mp.mpf(b) ** 2
@@ -486,13 +497,158 @@ def test_convergence_error_carries_best_candidate():
     assert err.best == [1, 2, 3]
 
 
-def test_certification_rejects_are_reported():
-    # At n = 2001 five candidates close only to ~1.6e-6 > CERT_TOL; they
-    # stay out of the count, and a RuntimeWarning says so.
-    with pytest.warns(RuntimeWarning, match=r"n = 2001: 5 of 1108 .* 1\.6\de-06"):
-        assert count_periodic(E, P, 2001) == (1439, 1103, 336)
+def test_certification_rejects_are_reported(monkeypatch):
+    # At n = 2001 every candidate certifies; a full 2001-bounce walk
+    # rejected five of them, which closed only to ~1.6e-6.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert count_periodic(E, P, 1001) == (724, 556, 168)
+        assert count_periodic(E, P, 2001) == (1444, 1108, 336, 0)
+        assert count_periodic(E, P, 1001) == (724, 556, 168, 0)
         assert main(["count-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3",
                      "--nmax", "30", "--out", os.devnull]) == 0
+    # A candidate that misses CERT_TOL stays out of the total, is counted
+    # in `rejected` and is reported in a RuntimeWarning.
+    errs = sorted(d.closure_error for d in find_periodic_directions(E, P, 31))
+    monkeypatch.setattr(orbits, "CERT_TOL", errs[len(errs) // 2])
+    kept = sum(err < orbits.CERT_TOL for err in errs)
+    with pytest.warns(RuntimeWarning,
+                      match=rf"n = 31: {len(errs) - kept} of {len(errs)} candidate"):
+        bd = count_periodic(E, P, 31)
+    assert (bd.certified, bd.rejected) == (kept, len(errs) - kept)
+    assert bd.total == bd.certified + bd.layer
+
+
+@pytest.mark.parametrize("p", [P, GENERIC])
+def test_odd_counts_follow_the_linear_law_at_large_n(p):
+    # Criterion 4's bound, |count - c_o n| <= 4, where a full n-bounce
+    # walk rejected true directions (1439 against 1444.02 at n = 2001).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = count_periodic_range(E, p, [1001, 2001, 4001])
+    for n, bd in zip([1001, 2001, 4001], counts):
+        assert bd.rejected == 0, n
+        assert abs(bd.total - predicted_count(E, p, n)) <= 4.0, n
+
+
+def test_counts_equal_at_mirror_images():
+    # The table is symmetric in both axes, so the four mirror images of
+    # a point see mirrored direction sets.
+    ns = range(2, 202)
+    a, b = P
+    counts = count_periodic_range(E, P, ns)
+    for q in ((-a, b), (a, -b), (-a, -b)):
+        assert count_periodic_range(E, q, ns) == counts, q
+
+
+def test_mid_chord_defect_rejects_mutated_candidates():
+    # Both tangent lines of a level are periodic on one caustic, so only
+    # a defect that compares chords tells them apart: the forward half of
+    # one line against the backward half of the other is rejected, and
+    # so is every root line turned by 1e-7 rad.
+    n = 301
+    k, j = n - n // 2, n // 2
+    roots, _ = _line_roots(E, P, n)
+    for (phi1, s1), (phi2, s2) in zip(roots[::2], roots[1::2]):
+        assert s1 == s2
+        for turn in (0.0, math.pi):
+            u = (math.cos(phi1 + turn), math.sin(phi1 + turn))
+            w = (math.cos(phi2 + turn), math.sin(phi2 + turn))
+            assert closure_error(E, P, u, n) < CERT_TOL
+            assert closure_error(E, P, w, n) < CERT_TOL
+            fwd = _walk(E, *P, *u, k)[-1]
+            for sg in (1.0, -1.0):
+                back = _walk(E, *P, -sg * w[0], -sg * w[1], j)[-1]
+                assert _defect(*fwd, *back) > 1e3 * CERT_TOL
+            for phi in (phi1, phi2):
+                shot = (math.cos(phi + turn + 1e-7), math.sin(phi + turn + 1e-7))
+                assert closure_error(E, P, shot, n) > 10.0 * CERT_TOL
+
+
+def _full_walk_errors(e, p, dirs_by_n):
+    """Reference closure errors of a full n-bounce walk: the distance of
+    p from the outgoing line after n bounces plus the mismatch of the
+    outgoing direction with the start one, for every (n, direction) of
+    dirs_by_n, in that order.  All shots are stepped together; the rows
+    are stacked by n in descending order and stop moving at their n."""
+    rows = [(n, v) for n, dirs in dirs_by_n for v in dirs]
+    order = sorted(range(len(rows)), key=lambda i: -rows[i][0])
+    ns = np.array([rows[i][0] for i in order])
+    v = np.array([rows[i][1] for i in order], dtype=float).reshape(-1, 2)
+    v /= np.sqrt((v * v).sum(axis=1))[:, None]
+    x, y = np.full(len(rows), p[0]), np.full(len(rows), p[1])
+    wx, wy = v[:, 0].copy(), v[:, 1].copy()
+    err = np.empty(len(rows))
+    for step in range(1, int(ns.max(initial=0)) + 1):
+        live = int(np.count_nonzero(ns >= step))
+        x, y, wx, wy = advance_batch(e, x[:live], y[:live], wx[:live], wy[:live])
+        end = np.flatnonzero(ns[:live] == step)
+        err[end] = (np.abs(wx[end] * (p[1] - y[end]) - wy[end] * (p[0] - x[end]))
+                    + np.hypot(wx[end] - v[end, 0], wy[end] - v[end, 1]))
+    out = np.empty(len(rows))
+    out[order] = err
+    return out
+
+
+@pytest.mark.parametrize("p", [P, GENERIC])
+def test_certified_directions_close_on_a_full_walk(p):
+    # Every direction certified by the mid-chord defect for n <= 301 also
+    # closes below CERT_TOL on a walk of all its n bounces.
+    walked = [(n, [d.direction for d in dirs])
+              for n, dirs, _ in _certify(E, p, range(2, 302))]
+    assert sum(len(dirs) for _, dirs in walked) > 10000
+    assert _full_walk_errors(E, p, walked).max() < CERT_TOL
+
+
+def test_closure_error_from_a_boundary_start():
+    # poncelet --rot 5/11 at c = 0.6: the start lies on the boundary,
+    # where -v points out of the table, so the backward half starts from
+    # the reversed incoming state.  A start turned by 1e-6 rad misses.
+    e = Ellipse(0.6)
+    s = e.c2 * lambda_for_beta2(e, 5 / 11)
+    for theta in np.linspace(0.1, 6.1, 13):
+        x = caustic_phase_point(e, s, theta)
+        assert closure_error(e, x.p, x.v, 11) < 1e-10
+        assert _full_walk_errors(e, x.p, [(11, [x.v])])[0] < 1e-8
+        c, sn = math.cos(1e-6), math.sin(1e-6)
+        turned = (c * x.vx - sn * x.vy, sn * x.vx + c * x.vy)
+        assert closure_error(e, x.p, turned, 11) > 100.0 * CERT_TOL
+    with pytest.raises(ValueError, match="n >= 1"):
+        closure_error(e, x.p, x.v, 0)
+
+
+def _pair_angles_quadratic(angles, alpha, tol):
+    """Reference for orbits._pair_angles: every ordered pair of entries
+    tested in turn."""
+    pairs = []
+    for ang, n1, d1 in angles:
+        target = (ang + alpha) % (2.0 * math.pi)
+        for ang2, n2, d2 in angles:
+            if abs((ang2 - target + math.pi) % (2.0 * math.pi) - math.pi) < 1e-7:
+                if d1.closure_error < tol and d2.closure_error < tol:
+                    pairs.append(AnglePair(d1.direction, d2.direction, n1, n2))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(1e-3, math.pi - 1e-3),
+       shots=st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                                st.one_of(st.none(), st.floats(-2e-7, 2e-7)),
+                                st.one_of(st.none(), st.floats(-2e-7, 2e-7)),
+                                st.booleans()), max_size=30))
+def test_window_pairing_equals_the_quadratic_scan(alpha, shots):
+    # Each shot may bring a partner near angle + alpha, inside or just
+    # outside the 1e-7 window; an anchored shot sits where angle + alpha
+    # is near 2 pi, so its partner may wrap through 0.  Half the shots
+    # miss the closure tolerance.
+    turn = 2.0 * math.pi
+    angles = []
+    for ang, anchor, off, closes in shots:
+        if anchor is not None:
+            ang = (turn - alpha + anchor) % turn
+        err = 1e-9 if closes else 1.0
+        news = [ang] if off is None else [ang, (ang + alpha + off) % turn]
+        for k, a in enumerate(news):
+            d = PeriodicDirection((math.cos(a), math.sin(a)), 2 + k, None, err)
+            angles.append((a, 2 + k, d))
+    angles.sort(key=lambda t: (t[0], t[1]))
+    assert _pair_angles(angles, alpha, 1e-6) == _pair_angles_quadratic(angles, alpha, 1e-6)
