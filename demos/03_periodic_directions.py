@@ -10,9 +10,8 @@ grows linearly with a slope set by the extreme caustics visible from p.
 import numpy as np
 
 from caustica.conics import Ellipse
-from caustica.orbits import (branch_intervals, caustic_extrema,
-                             count_periodic, find_periodic_directions,
-                             predicted_count)
+from caustica.orbits import (caustic_extrema, count_periodic,
+                             find_periodic_directions, predicted_count)
 
 e = Ellipse(0.6)
 p = (0.2, 0.3)
@@ -21,10 +20,6 @@ ext = caustic_extrema(e, p)
 print(f"caustics through p: s in [{ext.m:.6f}, {ext.M:.6f}]")
 print(f"trace identity M + m - c^2 - |p|^2 = "
       f"{ext.M + ext.m - e.c2 - p[0] ** 2 - p[1] ** 2:.2e}")
-
-print("\ndirection circle split by the focal lines:")
-for lo, hi, kind in branch_intervals(e, p):
-    print(f"  [{lo:7.4f}, {hi:7.4f}]  {kind.value}")
 
 # Certified directions for a short period.
 for d in find_periodic_directions(e, p, 3):

@@ -54,9 +54,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import brentq
-from .conics import (CausticKind, CausticParam, PhasePoint, Trajectory,
-                     _walk, advance_batch, caustic_of_line, classify_caustic,
-                     reflect, slope_of, unit)
+from .conics import (CausticParam, PhasePoint, Trajectory, _walk,
+                     advance_batch, caustic_of_line, classify_caustic, reflect,
+                     slope_of, unit)
 from .periods import BettiModel, _beta2_inverse
 
 # Certification bound on the phase-space closure defect of a returned
@@ -146,51 +146,6 @@ def caustic_extrema(e, p):
     disc = max(0.0, tr * tr - 4.0 * det)
     rt = math.sqrt(disc)
     return CausticExtrema(M=0.5 * (tr + rt), m=0.5 * (tr - rt))
-
-
-def _s_of_phi(a, b, c2, phi):
-    co, si = math.cos(phi), math.sin(phi)
-    d = a * si - b * co
-    return c2 * co * co + d * d
-
-
-def _breakpoints(e, p):
-    """Focal transitions and critical slopes of s(phi), as angles in
-    [0, pi): the lines through the upper/lower focus and the tangents
-    at p to the two confocal conics through p."""
-    a, b = p
-    pts = set()
-    for sgn in (1.0, -1.0):
-        den = a - sgn * e.c
-        pts.add(math.atan2(b, den) % math.pi)
-    half = 0.5 * math.atan2(2.0 * a * b, a * a - b * b - e.c2)
-    pts.add(half % math.pi)
-    pts.add((half + 0.5 * math.pi) % math.pi)
-    return sorted(pts)
-
-
-def branch_intervals(e, p):
-    """Maximal open slope arcs of uniform caustic kind, as a list of
-    (phi_lo, phi_hi, kind) with angles in [0, pi) and the last arc
-    possibly wrapping; kind decided at the midpoint."""
-    a, b = p
-    cuts = _breakpoints(e, p)
-    out = []
-    k = len(cuts)
-    for j in range(k):
-        lo = cuts[j]
-        hi = cuts[(j + 1) % k] + (math.pi if j == k - 1 else 0.0)
-        if hi - lo < 1e-13:
-            continue
-        mid = 0.5 * (lo + hi)
-        s = _s_of_phi(a, b, e.c2, mid)
-        lam = s / e.c2
-        if lam > 1.0:
-            kind = CausticKind.ELLIPTIC
-        else:
-            kind = CausticKind.HYPERBOLIC
-        out.append((lo, hi, kind))
-    return out
 
 
 def _cross(p, x, y, wx, wy):
@@ -295,54 +250,73 @@ def _axis_directions(e, p, n):
     return out
 
 
-def _line_roots(e, p, n):
-    """Tangent lines from p to the caustics of the levels beta2 = k/n,
-    as (phi, s) with phi in [0, pi), plus the exact number of layer
-    lines.
+def _extremes(e, p, model):
+    """The extreme caustics seen from the interior p, as (elliptic,
+    hyperbolic); each is (lambda at the extreme, layer edge, beta2 at
+    the extreme), or None when no line through p has a caustic of that
+    kind.
 
-    On the elliptic range lambda in (1, M/c^2), and for even n on the
-    hyperbolic range (m/c^2, 1), beta2 runs monotonically from its value
-    at the extreme to 1/2 at the focal transition.  A level strictly
-    between beta2 at the extreme and at the layer edge (the nearer of
-    1 +- LAYER_BAND and the extreme) is inverted once for lambda_k, and
-    its caustic s_k = c^2 lambda_k touches the two lines through p at
-    phi = (delta +- arccos((s_k - P)/rho))/2.  The levels between the
-    layer edge and 1/2 are counted by integer arithmetic, two lines
-    each.  An extreme inside the layer is its own edge; beta2 there is
-    taken from its gap lambda - 1, which M/c^2 and m/c^2 round away
-    once it is below one ulp of 1 (b below ~5e-9 at c = 0.6, a = 0.3).
+    On the elliptic range lambda in (1, M/c^2) and on the hyperbolic
+    range (m/c^2, 1), beta2 runs monotonically from its value at the
+    extreme to 1/2 at the focal transition, so the levels k/n that a
+    kind sees lie between the two.  The layer edge is the nearer of
+    1 +- LAYER_BAND and the extreme.  An extreme inside the layer is its
+    own edge; beta2 there is taken from its gap lambda - 1, which M/c^2
+    and m/c^2 round away once it is below one ulp of 1 (b below ~5e-9
+    at c = 0.6, a = 0.3).
     """
     a, b = p
     c2 = e.c2
     ex = caustic_extrema(e, p)
-    model = BettiModel(e)
-    P = 0.5 * (c2 + a * a + b * b)
-    Q = 0.5 * (c2 + b * b - a * a)
-    rho = math.hypot(Q, a * b)
-    delta = math.atan2(-a * b, Q)
     # M - c^2 and c^2 - m without cancellation: their difference is
     # d = a^2 + b^2 - c^2 and their product b^2 c^2.
     d = a * a + b * b - c2
     big = 0.5 * (abs(d) + math.hypot(d, 2.0 * b * e.c))
     small = b * b * c2 / big if big else 0.0
     above, below = (big, small) if d >= 0.0 else (small, big)
+
+    def extreme(ext, edge, gap):
+        return ext, edge, model._beta2_gap(gap) if ext == edge else model.beta2(ext)
+
     # c^2 lies in [m, M] and is an end exactly when b = 0 (the product
     # (c^2 - M)(c^2 - m) is -b^2 c^2); that kind then has no lines.
-    ranges = []
+    ell = hyp = None
     if b != 0.0 or abs(a) > e.c:
-        ranges.append((ex.M / c2, min(ex.M / c2, 1.0 + LAYER_BAND), above / c2))
-    if n % 2 == 0 and (b != 0.0 or abs(a) < e.c):
+        ell = extreme(ex.M / c2, min(ex.M / c2, 1.0 + LAYER_BAND), above / c2)
+    if b != 0.0 or abs(a) < e.c:
         # m = 0 when a = 0; beta2 at the smallest positive lambda is its
         # lambda -> 0+ limit to the last bit.
         lam_m = max(ex.m / c2, math.ulp(0.0))
-        ranges.append((lam_m, max(lam_m, 1.0 - LAYER_BAND), -below / c2))
+        hyp = extreme(lam_m, max(lam_m, 1.0 - LAYER_BAND), -below / c2)
+    return ell, hyp
+
+
+def _line_roots(e, p, n):
+    """Tangent lines from p to the caustics of the levels beta2 = k/n,
+    as (phi, s) with phi in [0, pi), plus the exact number of layer
+    lines.
+
+    The levels are read between the extremes of _extremes and 1/2: on
+    the elliptic range, and for even n also on the hyperbolic one.  A
+    level strictly between beta2 at the extreme and at the layer edge is
+    inverted once for lambda_k, and its caustic s_k = c^2 lambda_k
+    touches the two lines through p at
+    phi = (delta +- arccos((s_k - P)/rho))/2.  The levels between the
+    layer edge and 1/2 are counted by integer arithmetic, two lines
+    each.
+    """
+    a, b = p
+    c2 = e.c2
+    model = BettiModel(e)
+    P = 0.5 * (c2 + a * a + b * b)
+    Q = 0.5 * (c2 + b * b - a * a)
+    rho = math.hypot(Q, a * b)
+    delta = math.atan2(-a * b, Q)
+    ell, hyp = _extremes(e, p, model)
     roots = []
     layer_lines = 0
-    for ext, edge, gap in ranges:
-        if ext == edge:
-            b_ext = b_edge = model._beta2_gap(gap)
-        else:
-            b_ext, b_edge = model.beta2(ext), model.beta2(edge)
+    for ext, edge, b_ext in filter(None, (ell, None if n % 2 else hyp)):
+        b_edge = b_ext if ext == edge else model.beta2(edge)
         k_edge = math.floor(b_edge * n)
         layer_lines += 2 * max(0, (n - 1) // 2 - k_edge)
         lo, hi = sorted((ext, edge))
@@ -439,48 +413,27 @@ def count_periodic_range(e, p, ns):
 
 def predicted_count(e, p, n):
     """Linear-law prediction for the number of period-dividing-n
-    directions: c_o n (odd) or c_e n (even) with
-    c_o = 2 - 4 beta2(M/c^2), c_e = 2(1 - beta2(M/c^2) - beta2(m/c^2));
-    for p on an axis (degenerate extrema) the coefficient falls back to
-    the total variation of beta2 over the admissible slope arcs."""
+    directions from the interior, non-focal p: c_o n (odd) or c_e n
+    (even) with c_o = 2 - 4 beta2(M/c^2) and
+    c_e = 2(1 - beta2(M/c^2) - beta2(m/c^2)), beta2 taken at the
+    extremes that _line_roots inverts from (_extremes).  A kind with no
+    lines through p (p on an axis) takes beta2 = 1/2 and adds nothing.
+
+    A kind with extreme beta2_ext sees ceil(n/2) - 1 - floor(n beta2_ext)
+    levels, four directions each.  So the odd count exceeds c_o n by
+    -2 + 4 frac(n beta2(M/c^2)), in [-2, 2), once every candidate
+    certifies.  c_e counts tangent lines, two directions each, so the
+    even directions that count_periodic returns grow at 2 c_e.
+    """
     a, b = p
     if math.hypot(a - e.c, b) < 1e-9 or math.hypot(a + e.c, b) < 1e-9:
         raise ValueError("prediction undefined at a focus")
-    ex = caustic_extrema(e, p)
-    model = BettiModel(e)
-    odd = bool(n % 2)
-    generic = abs(a) > 1e-9 and abs(b) > 1e-9
-    if generic:
-        bM = model.beta2(ex.M / e.c2)
-        if odd:
-            return (2.0 - 4.0 * bM) * n
-        bm = model.beta2(ex.m / e.c2)
-        return 2.0 * (1.0 - bM - bm) * n
-    tv_ell, tv_hyp = _betti_variation(e, p)
-    if odd:
-        return 2.0 * tv_ell * n
-    return (tv_ell + tv_hyp) * n
-
-
-def _betti_variation(e, p):
-    """Total variation of beta2 over the elliptic and hyperbolic slope
-    arcs, each monotone piece contributing |1/2 - extreme value|.
-
-    s(phi) is monotone on every arc (branch_intervals cuts at the
-    critical slopes), so its extreme is an endpoint value: the larger
-    on elliptic arcs, the smaller on hyperbolic ones."""
-    a, b = p
-    c2 = e.c2
-    model = BettiModel(e)
-    tv = {CausticKind.ELLIPTIC: 0.0, CausticKind.HYPERBOLIC: 0.0}
-    for lo, hi, kind in branch_intervals(e, p):
-        ends = (_s_of_phi(a, b, c2, lo), _s_of_phi(a, b, c2, hi))
-        s_ext = max(ends) if kind is CausticKind.ELLIPTIC else min(ends)
-        lam = s_ext / c2
-        if abs(lam - 1.0) < 1e-9:
-            continue
-        tv[kind] += 2.0 * (0.5 - model.beta2(lam))
-    return tv[CausticKind.ELLIPTIC], tv[CausticKind.HYPERBOLIC]
+    ell, hyp = _extremes(e, p, BettiModel(e))
+    bM = ell[2] if ell else 0.5
+    if n % 2:
+        return (2.0 - 4.0 * bM) * n
+    bm = hyp[2] if hyp else 0.5
+    return 2.0 * (1.0 - bM - bm) * n
 
 
 class ConvergenceError(RuntimeError):

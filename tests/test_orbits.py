@@ -1,5 +1,6 @@
 """Periodic directions, counting law, connecting trajectories, scans."""
 
+import functools
 import math
 import os
 import warnings
@@ -15,14 +16,14 @@ from caustica import (ConvergenceError, Ellipse, closure_error,
                       reflection_residual, segment_caustics)
 from caustica import orbits
 from caustica.cli import main
-from caustica.conics import (CausticKind, Shot, _walk, advance, advance_batch,
+from caustica.conics import (Shot, _walk, advance, advance_batch,
                              caustic_of_line, caustic_phase_point, first_hit,
                              simulate)
 from caustica.orbits import (CERT_TOL, LAYER_BAND, AnglePair, PeriodicDirection,
                              _certify, _defect, _grid_passages, _line_roots,
                              _pair_angles, angle_pair_scan, boomerang_scan,
-                             branch_intervals, caustic_extrema, hole_scan,
-                             parallelogram_angle_pairs, predicted_count)
+                             caustic_extrema, hole_scan, parallelogram_angle_pairs,
+                             predicted_count)
 from caustica.periods import BettiModel, lambda_for_beta2
 
 E = Ellipse(0.6)
@@ -43,28 +44,6 @@ def test_caustic_extrema_on_confocal_conics():
     assert ex.m < E.c2 < ex.M
     # The two parameters sum to c^2 + |p|^2 (trace of the quadratic).
     assert ex.M + ex.m == pytest.approx(E.c2 + P[0] ** 2 + P[1] ** 2, abs=1e-12)
-
-
-def test_branch_intervals_cover_and_classify():
-    arcs = branch_intervals(E, P)
-    assert len(arcs) == 4
-    kinds = [k for _, _, k in arcs]
-    assert kinds.count(CausticKind.ELLIPTIC) == 2
-    assert kinds.count(CausticKind.HYPERBOLIC) == 2
-    # Contiguous cover of a half-turn of directions.
-    for (lo1, hi1, _), (lo2, hi2, _) in zip(arcs, arcs[1:]):
-        assert hi1 == pytest.approx(lo2, abs=1e-12)
-    assert arcs[-1][1] - arcs[0][0] == pytest.approx(math.pi, abs=1e-12)
-    # Midpoint kind agrees with the caustic of the line at that angle.
-    for lo, hi, kind in arcs:
-        mid = 0.5 * (lo + hi)
-        assert caustic_of_line(E, P, math.tan(mid)).kind is kind
-    # The focal directions are breakpoints.
-    cuts = sorted(lo for lo, _, _ in arcs)
-    foc1 = math.atan2(P[1], P[0] - E.c) % math.pi
-    foc2 = math.atan2(P[1], P[0] + E.c) % math.pi
-    assert any(abs(cut - foc1) < 1e-9 for cut in cuts)
-    assert any(abs(cut - foc2) < 1e-9 for cut in cuts)
 
 
 def test_find_periodic_directions_certified():
@@ -274,17 +253,41 @@ def test_predicted_count_linear_law():
         predicted_count(E, (E.c, 0.0), 3)
 
 
+# Points on the axes: one confocal conic through each is degenerate,
+# so one kind of caustic has no lines through it.
+AXIS_POINTS = [(0.8, 0.0), (0.3, 0.0), (0.0, 0.4), (0.0, 0.7)]
+
+
+@functools.lru_cache(maxsize=None)
+def _counts_to_301(p):
+    """count_periodic_range(E, p, range(2, 302)), computed once per p."""
+    return count_periodic_range(E, p, range(2, 302))
+
+
 def test_predicted_count_on_the_axes():
-    # Axis points fall back to the total variation of beta2 over the
-    # slope arcs; values frozen from a bounded scalar search for the
-    # extreme of s on every arc.
-    frozen = {(0.8, 0.0): (6.305869077489944, 4.203912718326629),
-              (0.3, 0.0): (0.0, 3.104464685269276),
-              (0.0, 0.4): (5.057139677334722, 6.648750686742616),
-              (0.0, 0.7): (8.559349486564134, 8.98355722622889)}
-    for p, (odd, even) in frozen.items():
-        assert predicted_count(E, p, 3) == pytest.approx(odd, abs=1e-9)
-        assert predicted_count(E, p, 4) == pytest.approx(even, abs=1e-9)
+    # The same closed form as off the axes; the kind with no lines takes
+    # beta2 = 1/2 and adds nothing.  Odd counts stay within criterion
+    # 4's bound, |count - c_o n| <= 4.
+    for p in AXIS_POINTS:
+        for n, bd in zip(range(2, 302), _counts_to_301(p)):
+            if n % 2:
+                assert abs(bd.total - predicted_count(E, p, n)) <= 4.0, (p, n)
+
+
+@pytest.mark.parametrize("p", [P, GENERIC, (0.8, 0.0), (0.0, 0.4)])
+def test_counts_are_level_arithmetic_at_the_extremes(p):
+    # A kind whose extreme has beta2 = b sees the levels k/n in (b, 1/2),
+    # ceil(n/2) - 1 - floor(n b) of them, four directions each (the
+    # hyperbolic kind for even n only); each axis through p adds its two
+    # two-bounce directions for even n.  Certification finds exactly
+    # these.
+    ell, hyp = orbits._extremes(E, p, BettiModel(E))
+    axes = (p[0] == 0.0) + (p[1] == 0.0)
+    for n, bd in zip(range(2, 302), _counts_to_301(p)):
+        kinds = [ell] if n % 2 else [ell, hyp]
+        levels = sum((n + 1) // 2 - 1 - math.floor(n * k[2]) for k in kinds if k)
+        assert bd.rejected == 0, n
+        assert bd.total == 4 * levels + (0 if n % 2 else 2 * axes), n
 
 
 def test_closure_error_separates_periodic_from_generic():
