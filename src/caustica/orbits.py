@@ -13,8 +13,9 @@ confocal conics through p twice per half-turn of directions, so every
 caustic level has exactly two tangent lines through p, in closed form.
 beta2 is strictly monotone in lambda = s/c^2 on each side of the focal
 transition lambda = 1, so each level k/n is inverted once for its
-lambda_k; both lines tangent to s = c^2 lambda_k are then certified by
-simulation, meeting in the middle.  The billiard map is reversible, so
+lambda_k, from one view of p (_view) that every n shares; both lines
+tangent to s = c^2 lambda_k are then certified by simulation, meeting
+in the middle.  The billiard map is reversible, so
 the orbit of (p, v) closes after n bounces exactly when the state after
 ceil(n/2) bounces from (p, v) and the state after floor(n/2) bounces
 from (p, -v) ride one chord in opposite directions; closure_error
@@ -28,10 +29,10 @@ their number of steps in descending order; step j advances the rows
 with at least j steps), and each closure error equals that of a walk
 of its n alone, bit for bit, since rows never interact.  Levels with
 |1 - lambda| below a resolution band correspond to caustics within
-~4^(-n) of the focal degeneration;
-they are provably present by monotonicity and the exact limit
-beta2 -> 1/2 and are counted by integer arithmetic, since no
-double-precision direction can represent them.  The resulting direction
+~4^(-n) of the focal degeneration; they are provably present by
+monotonicity and the exact limit beta2 -> 1/2 and are counted by integer
+arithmetic, since few double-precision directions represent them (some
+still certify for n up to about 20).  The resulting direction
 counts grow linearly in n, with odd slope 2 - 4 beta2(M/c^2).
 
 Connecting trajectories between two interior points are found by
@@ -67,7 +68,6 @@ CERT_TOL = 1e-6
 LAYER_BAND = 1e-6
 # Default number of direction cells for the passage scans.
 DEFAULT_GRID = 4096
-_AXIS_TOL = 1e-12
 # Largest gap (rad, mod 2 pi) between a direction angle plus alpha and
 # its partner's angle in angle_pair_scan.
 _PAIR_WINDOW = 1e-7
@@ -138,14 +138,16 @@ def _require_interior(e, p):
 def caustic_extrema(e, p):
     """Parameters of the two confocal conics through interior p: the
     roots of s^2 - (a^2+b^2+c^2) s + a^2 c^2 = 0, which are the max M
-    (elliptic) and min m (hyperbolic) of s over all shot slopes."""
+    (elliptic) and min m (hyperbolic) of s over all shot slopes; m <= c^2
+    <= M, as (c^2 - M)(c^2 - m) = -b^2 c^2, also where b = 0 rounds a root
+    across c^2."""
     _require_interior(e, p)
     a, b = p
     tr = a * a + b * b + e.c2
     det = a * a * e.c2
     disc = max(0.0, tr * tr - 4.0 * det)
     rt = math.sqrt(disc)
-    return CausticExtrema(M=0.5 * (tr + rt), m=0.5 * (tr - rt))
+    return CausticExtrema(M=max(0.5 * (tr + rt), e.c2), m=min(0.5 * (tr - rt), e.c2))
 
 
 def _cross(p, x, y, wx, wy):
@@ -234,27 +236,22 @@ def _closure_errors(e, p, band):
     return errs
 
 
-def _axis_directions(e, p, n):
-    """Two-bounce axis orbits through the interior p, which close for
-    every even n, as (direction, caustic) candidates."""
-    if n % 2:
-        return []
-    a, b = p
-    out = []
-    if abs(b) <= _AXIS_TOL:
-        caustic = classify_caustic(e, e.c2)
-        out += [((vx, 0.0), caustic) for vx in (1.0, -1.0)]
-    if abs(a) <= _AXIS_TOL:
-        caustic = classify_caustic(e, 0.0)
-        out += [((0.0, vy), caustic) for vy in (1.0, -1.0)]
-    return out
+class _View(NamedTuple):
+    """What the interior p sees, the same for every n (see _view)."""
+    P: float
+    rho: float
+    delta: float
+    model: BettiModel
+    # (elliptic, hyperbolic); each is (lambda at the extreme, layer edge,
+    # beta2 at the extreme, beta2 at the edge), or None.
+    kinds: tuple
+    axes: tuple  # two-bounce axis orbits, (direction, caustic)
 
 
-def _extremes(e, p, model):
-    """The extreme caustics seen from the interior p, as (elliptic,
-    hyperbolic); each is (lambda at the extreme, layer edge, beta2 at
-    the extreme), or None when no line through p has a caustic of that
-    kind.
+def _view(e, p):
+    """The view of the interior p that every n reads: the caustic
+    s(phi) = P + rho cos(2 phi - delta) of the shot at angle phi, the
+    extreme caustics of each kind, and the axis orbits.
 
     On the elliptic range lambda in (1, M/c^2) and on the hyperbolic
     range (m/c^2, 1), beta2 runs monotonically from its value at the
@@ -264,9 +261,15 @@ def _extremes(e, p, model):
     own edge; beta2 there is taken from its gap lambda - 1, which M/c^2
     and m/c^2 round away once it is below one ulp of 1 (b below ~5e-9
     at c = 0.6, a = 0.3).
+
+    One exact test decides both the kinds and the axis orbits: c^2 is an
+    end of [m, M] exactly when b = 0.0 (the product (c^2 - M)(c^2 - m)
+    is -b^2 c^2).  That kind then has no lines through p, and the axis
+    y = 0 is a two-bounce orbit; the axis x = 0 is one when a = 0.0.
     """
     a, b = p
     c2 = e.c2
+    model = BettiModel(e)
     ex = caustic_extrema(e, p)
     # M - c^2 and c^2 - m without cancellation: their difference is
     # d = a^2 + b^2 - c^2 and their product b^2 c^2.
@@ -275,58 +278,58 @@ def _extremes(e, p, model):
     small = b * b * c2 / big if big else 0.0
     above, below = (big, small) if d >= 0.0 else (small, big)
 
-    def extreme(ext, edge, gap):
-        return ext, edge, model._beta2_gap(gap) if ext == edge else model.beta2(ext)
+    def kind(ext, edge, gap):
+        if ext == edge:
+            return (ext, edge) + (model._beta2_gap(gap),) * 2
+        return ext, edge, model.beta2(ext), model.beta2(edge)
 
-    # c^2 lies in [m, M] and is an end exactly when b = 0 (the product
-    # (c^2 - M)(c^2 - m) is -b^2 c^2); that kind then has no lines.
     ell = hyp = None
+    axes = []
     if b != 0.0 or abs(a) > e.c:
-        ell = extreme(ex.M / c2, min(ex.M / c2, 1.0 + LAYER_BAND), above / c2)
+        ell = kind(ex.M / c2, min(ex.M / c2, 1.0 + LAYER_BAND), above / c2)
     if b != 0.0 or abs(a) < e.c:
         # m = 0 when a = 0; beta2 at the smallest positive lambda is its
         # lambda -> 0+ limit to the last bit.
         lam_m = max(ex.m / c2, math.ulp(0.0))
-        hyp = extreme(lam_m, max(lam_m, 1.0 - LAYER_BAND), -below / c2)
-    return ell, hyp
+        hyp = kind(lam_m, max(lam_m, 1.0 - LAYER_BAND), -below / c2)
+    if b == 0.0:
+        axes += [((vx, 0.0), classify_caustic(e, c2)) for vx in (1.0, -1.0)]
+    if a == 0.0:
+        axes += [((0.0, vy), classify_caustic(e, 0.0)) for vy in (1.0, -1.0)]
+    Q = 0.5 * (c2 + b * b - a * a)
+    return _View(0.5 * (c2 + a * a + b * b), math.hypot(Q, a * b),
+                 math.atan2(-a * b, Q), model, (ell, hyp), tuple(axes))
 
 
-def _line_roots(e, p, n):
+def _line_roots(e, view, n):
     """Tangent lines from p to the caustics of the levels beta2 = k/n,
     as (phi, s) with phi in [0, pi), plus the exact number of layer
-    lines.
+    lines; view is _view(e, p).
 
-    The levels are read between the extremes of _extremes and 1/2: on
+    The levels are read between the extremes of view.kinds and 1/2: on
     the elliptic range, and for even n also on the hyperbolic one.  A
     level strictly between beta2 at the extreme and at the layer edge is
     inverted once for lambda_k, and its caustic s_k = c^2 lambda_k
     touches the two lines through p at
     phi = (delta +- arccos((s_k - P)/rho))/2.  The levels between the
     layer edge and 1/2 are counted by integer arithmetic, two lines
-    each.
+    each.  Every n reads the same brackets, so a level k/n and its
+    multiple 2k/2n (equal as floats) give the same lines bit for bit.
     """
-    a, b = p
-    c2 = e.c2
-    model = BettiModel(e)
-    P = 0.5 * (c2 + a * a + b * b)
-    Q = 0.5 * (c2 + b * b - a * a)
-    rho = math.hypot(Q, a * b)
-    delta = math.atan2(-a * b, Q)
-    ell, hyp = _extremes(e, p, model)
+    ell, hyp = view.kinds
     roots = []
     layer_lines = 0
-    for ext, edge, b_ext in filter(None, (ell, None if n % 2 else hyp)):
-        b_edge = b_ext if ext == edge else model.beta2(edge)
+    for ext, edge, b_ext, b_edge in filter(None, (ell, None if n % 2 else hyp)):
         k_edge = math.floor(b_edge * n)
         layer_lines += 2 * max(0, (n - 1) // 2 - k_edge)
         lo, hi = sorted((ext, edge))
         for k in range(math.floor(b_ext * n) + 1, k_edge + 1):
             if not b_ext < k / n < b_edge:
                 continue
-            s = c2 * _beta2_inverse(model, k / n, lo, hi)
-            half = 0.5 * math.acos(max(-1.0, min(1.0, (s - P) / rho)))
-            roots += [((0.5 * delta + half) % math.pi, s),
-                      ((0.5 * delta - half) % math.pi, s)]
+            s = e.c2 * _beta2_inverse(view.model, k / n, lo, hi)
+            half = 0.5 * math.acos(max(-1.0, min(1.0, (s - view.P) / view.rho)))
+            roots += [((0.5 * view.delta + half) % math.pi, s),
+                      ((0.5 * view.delta - half) % math.pi, s)]
     return roots, layer_lines
 
 
@@ -334,9 +337,10 @@ def _certify(e, p, ns):
     """(n, certified directions, CountBreakdown) for every distinct n of
     ns, in ascending order.
 
-    The candidates of n are its axis orbits and both orientations of
-    every root line of _line_roots.  Those of consecutive n are gathered
-    into bands of about _BAND_ROWS rows, and each band is certified in
+    The view of p (_view) is built once.  The candidates of n are its
+    axis orbits, for even n, and both orientations of every root line of
+    _line_roots.  Those of consecutive n are gathered into bands of
+    about _BAND_ROWS rows, and each band is certified in
     one retiring lockstep (_closure_errors), so memory stays bounded on
     a long range.  A candidate is certified when its closure error (the
     mid-chord defect) is below CERT_TOL; the rejected ones of each n are
@@ -347,10 +351,11 @@ def _certify(e, p, ns):
     ns = sorted(set(ns))
     if ns and ns[0] < 2:
         raise ValueError("period search needs n >= 2")
+    view = _view(e, p)
     band, rows = [], 0
     for i, n in enumerate(ns):
-        roots, layer_lines = _line_roots(e, p, n)
-        cands = _axis_directions(e, p, n)
+        roots, layer_lines = _line_roots(e, view, n)
+        cands = [] if n % 2 else list(view.axes)
         for phi, s in roots:
             caustic = classify_caustic(e, s)
             for ang in (phi, phi + math.pi):
@@ -382,8 +387,9 @@ def find_periodic_directions(e, p, n):
 
     Every level k/n of beta2 is inverted once in lambda and its two
     tangent lines through p follow in closed form.  Directions whose
-    caustics fall in the focal boundary layer are not representable and
-    are omitted here; count_periodic adds their exact number.
+    caustics fall in the focal boundary layer (|lambda - 1| < LAYER_BAND)
+    are omitted here, and count_periodic adds their exact number: most
+    are not representable, though some still certify for n up to ~20.
     """
     [(_, dirs, _)] = _certify(e, p, [n])
     return dirs
@@ -416,7 +422,7 @@ def predicted_count(e, p, n):
     directions from the interior, non-focal p: c_o n (odd) or c_e n
     (even) with c_o = 2 - 4 beta2(M/c^2) and
     c_e = 2(1 - beta2(M/c^2) - beta2(m/c^2)), beta2 taken at the
-    extremes that _line_roots inverts from (_extremes).  A kind with no
+    extremes that _line_roots inverts from (_view).  A kind with no
     lines through p (p on an axis) takes beta2 = 1/2 and adds nothing.
 
     A kind with extreme beta2_ext sees ceil(n/2) - 1 - floor(n beta2_ext)
@@ -428,7 +434,7 @@ def predicted_count(e, p, n):
     a, b = p
     if math.hypot(a - e.c, b) < 1e-9 or math.hypot(a + e.c, b) < 1e-9:
         raise ValueError("prediction undefined at a focus")
-    ell, hyp = _extremes(e, p, BettiModel(e))
+    ell, hyp = _view(e, p).kinds
     bM = ell[2] if ell else 0.5
     if n % 2:
         return (2.0 - 4.0 * bM) * n
@@ -673,17 +679,17 @@ def angle_pair_scan(e, p, alpha, n_max, tol):
     """Pairs of periodic directions from p separated by exactly the
     angle alpha, assembled from the certified period-dividing-n lists
     for 2 <= n <= n_max (certified together, in one retiring lockstep);
-    both members close within tol.  Directions within 1e-9 rad of each
-    other count once, with their smallest period."""
+    both members close within tol.  A direction of period n is found
+    again, bit for bit, at every multiple of n (see _line_roots), and
+    counts once, with its smallest period: the first n that finds it."""
     if not 0.0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
     found = {}
     for n, dirs, _ in _certify(e, p, range(2, n_max + 1)):
         for d in dirs:
-            ang = math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi)
-            key = round(ang / 1e-9)
-            if key not in found or found[key][1] > n:
-                found[key] = (ang, n, d)
+            if d.direction not in found:
+                ang = math.atan2(d.direction[1], d.direction[0]) % (2.0 * math.pi)
+                found[d.direction] = (ang, n, d)
     return _pair_angles(sorted(found.values(), key=lambda t: (t[0], t[1])),
                         alpha, tol)
 

@@ -12,7 +12,7 @@ from caustica.legendre import (ConjugationChecker, Infinity, LegendreCurve,
                                LegendrePoint, billiard_section,
                                conjugation_defect, j_invariant, lambda_of,
                                masser_point, phase_to_legendre)
-from caustica.conics import caustic_phase_point
+from caustica.conics import PhasePoint, caustic_phase_point, inward, tangent_slopes
 
 E = Ellipse(0.6)
 
@@ -248,6 +248,21 @@ def test_bounce_is_translation_by_section():
             x = caustic_phase_point(E, s, theta)
             worst = max(worst, checker.defect(x))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("s", [0.8, 0.2])
+def test_both_tangents_translate_by_the_section(s):
+    # The two tangents to the caustic at one boundary point are the two
+    # time directions of one orbit, so both bounces are translation by
+    # +B, on an elliptic (s > c^2) and a hyperbolic (s < c^2) caustic.
+    checker = ConjugationChecker(E, s)
+    for theta in (1.2, 1.4, 1.9):
+        p = E.boundary_point(theta)
+        slopes = tangent_slopes(E, p, s)
+        assert len(slopes) == 2
+        for xi in slopes:
+            x = PhasePoint(p[0], p[1], *inward(E, p, xi))
+            assert checker.defect(x) < 1e-9
 
 
 def test_conjugation_defect_free_function():

@@ -21,7 +21,7 @@ from caustica.conics import (Shot, _walk, advance, advance_batch,
                              simulate)
 from caustica.orbits import (CERT_TOL, LAYER_BAND, AnglePair, PeriodicDirection,
                              _certify, _defect, _grid_passages, _line_roots,
-                             _pair_angles, angle_pair_scan, boomerang_scan,
+                             _pair_angles, _view, angle_pair_scan, boomerang_scan,
                              caustic_extrema, hole_scan, parallelogram_angle_pairs,
                              predicted_count)
 from caustica.periods import BettiModel, lambda_for_beta2
@@ -44,6 +44,14 @@ def test_caustic_extrema_on_confocal_conics():
     assert ex.m < E.c2 < ex.M
     # The two parameters sum to c^2 + |p|^2 (trace of the quadratic).
     assert ex.M + ex.m == pytest.approx(E.c2 + P[0] ** 2 + P[1] ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [(0.8, 0.0), (0.3, 0.0), (0.3, 1e-12), P])
+def test_caustic_extrema_bracket_c2(p):
+    # (c^2 - M)(c^2 - m) = -b^2 c^2, so c^2 lies in [m, M]; on an axis the
+    # rounding of the roots must not carry one across it.
+    ex = caustic_extrema(E, p)
+    assert ex.m <= E.c2 <= ex.M
 
 
 def test_find_periodic_directions_certified():
@@ -232,7 +240,7 @@ def test_root_lines_touch_their_level_caustic(c, r, t, n):
     e = Ellipse(c)
     p = (r * math.cos(t), r * math.sqrt(e.b2) * math.sin(t))
     model = BettiModel(e)
-    roots, _ = _line_roots(e, p, n)
+    roots, _ = _line_roots(e, _view(e, p), n)
     per_level = {}
     for phi, s in roots:
         assert abs(caustic_of_line(e, p, math.tan(phi)).s - s) <= 1e-12
@@ -274,20 +282,33 @@ def test_predicted_count_on_the_axes():
                 assert abs(bd.total - predicted_count(E, p, n)) <= 4.0, (p, n)
 
 
-@pytest.mark.parametrize("p", [P, GENERIC, (0.8, 0.0), (0.0, 0.4)])
+@pytest.mark.parametrize("p", [P, GENERIC, (0.8, 0.0), (0.0, 0.4),
+                               (0.3, 1e-13), (1e-13, 0.4)])
 def test_counts_are_level_arithmetic_at_the_extremes(p):
     # A kind whose extreme has beta2 = b sees the levels k/n in (b, 1/2),
     # ceil(n/2) - 1 - floor(n b) of them, four directions each (the
     # hyperbolic kind for even n only); each axis through p adds its two
     # two-bounce directions for even n.  Certification finds exactly
-    # these.
-    ell, hyp = orbits._extremes(E, p, BettiModel(E))
+    # these.  A point 1e-13 off an axis is not on it: its lines near the
+    # axis ride focal-layer caustics and are counted there.
+    ell, hyp = _view(E, p).kinds
     axes = (p[0] == 0.0) + (p[1] == 0.0)
     for n, bd in zip(range(2, 302), _counts_to_301(p)):
         kinds = [ell] if n % 2 else [ell, hyp]
         levels = sum((n + 1) // 2 - 1 - math.floor(n * k[2]) for k in kinds if k)
         assert bd.rejected == 0, n
         assert bd.total == 4 * levels + (0 if n % 2 else 2 * axes), n
+
+
+@pytest.mark.parametrize("p", [P, GENERIC])
+def test_directions_recur_bit_for_bit_at_twice_the_period(p):
+    # The level k/n is the float 2k/2n and every n inverts it on the same
+    # bracket, so each direction of period n is found again, with the
+    # same bits, at 2n; angle_pair_scan de-duplicates by this identity.
+    dirs = {n: {d.direction for d in ds}
+            for n, ds, _ in _certify(E, p, range(3, 101))}
+    for n in range(3, 51):
+        assert dirs[n] <= dirs[2 * n], n
 
 
 def test_closure_error_separates_periodic_from_generic():
@@ -550,7 +571,7 @@ def test_mid_chord_defect_rejects_mutated_candidates():
     # so is every root line turned by 1e-7 rad.
     n = 301
     k, j = n - n // 2, n // 2
-    roots, _ = _line_roots(E, P, n)
+    roots, _ = _line_roots(E, _view(E, P), n)
     for (phi1, s1), (phi2, s2) in zip(roots[::2], roots[1::2]):
         assert s1 == s2
         for turn in (0.0, math.pi):
