@@ -527,9 +527,12 @@ def inward(e, p, slope):
 def caustic_phase_point(e, s, theta):
     """PhasePoint at boundary angle theta tangent to the caustic s.
 
-    The direction is always the clockwise one: the caustic lies to the
-    right of the motion, which makes the induced circle map rotate
-    clockwise (the other tangent generates the inverse map).
+    The direction is the clockwise one (p x v < 0) when a tangent winds
+    clockwise: the caustic lies to the right of the motion, which makes
+    the induced circle map rotate clockwise (the other tangent generates
+    the inverse map).  On a hyperbolic caustic both tangents can wind
+    counter-clockwise; then it is the last tangent of tangent_slopes,
+    and the winding of the orbit depends on theta.
     """
     p = e.boundary_point(theta)
     slopes = tangent_slopes(e, p, s)

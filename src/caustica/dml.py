@@ -26,7 +26,8 @@ prime below 2^30 as an int64 matrix product, in blocks of rows, and
 each cell that vanishes there is re-checked exactly in integers.  An
 exact zero is zero modulo p, so the screen cannot lose a hit.  The
 family fits hold lambda^x as an integer pair and solve by Cramer's rule
-on integer rows.
+on integer rows; they are screened modulo the same prime, and only a
+fit that can cover enough hits to be reported is solved exactly.
 """
 
 import enum
@@ -255,12 +256,14 @@ def _rational_roots(c2, c1, c0):
     if a0 == 0:
         roots.append(Fraction(0))
     else:
+        # r/q is a root exactly when q^3 times the polynomial at r/q,
+        # an integer, vanishes.
         for p in _divisors(a0):
             for q in _divisors(a3):
-                for sgn in (1, -1):
-                    r = Fraction(sgn * p, q)
-                    if a3 * r ** 3 + a2 * r ** 2 + a1 * r + a0 == 0:
-                        roots.append(r)
+                for r in (p, -p):
+                    if (((a3 * r + a2 * q) * r + a1 * q * q) * r
+                            + a0 * q ** 3 == 0):
+                        roots.append(Fraction(r, q))
                         break
                 else:
                     continue
@@ -558,6 +561,10 @@ def _null_space(M):
 # family detection
 
 
+# A family is reported only when it covers at least this many hits.
+_FAMILY_HITS = 5
+
+
 def _spectrum_bases(beta):
     """Candidate exponential bases: rational eigenvalue ratios that are
     not roots of unity."""
@@ -575,20 +582,31 @@ def _spectrum_bases(beta):
     return out
 
 
-def _line_candidates(hits):
-    cands = {}
+def _line_candidates(hits, least):
+    """Lines g m + h n + c = 0 through at least `least` of the hits, as
+    {(g, h, c) primitive: support} in order of their first pair.
+
+    The hits are distinct cells, so a line through s of them is met by
+    exactly s (s - 1) / 2 pairs: the pair count of a key gives s, and
+    only a key with s >= least has its support scanned.  The key of a
+    pair is _primitive((g, h, c)); gcd(g, h) divides c, so it is the
+    gcd of the triple.
+    """
+    pairs = {}
     for h1, h2 in itertools.combinations(hits, 2):
         g = h2.n - h1.n
         h = h1.m - h2.m
-        if g == 0 and h == 0:
+        k = math.gcd(g, h)
+        if k == 0:
             continue
-        c = -(g * h1.m + h * h1.n)
-        key = _primitive((g, h, c))
-        if key not in cands:
-            support = tuple(ht for ht in hits
-                            if key[0] * ht.m + key[1] * ht.n + key[2] == 0)
-            cands[key] = support
-    return cands
+        if (g or h) < 0:
+            k = -k
+        key = (g // k, h // k, -(g * h1.m + h * h1.n) // k)
+        pairs[key] = pairs.get(key, 0) + 1
+    return {key: tuple(ht for ht in hits
+                       if key[0] * ht.m + key[1] * ht.n + key[2] == 0)
+            for key, count in pairs.items()
+            if 2 * count >= least * (least - 1)}
 
 
 def _power_pairs(lam, xs):
@@ -601,71 +619,121 @@ def _power_pairs(lam, xs):
     return out
 
 
-def _exponential_candidates(hits, bases):
-    """Exact fits m = A lam^n + B n + C (and with m, n exchanged).
+def _collinear(p0, p1, p2):
+    return ((p1[0] - p0[0]) * (p2[1] - p0[1])
+            == (p2[0] - p0[0]) * (p1[1] - p0[1]))
+
+
+def _cofactors_mod(r0, r1, r2, p):
+    """w with w . x = det [x; r0; r1; r2] modulo p, for rows of four
+    residue arrays, by the 2 x 2 minors of r1 and r2.  Each product is
+    of two residues below p."""
+    m = {(i, j): (r1[i] * r2[j] - r1[j] * r2[i]) % p
+         for i, j in itertools.combinations(range(4), 2)}
+
+    def det3(i, j, k):  # rows r0, r1, r2; columns i < j < k
+        return (r0[i] * m[j, k] - r0[j] * m[i, k] + r0[k] * m[i, j]) % p
+    return (det3(1, 2, 3), -det3(0, 2, 3) % p,
+            det3(0, 1, 3), -det3(0, 1, 2) % p)
+
+
+def _exponential_candidates(hits, bases, least):
+    """Exact fits m = A lam^n + B n + C (and with m, n exchanged) that
+    cover at least `least` hits, as ((lam, A, B, C, swap), support).
 
     With lam^x = u_x / v_x, the fit through three points solves the
     integer rows (u_x, x v_x, v_x | y v_x) by Cramer's rule, giving
     (A, B, C) = (a, b, c) / d.  Collinear triples are skipped: they fit
     only with A = 0, which is discarded.  A point is covered exactly
-    when a u_x + (b x + c - d y) v_x = 0.  Each (lam, A, B, C, swap)
+    when a u_x + (b x + c - d y) v_x = 0, which is the determinant of
+    the 4 x 4 rows of the point and the triple.
+
+    Every triple of every (lam, swap) is first screened modulo
+    _SCREEN_PRIME in one int64 pass, _SCREEN_ROWS fits at a time
+    (memory O(rows * hits)): the cofactors (a, b, c, -d) and the
+    residual of every hit are taken modulo the prime, and a triple is
+    fitted exactly only if its residual vanishes there at `least` hits
+    or more.  An exact zero is zero modulo the prime, so the screen
+    drops no fit that covers `least` hits.  Each (lam, A, B, C, swap)
     appears once, in order of its first fit.
     """
+    p = _SCREEN_PRIME
+    pairs = [(lam, swap) for lam in bases for swap in (False, True)]
+    pws = {lam: _power_pairs(lam, {h.m for h in hits} | {h.n for h in hits})
+           for lam in bases}
+    pts = {swap: [(h.m, h.n) if swap else (h.n, h.m) for h in hits]
+           for swap in (False, True)}
+    trips = [t for t in itertools.combinations(range(min(12, len(hits))), 3)
+             if not _collinear(*(pts[False][i] for i in t))]
+    if not trips or not pairs:
+        return []
+
+    # Column h of G[q] is the row (u_x, x v_x, v_x, y v_x) of hit h
+    # under the q-th (lam, swap), modulo p; rows[k] holds the k-th point
+    # of every triple.
+    res = [{x: (u % p, v % p) for x, (u, v) in pws[lam].items()}
+           for lam in bases]
+    UV = np.array([[r[x] for x, _ in pts[swap]]
+                   for r in res for swap in (False, True)], dtype=np.int64)
+    XY = np.array([pts[swap] for _, swap in pairs], dtype=np.int64) % p
+    U, V = UV[..., 0], UV[..., 1]
+    G = np.stack([U, XY[..., 0] * V % p, V, XY[..., 1] * V % p], axis=1)
+    rows = [G[:, :, list(col)].swapaxes(0, 1) for col in zip(*trips)]
+    F = np.stack(_cofactors_mod(*rows, p), axis=-1)  # (a, b, c, -d)
+    step = max(1, _SCREEN_ROWS // len(pairs))
+    covered = np.concatenate(
+        [((F[:, lo:lo + step] @ G) % p == 0).sum(axis=2)
+         for lo in range(0, len(trips), step)], axis=1)
+
     out = []
-    for lam in bases:
-        pw = _power_pairs(lam, {h.m for h in hits} | {h.n for h in hits})
-        for swap in (False, True):
-            pts = [(h.m, h.n) if swap else (h.n, h.m) for h in hits]
-            seen = set()
-            for trip in itertools.combinations(pts[:12], 3):
-                (x0, y0), (x1, y1), (x2, y2) = trip
-                if (x1 - x0) * (y2 - y0) == (x2 - x0) * (y1 - y0):
-                    continue
-                aug = [(pw[x][0], x * pw[x][1], pw[x][1], y * pw[x][1])
-                       for x, y in trip]
-                d = _det3(aug)
-                if d == 0:
-                    continue
-                a, b, c = (_det3([[r[3] if k == col else r[k]
-                                   for k in range(3)] for r in aug])
-                           for col in range(3))
-                if a == 0:
-                    continue
-                g = math.gcd(a, b, c, d) * (1 if d > 0 else -1)
-                a, b, c, d = a // g, b // g, c // g, d // g
-                if (a, b, c, d) in seen:
-                    continue
-                seen.add((a, b, c, d))
-                support = tuple(
-                    h for h, (x, y) in zip(hits, pts)
-                    if a * pw[x][0] + (b * x + c - d * y) * pw[x][1] == 0)
-                key = (lam, Fraction(a, d), Fraction(b, d), Fraction(c, d),
-                       swap)
-                out.append((key, support))
+    seen = set()
+    for q, t in zip(*(ix.tolist() for ix in np.nonzero(covered >= least))):
+        lam, swap = pairs[q]
+        pw, xy = pws[lam], pts[swap]
+        aug = [(pw[x][0], x * pw[x][1], pw[x][1], y * pw[x][1])
+               for x, y in (xy[i] for i in trips[t])]
+        d = _det3(aug)
+        if d == 0:
+            continue
+        a, b, c = (_det3([[r[3] if k == col else r[k]
+                           for k in range(3)] for r in aug])
+                   for col in range(3))
+        if a == 0:
+            continue
+        g = math.gcd(a, b, c, d) * (1 if d > 0 else -1)
+        a, b, c, d = a // g, b // g, c // g, d // g
+        if (q, a, b, c, d) in seen:
+            continue
+        seen.add((q, a, b, c, d))
+        support = tuple(
+            h for h, (x, y) in zip(hits, xy)
+            if a * pw[x][0] + (b * x + c - d * y) * pw[x][1] == 0)
+        if len(support) >= least:
+            key = (lam, Fraction(a, d), Fraction(b, d), Fraction(c, d),
+                   swap)
+            out.append((key, support))
     return out
 
 
 def family_detect(hits, beta, lines=None):
     """Pattern report for a hit list: the best-supported exact line in
     Z^2 or exponential family, or FiniteSet when nothing covers at
-    least 5 hits.  Ties prefer lines, then nonnegative line
-    coefficients, for deterministic output."""
+    least _FAMILY_HITS hits.  Ties prefer lines, then nonnegative line
+    coefficients, then the first fit found, for deterministic output.
+    The hits are distinct cells (m, n), as triple_orbit_search returns
+    them."""
     hits = sorted(hits, key=lambda h: (h.m, h.n))
-    if len(hits) < 5:
+    if len(hits) < _FAMILY_HITS:
         return FamilyReport(FiniteSet(len(hits)), tuple(hits))
-    best = None  # (support_size, rank_key, pattern, support)
-    for key, support in _line_candidates(hits).items():
-        if len(support) < 5:
-            continue
+    best = None  # (-support_size, rank_key, pattern, support)
+    for key, support in _line_candidates(hits, _FAMILY_HITS).items():
         g, h, c = key
         rank = (0, 0 if h >= 0 else 1, abs(g), abs(h), abs(c))
         cand = (-len(support), rank, LineFamily(g, h, c), support)
         if best is None or cand[:2] < best[:2]:
             best = cand
     for (lam, A, B, C, swap), support in _exponential_candidates(
-            hits, _spectrum_bases(beta)):
-        if len(support) < 5:
-            continue
+            hits, _spectrum_bases(beta), _FAMILY_HITS):
         rank = (1, 0 if not swap else 1, abs(A), abs(B), abs(C))
         cand = (-len(support), rank,
                 ExponentialFamily(A, lam, B, C), support)

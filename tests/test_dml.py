@@ -1,6 +1,10 @@
 """Exact-rational orbit arithmetic for plane projective automorphisms."""
 
+import itertools
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from caustica.dml import (ExponentialFamily, FiniteSet, GroupKind, LineFamily,
                           OrbitHit, ProjectiveLine, ProjectiveMap, classify,
                           det_condition, family_detect, fixed_point_check,
                           recurrence_zeros, triple_orbit_search,
-                          _det3, _mat_mul, _strip_mat)
+                          _det3, _mat_mul, _rational_roots, _strip_mat)
 
 # beta with a unipotent block on eigenvalue 1 and a second eigenvalue 2;
 # the three lines y-z, x+y, x+y+z produce the exponential hit family
@@ -331,6 +335,232 @@ def test_family_detect_finite_below_threshold():
     hits = [OrbitHit(1, 2, (1, 1, 1)), OrbitHit(5, 3, (1, 2, 1))]
     rep = family_detect(hits, BETA_EXP, L_EXP)
     assert rep.pattern == FiniteSet(2)
+
+
+# The exhaustive family fits: every line through two hits and every
+# exponential fit through three of the first 12, each with its support
+# scanned over all hits, then the selection of family_detect.  The
+# reference for the screened candidates.
+
+
+def exhaustive_line_candidates(hits):
+    cands = {}
+    for h1, h2 in itertools.combinations(hits, 2):
+        g = h2.n - h1.n
+        h = h1.m - h2.m
+        if g == 0 and h == 0:
+            continue
+        c = -(g * h1.m + h * h1.n)
+        key = dml._primitive((g, h, c))
+        if key not in cands:
+            support = tuple(ht for ht in hits
+                            if key[0] * ht.m + key[1] * ht.n + key[2] == 0)
+            cands[key] = support
+    return cands
+
+
+def exhaustive_exponential_candidates(hits, bases):
+    out = []
+    for lam in bases:
+        pw = dml._power_pairs(lam, {h.m for h in hits} | {h.n for h in hits})
+        for swap in (False, True):
+            pts = [(h.m, h.n) if swap else (h.n, h.m) for h in hits]
+            seen = set()
+            for trip in itertools.combinations(pts[:12], 3):
+                (x0, y0), (x1, y1), (x2, y2) = trip
+                if (x1 - x0) * (y2 - y0) == (x2 - x0) * (y1 - y0):
+                    continue
+                aug = [(pw[x][0], x * pw[x][1], pw[x][1], y * pw[x][1])
+                       for x, y in trip]
+                d = _det3(aug)
+                if d == 0:
+                    continue
+                a, b, c = (_det3([[r[3] if k == col else r[k]
+                                   for k in range(3)] for r in aug])
+                           for col in range(3))
+                if a == 0:
+                    continue
+                g = math.gcd(a, b, c, d) * (1 if d > 0 else -1)
+                a, b, c, d = a // g, b // g, c // g, d // g
+                if (a, b, c, d) in seen:
+                    continue
+                seen.add((a, b, c, d))
+                support = tuple(
+                    h for h, (x, y) in zip(hits, pts)
+                    if a * pw[x][0] + (b * x + c - d * y) * pw[x][1] == 0)
+                key = (lam, Fraction(a, d), Fraction(b, d), Fraction(c, d),
+                       swap)
+                out.append((key, support))
+    return out
+
+
+def exhaustive_family_detect(hits, beta):
+    hits = sorted(hits, key=lambda h: (h.m, h.n))
+    if len(hits) < 5:
+        return dml.FamilyReport(FiniteSet(len(hits)), tuple(hits))
+    best = None
+    for key, support in exhaustive_line_candidates(hits).items():
+        if len(support) < 5:
+            continue
+        g, h, c = key
+        rank = (0, 0 if h >= 0 else 1, abs(g), abs(h), abs(c))
+        cand = (-len(support), rank, LineFamily(g, h, c), support)
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    for (lam, A, B, C, swap), support in exhaustive_exponential_candidates(
+            hits, dml._spectrum_bases(beta)):
+        if len(support) < 5:
+            continue
+        rank = (1, 0 if not swap else 1, abs(A), abs(B), abs(C))
+        cand = (-len(support), rank,
+                ExponentialFamily(A, lam, B, C), support)
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    if best is None:
+        return dml.FamilyReport(FiniteSet(len(hits)), tuple(hits))
+    return dml.FamilyReport(best[2], best[3])
+
+
+def assert_family_detect_is_exhaustive(hits, beta, prime,
+                                       rows=dml._SCREEN_ROWS):
+    """family_detect and both candidate generators, screened modulo
+    prime in blocks of rows fits, against the exhaustive fits."""
+    least = dml._FAMILY_HITS
+    hits = sorted(hits, key=lambda h: (h.m, h.n))
+    bases = dml._spectrum_bases(beta)
+    lines = {k: s for k, s in exhaustive_line_candidates(hits).items()
+             if len(s) >= least}
+    fits = [(k, s) for k, s in exhaustive_exponential_candidates(hits, bases)
+            if len(s) >= least]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dml, "_SCREEN_PRIME", prime)
+        mp.setattr(dml, "_SCREEN_ROWS", rows)
+        assert list(dml._line_candidates(hits, least).items()) == \
+            list(lines.items())
+        assert dml._exponential_candidates(hits, bases, least) == fits
+        assert family_detect(hits, beta) == \
+            exhaustive_family_detect(hits, beta)
+
+
+DML_DATA = Path(__file__).parent / "data" / "dml"
+
+
+# The screen as it is, modulo 3 (a third of the residuals vanish by
+# chance), and one fit per block.
+SCREENS = [(dml._SCREEN_PRIME, dml._SCREEN_ROWS), (3, dml._SCREEN_ROWS),
+           (dml._SCREEN_PRIME, 1)]
+
+
+@pytest.mark.parametrize("prime, rows", SCREENS)
+@pytest.mark.parametrize("name", ["exponential", "antidiagonal", "sparse"])
+def test_family_detect_matches_exhaustive_fits_on_criterion_9(name, prime,
+                                                              rows):
+    doc = json.loads((DML_DATA / f"{name}.input.json").read_text())
+    beta = ProjectiveMap(doc["matrix"])
+    hits = triple_orbit_search(
+        beta, *(ProjectiveLine(L) for L in doc["lines"]), doc["range"])
+    assert_family_detect_is_exhaustive(hits, beta, prime, rows)
+
+
+# Spectra whose bases are integers or their inverses: 2, 1/2; 2, 4 and
+# their inverses; and +-2, +-1/2 from the eigenvalues 2, -1, 1.
+FAMILY_MAPS = [BETA_EXP, BETA_REC,
+               ProjectiveMap([[2, 0, 0], [0, -1, 0], [0, 0, 1]])]
+
+
+@st.composite
+def planted_hits(draw):
+    """A hit list with a planted exponential family (over a base from
+    the map's spectrum, either orientation), a planted line and
+    scattered cells, and the map."""
+    beta = draw(st.sampled_from(FAMILY_MAPS))
+    lam = draw(st.sampled_from(dml._spectrum_bases(beta)))
+    A = draw(st.integers(-2, 2).filter(bool))
+    B, C = draw(st.integers(-3, 3)), draw(st.integers(-6, 6))
+    # lam^x is an integer for x >= 0 when lam is, for x <= 0 otherwise.
+    sign = 1 if lam.denominator == 1 else -1
+    xs = draw(st.sets(st.integers(0, 6), min_size=4, max_size=7))
+    swap = draw(st.booleans())
+    cells = set()
+    for x in xs:
+        y = A * lam ** (sign * x) + B * sign * x + C
+        cells.add((int(y), sign * x) if not swap else (sign * x, int(y)))
+    g, h = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+    m0, n0 = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    ts = draw(st.sets(st.integers(-4, 4), max_size=7))
+    cells |= {(m0 + t * h, n0 - t * g) for t in ts}
+    cells |= draw(st.sets(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                          max_size=8))
+    return [OrbitHit(m, n, (0, 0, 1)) for m, n in sorted(cells)], beta
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=planted_hits(), prime=st.sampled_from([dml._SCREEN_PRIME, 3]))
+def test_family_detect_matches_exhaustive_fits(case, prime):
+    assert_family_detect_is_exhaustive(*case, prime)
+
+
+def fraction_rational_roots(c2, c1, c0):
+    """_rational_roots with the polynomial evaluated in Fraction powers
+    at every candidate p/q: the reference for the integer test."""
+    lcm = 1
+    for c in (c2, c1, c0):
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    a3, a2, a1, a0 = lcm, int(c2 * lcm), int(c1 * lcm), int(c0 * lcm)
+    roots = []
+    if a0 == 0:
+        roots.append(Fraction(0))
+    else:
+        for p in dml._divisors(a0):
+            for q in dml._divisors(a3):
+                for sgn in (1, -1):
+                    r = Fraction(sgn * p, q)
+                    if a3 * r ** 3 + a2 * r ** 2 + a1 * r + a0 == 0:
+                        roots.append(r)
+                        break
+                else:
+                    continue
+                break
+    if not roots:
+        return [], None
+    r = roots[0]
+    p = c2 + r
+    q = c1 + r * p
+    disc = p * p - 4 * q
+    num, den = disc.numerator, disc.denominator
+    root_num = math.isqrt(abs(num)) if num >= 0 else -1
+    root_den = math.isqrt(den)
+    if num >= 0 and root_num * root_num == num and root_den * root_den == den:
+        sq = Fraction(root_num, root_den)
+        return sorted([r, (-p + sq) / 2, (-p - sq) / 2]), None
+    return [r], (p, q)
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=rationals, s=rationals, t=rationals, repeat=st.booleans(),
+       quadratic=st.booleans())
+def test_rational_roots_match_fraction_evaluation(r, s, t, repeat, quadratic):
+    # (x - r)(x^2 + p x + q), with the rational roots s and t (r twice
+    # when repeated), or with the coefficients p, q = s, t.  A zero
+    # root makes a0 = 0; denominators up to 4 make a3 > 1.
+    if repeat:
+        s = r
+    p, q = (s, t) if quadratic else (-(s + t), s * t)
+    c2, c1, c0 = p - r, q - r * p, -r * q
+    roots, quad = _rational_roots(c2, c1, c0)
+    assert (roots, quad) == fraction_rational_roots(c2, c1, c0)
+    assert r in roots
+    for x in roots:
+        assert x ** 3 + c2 * x ** 2 + c1 * x + c0 == 0
+    if quad is not None:
+        assert quadratic and roots == [r] and quad == (s, t)
+    else:
+        assert len(roots) == 3
+        if not quadratic:
+            assert sorted(roots) == sorted([r, s, t])
 
 
 def test_fixed_point_check_diagonal():
