@@ -20,7 +20,7 @@ hits = triple_orbit_search(beta, *lines, 25)
 print("hits with |m|, |n| <= 25:")
 for h in hits:
     print(f"  m = {h.m:2d}, n = {h.n}, P = {h.P}")
-rep = family_detect(hits, beta, lines)
+rep = family_detect(hits, beta)
 print(f"detected family: {rep.pattern}")
 print(f"closure group: {classify(beta).kind.value}")
 
@@ -33,7 +33,7 @@ hits2 = triple_orbit_search(beta2, *lines2, 8)
 anti = [h for h in hits2 if h.m + h.n == 0]
 print(f"\nreciprocal pair: {len(hits2)} hits, {len(anti)} on m + n = 0")
 print(f"sample P at m = 3: {next(h.P for h in anti if h.m == 3)}")
-print(f"family: {family_detect(hits2, beta2, lines2).pattern}")
+print(f"family: {family_detect(hits2, beta2).pattern}")
 
 # Classification across the spectrum zoo.
 for rows in ([[2, 0, 0], [0, 3, 0], [0, 0, 1]],

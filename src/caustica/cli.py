@@ -20,13 +20,13 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
 from .birkhoff import birkhoff_sum, moebius_fit, symmetric_sum
 from .conics import (Ellipse, Shot, caustic_of_line, caustic_phase_point,
                      classify_caustic, inward, simulate, slope_of)
 from .dml import (ExponentialFamily, FiniteSet, LineFamily, ProjectiveLine,
-                  ProjectiveMap, classify, family_detect, triple_orbit_search)
+                  ProjectiveMap, _frac, classify, family_detect,
+                  triple_orbit_search)
 from .orbits import (DEFAULT_GRID, ConvergenceError, angle_pair_scan,
                      boomerang_scan, closure_error, connecting_trajectory,
                      count_periodic_range, find_periodic_directions,
@@ -147,7 +147,7 @@ def _cmd_poncelet(args):
     e = Ellipse(args.c)
     if args.starts < 1:
         raise ValueError("--starts must be >= 1")
-    rot = Fraction(args.rot)
+    rot = _frac(args.rot)
     lam = lambda_for_beta2(e, float(rot))
     s = e.c2 * lam
     param = classify_caustic(e, s)
@@ -255,8 +255,10 @@ def _load_dml_input(args):
         obj = json.load(fh)
     beta = ProjectiveMap(obj["matrix"])
     lines = [ProjectiveLine(row) for row in obj.get("lines", [])]
-    N = int(obj.get("range", 0))
-    return beta, lines, N
+    N = _frac(obj.get("range", 0))
+    if N.denominator != 1:
+        raise ValueError(f"range must be an integer, not {N}")
+    return beta, lines, int(N)
 
 
 def _class_json(gc):
@@ -292,7 +294,7 @@ def _cmd_dml_search(args):
     if N < 1:
         raise ValueError("dml search needs a positive range")
     hits = triple_orbit_search(beta, lines[0], lines[1], lines[2], N)
-    rep = family_detect(hits, beta, lines)
+    rep = family_detect(hits, beta)
     _json_out(args, "dml search", {
         "range": N,
         "classification": _class_json(classify(beta)),

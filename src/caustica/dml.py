@@ -19,8 +19,12 @@ detected by exact pattern fits: lines in Z^2 and exponential families
 m = A lambda^n + B n + C with lambda taken from the spectrum.
 
 The orbit search runs on Python integers.  beta and its adjugate are
-rescaled once to integer matrices, and the shifted lines are stepped
-as coprime integer rows.  With w(n) = L1 x r3(n), the determinant of
+rescaled once to integer matrices, and each line is stepped once, to
+its coprime integer rows L . beta^k with |k| <= N.  The distinct-orbit
+check reads the same rows: L_i . beta^k = L_j for some 0 < |k| <= 2N
+exactly when L_i . beta^a = L_j . beta^b for some |a|, |b| <= N with
+a != b, because the differences a - b are exactly the k with
+0 < |k| <= 2N.  With w(n) = L1 x r3(n), the determinant of
 cell (m, n) is -r2(m) . w(n); every cell is first screened modulo one
 prime below 2^30 as an int64 matrix product, in blocks of rows, and
 each cell that vanishes there is re-checked exactly in integers.  An
@@ -41,16 +45,28 @@ import numpy as np
 
 
 def _frac(x):
+    """An exact rational from an int, an integral float, a string "p/q"
+    or a pair [p, q] of integers, each part under the same rule.  A
+    non-integral float raises TypeError, a zero denominator ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) or isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
-        if x == int(x):
+        if x.is_integer():
             return Fraction(int(x))
         raise TypeError(f"float {x!r} is not exact; write \"p/q\" or [p, q]")
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+        p, q = (_frac(v) for v in x)
+        if p.denominator != 1 or q.denominator != 1:
+            raise TypeError(f"[p, q] needs integers p and q: {x!r}")
+        if q == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+        return p / q
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -402,8 +418,9 @@ def _dot(u, v):
 
 
 def _shift_rows(fwd, bwd, L, N):
-    """Canonical rows L.beta^k for k = -N..N, stepped as coprime integer
-    rows; fwd and bwd are integer matrices of beta and beta^-1.
+    """Canonical rows L.beta^k for k = -N..N, in that order, stepped as
+    coprime integer rows; fwd and bwd are integer matrices of beta and
+    beta^-1.
 
     For a coprime row r and an integer matrix A, r.A.adj(A) = det(A) r,
     so the gcd of r.A divides det(A).
@@ -416,7 +433,7 @@ def _shift_rows(fwd, bwd, L, N):
         for k in range(1, N + 1):
             r = _primitive((_dot(r, c0), _dot(r, c1), _dot(r, c2)), d)
             rows[sign * k] = r
-    return rows
+    return [rows[k] for k in range(-N, N + 1)]
 
 
 def triple_orbit_search(beta, L1, L2, L3, N):
@@ -424,10 +441,20 @@ def triple_orbit_search(beta, L1, L2, L3, N):
     beta^m(P) in L2 and beta^n(P) in L3.
 
     Pairwise shifted coincidences L_i . beta^k = L_j for 0 < |k| <= 2N
-    violate the distinct-orbit hypothesis and raise; identical input
-    lines (k = 0) are allowed, since the example families of interest
-    live exactly there, and then hits with equal shifted rows are
-    resolved against L1.  Output is sorted by (m, n).
+    violate the distinct-orbit hypothesis and raise, naming the
+    smallest such k; identical input lines (k = 0) are allowed, since
+    the example families of interest live exactly there, and then hits
+    with equal shifted rows are resolved against L1.  Output is sorted
+    by (m, n).
+
+    Each line is stepped once, to the rows L . beta^k with |k| <= N,
+    and one table of rows per line serves the cells, the exact
+    re-check and the hypothesis check.  The check needs no further
+    rows: L_i . beta^k = L_j for some 0 < |k| <= 2N exactly when
+    L_i . beta^a = L_j . beta^b for some |a|, |b| <= N with a != b,
+    since k = a - b one way and k splits into such a - b the other.
+    Rows are canonical coprime integer triples, so equal lines are
+    equal tuples.
 
     The shifted lines are coprime integer rows r2(m), r3(n).  With
     w(n) = L1 x r3(n) precomputed, the cell determinant is -r2(m).w(n).
@@ -439,27 +466,28 @@ def triple_orbit_search(beta, L1, L2, L3, N):
     """
     fwd = tuple(tuple(int(x) for x in r) for r in _strip_mat(beta.matrix))
     bwd = _adjugate(fwd)
-    shifts = [_shift_rows(fwd, bwd, L, 2 * N) for L in (L1, L2, L3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            target = shifts[j][0]
-            for k in range(-2 * N, 2 * N + 1):
-                if k != 0 and shifts[i][k] == target:
-                    raise ValueError(
-                        f"lines {i + 1} and {j + 1} share a beta-orbit "
-                        f"(shift {k}, checked |k| <= {2 * N}); "
-                        "distinct-orbit hypothesis violated")
+    shifts = [_shift_rows(fwd, bwd, L, N) for L in (L1, L2, L3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        # a and b index the shifts -N..N.  The largest b whose row in
+        # line j is line i's row at a gives the smallest k = a - b at a;
+        # b = a only when L_i = L_j, and then shift -N (a = 0) meets the
+        # smallest k of all.
+        last = {r: b for b, r in enumerate(shifts[j])}
+        ks = [a - last[r] for a, r in enumerate(shifts[i])
+              if last.get(r, a) != a]
+        if ks:
+            raise ValueError(
+                f"lines {i + 1} and {j + 1} share a beta-orbit "
+                f"(shift {min(ks)}, checked |k| <= {2 * N}); "
+                "distinct-orbit hypothesis violated")
 
-    row1 = shifts[0][0]
-    ks = range(-N, N + 1)
-    r2s = [shifts[1][m] for m in ks]
-    r3s = [shifts[2][n] for n in ks]
+    row1, r2s, r3s = shifts[0][N], shifts[1], shifts[2]
     ws = [_cross(row1, r3) for r3 in r3s]
     p = _SCREEN_PRIME
     R2 = np.array([[x % p for x in r] for r in r2s], dtype=np.int64)
     W = np.array([[x % p for x in w] for w in ws], dtype=np.int64).T
     hits = []
-    for lo in range(0, len(ks), _SCREEN_ROWS):
+    for lo in range(0, len(r2s), _SCREEN_ROWS):
         screen = (R2[lo:lo + _SCREEN_ROWS] @ W) % p == 0
         for i, j in zip(*(a.tolist() for a in np.nonzero(screen))):
             r2, r3 = r2s[lo + i], r3s[j]
@@ -475,7 +503,7 @@ def triple_orbit_search(beta, L1, L2, L3, N):
             assert _dot(row1, P) == 0
             assert _dot(r2, P) == 0
             assert _dot(r3, P) == 0
-            hits.append(OrbitHit(ks[lo + i], ks[j], P))
+            hits.append(OrbitHit(lo + i - N, j - N, P))
     hits.sort(key=lambda h: (h.m, h.n))
     return hits
 
@@ -715,7 +743,7 @@ def _exponential_candidates(hits, bases, least):
     return out
 
 
-def family_detect(hits, beta, lines=None):
+def family_detect(hits, beta):
     """Pattern report for a hit list: the best-supported exact line in
     Z^2 or exponential family, or FiniteSet when nothing covers at
     least _FAMILY_HITS hits.  Ties prefer lines, then nonnegative line

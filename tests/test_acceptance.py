@@ -242,7 +242,7 @@ def test_criterion_09_exact_orbit_search():
             row = [sum(L.coeffs[i] * Pk[i][j] for i in range(3))
                    for j in range(3)]
             assert sum(r * Fraction(p) for r, p in zip(row, h.P)) == 0
-    fam = family_detect(hits, bexp, lexp).pattern
+    fam = family_detect(hits, bexp).pattern
     assert fam == ExponentialFamily(1, 2, 1, 0)
 
     brec = ProjectiveMap([[2, 0, 0], [0, "1/2", 0], [0, 0, 1]])
@@ -256,7 +256,7 @@ def test_criterion_09_exact_orbit_search():
     k123 = (ProjectiveLine([1, 2, -3]), ProjectiveLine([1, 1, -5]),
             ProjectiveLine([1, -1, 5]))
     sparse = triple_orbit_search(d231, *k123, 40)
-    fam3 = family_detect(sparse, d231, k123).pattern
+    fam3 = family_detect(sparse, d231).pattern
     assert isinstance(fam3, FiniteSet)
     dt = time.perf_counter() - t0
     ok = dt < 30.0

@@ -383,6 +383,19 @@ def test_dml_search_input_validation(tmp_path, capsys):
     assert main(["dml", "search", "--input", str(tmp_path / "nope.json")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] in (
         "FileNotFoundError", "OSError")
+    # Exact inputs that are not exact: a zero denominator, a pair with a
+    # non-integral part, a range that is not an integer.
+    good = {"matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+            "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 5}
+    for key, value, error in (
+            ("matrix", [["1/0", 1, 0], [0, 1, 0], [0, 0, 2]], "ValueError"),
+            ("lines", [[0, 1, -1], [[1, 0], 1, 0], [1, 1, 1]], "ValueError"),
+            ("matrix", [[[1.5, 2], 1, 0], [0, 1, 0], [0, 0, 2]], "TypeError"),
+            ("range", 2.5, "TypeError"),
+            ("range", "5/2", "ValueError")):
+        inp.write_text(json.dumps(dict(good, **{key: value})))
+        assert main(["dml", "search", "--input", str(inp)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_render_svg(tmp_path):
@@ -417,6 +430,8 @@ def test_invalid_parameters_exit_two(capsys):
         assert main(["connect", "--c", "0.6", "--x1", x1, "--y1", y1,
                      "--x2", "-0.3", "--y2", "0.1", "--n", "3"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert main(["poncelet", "--c", "0.6", "--rot", "1/0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -58,6 +58,11 @@ def test_map_validation_and_input_forms():
     ProjectiveMap([[2.0, 0, 0], [0, 1, 0], [0, 0, 1]])  # integral float ok
     with pytest.raises(TypeError):
         ProjectiveMap([[0.5, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(TypeError):  # each part of a pair is exact too
+        ProjectiveMap([[[1.5, 2], 0, 0], [0, 1, 0], [0, 0, 1]])
+    for zero_den in ("1/0", [1, 0]):
+        with pytest.raises(ValueError, match="zero denominator"):
+            ProjectiveLine([zero_den, 0, 1])
     with pytest.raises(ValueError):
         ProjectiveMap([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
@@ -181,6 +186,69 @@ def test_search_refuses_shared_orbit():
         triple_orbit_search(BETA_EXP, L_EXP[0], L2, shifted, 5)
 
 
+def shift_line(beta, L, k):
+    """The line L . beta^k for k of either sign, by ProjectiveMap.power."""
+    P = beta.power(k)
+    return ProjectiveLine([sum(L.coeffs[a] * P[a][b] for a in range(3))
+                           for b in range(3)])
+
+
+def shared_orbit_message(beta, lines, N):
+    """The distinct-orbit check stepped to |k| <= 2N: the first k in
+    ascending order with L_i . beta^k = L_j, pairs in the order (1, 2),
+    (1, 3), (2, 3), as triple_orbit_search words it; None if none."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        target = lines[j].canonical()
+        for k in range(-2 * N, 2 * N + 1):
+            if k != 0 and shift_line(beta, lines[i], k).canonical() == target:
+                return (f"lines {i + 1} and {j + 1} share a beta-orbit "
+                        f"(shift {k}, checked |k| <= {2 * N}); "
+                        "distinct-orbit hypothesis violated")
+    return None
+
+
+def search_message(beta, lines, N):
+    try:
+        triple_orbit_search(beta, *lines, N)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# beta = diag(2, 3, 1) moves every line below along an infinite orbit,
+# and the three lines lie on distinct orbits.
+BETA_SPARSE = ProjectiveMap([[2, 0, 0], [0, 3, 0], [0, 0, 1]])
+L_SPARSE = (ProjectiveLine([1, 2, -3]), ProjectiveLine([1, 1, -5]),
+            ProjectiveLine([1, -1, 5]))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)])
+def test_search_refuses_shifts_up_to_twice_the_range(i, j, N):
+    # Shifts beyond N are still found, from rows the cells read.
+    for k in (N + 1, 2 * N, -(N + 1), -2 * N, 2 * N + 1, -(2 * N + 1)):
+        lines = list(L_SPARSE)
+        lines[j] = shift_line(BETA_SPARSE, lines[i], k)
+        expected = None if abs(k) > 2 * N else (
+            f"lines {i + 1} and {j + 1} share a beta-orbit (shift {k}, "
+            f"checked |k| <= {2 * N}); distinct-orbit hypothesis violated")
+        assert search_message(BETA_SPARSE, lines, N) == expected
+        assert shared_orbit_message(BETA_SPARSE, lines, N) == expected
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_search_refuses_identical_lines_of_finite_order(N):
+    # The swap of x and y has order 2 on (1, 2, 3): the row recurs inside
+    # one line's range, so identical inputs share an orbit at k = -2N.
+    swap = ProjectiveMap([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    L = ProjectiveLine([1, 2, 3])
+    lines = (ProjectiveLine([1, 0, 0]), L, L)
+    expected = (f"lines 2 and 3 share a beta-orbit (shift {-2 * N}, "
+                f"checked |k| <= {2 * N}); distinct-orbit hypothesis violated")
+    assert search_message(swap, lines, N) == expected
+    assert shared_orbit_message(swap, lines, N) == expected
+
+
 def test_search_hits_are_python_ints():
     # A numpy integer in a hit would make the JSON artifact unwritable.
     cases = ((BETA_EXP, L_EXP, 25), (BETA_REC, L_REC, 8),
@@ -269,6 +337,24 @@ def test_search_invariant_under_rescaling(A, rows, N, s, t):
     assert scaled == hits
 
 
+line_pairs = st.sampled_from([(0, 1), (0, 2), (1, 2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(A=maps, rows=lines3, N=st.integers(1, 4),
+       plant=st.none() | st.tuples(line_pairs, st.integers(-9, 9)))
+def test_shared_orbit_check_matches_the_2N_loop(A, rows, N, plant):
+    # Random small maps include permutations and other maps of finite
+    # order; a planted shift may lie inside 2N or beyond it.
+    beta = ProjectiveMap(A)
+    lines = [ProjectiveLine(r) for r in rows]
+    if plant is not None:
+        (i, j), k = plant
+        lines[j] = shift_line(beta, lines[i], k)
+    assert search_message(beta, lines, N) == \
+        shared_orbit_message(beta, lines, N)
+
+
 def test_classify_diagonal_cases():
     assert classify(ProjectiveMap([[2, 0, 0], [0, 3, 0], [0, 0, 1]])).kind is GroupKind.GM2
     assert classify(ProjectiveMap([[4, 0, 0], [0, 2, 0], [0, 0, 1]])).kind is GroupKind.GM
@@ -318,14 +404,14 @@ def test_classify_invariant_under_conjugation_and_scale():
 
 def test_family_detect_exponential():
     hits = triple_orbit_search(BETA_EXP, *L_EXP, 25)
-    rep = family_detect(hits, BETA_EXP, L_EXP)
+    rep = family_detect(hits, BETA_EXP)
     assert rep.pattern == ExponentialFamily(1, 2, 1, 0)
     assert len(rep.hits) >= 5
 
 
 def test_family_detect_line():
     hits = triple_orbit_search(BETA_REC, *L_REC, 8)
-    rep = family_detect(hits, BETA_REC, L_REC)
+    rep = family_detect(hits, BETA_REC)
     assert rep.pattern == LineFamily(1, 1, 0)
     for h in rep.hits:
         assert h.m + h.n == 0
@@ -333,7 +419,7 @@ def test_family_detect_line():
 
 def test_family_detect_finite_below_threshold():
     hits = [OrbitHit(1, 2, (1, 1, 1)), OrbitHit(5, 3, (1, 2, 1))]
-    rep = family_detect(hits, BETA_EXP, L_EXP)
+    rep = family_detect(hits, BETA_EXP)
     assert rep.pattern == FiniteSet(2)
 
 
