@@ -17,7 +17,6 @@ from .conics import (
     Shot,
     Trajectory,
     advance,
-    boundary_caustic_intersection,
     caustic_of_line,
     caustic_phase_point,
     classify_caustic,
@@ -49,10 +48,8 @@ from .periods import (
     BettiModel,
     betti_billiard,
     betti_scan,
-    integral_I,
     lambda_for_beta2,
     manin_residual,
-    omega1,
     omega2,
     picard_fuchs_residual,
     rotation_number,

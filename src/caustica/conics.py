@@ -14,8 +14,9 @@ slope xi through (a, b) is tangent to C_s for
 and a line written t*x + u*y = 1 is tangent to C_s exactly when
 s*t^2 + (s - c^2)*u^2 = 1 (the dual conic).  This module implements the
 reflection law, the billiard map, trajectory simulation, the tangency
-invariant (1 - c^2)*x*v1 + y*v2, and the invariant boundary measure in
-the rational parameter z = y/(x - 1).
+invariant (1 - c^2)*x*v1 + y*v2, and the invariant boundary density in
+the rational parameter z = y/(x - 1), normalized in closed form through
+Carlson's R_F.
 
 There are two bounce kernels, equal bit for bit: the scalar _step on
 floats, and advance_batch, one step for k shots held in numpy arrays.
@@ -381,26 +382,6 @@ def phase_invariant(e, x):
     return e.b2 * x.x * x.vx + x.y * x.vy
 
 
-def boundary_caustic_intersection(e, s):
-    """The four points of C intersect C_s: (+-x0, +-y0).
-
-    x0^2 = s/c^2 and y0^2 = (1-c^2)(c^2-s)/c^2; the points are real
-    exactly for hyperbolic caustics, and come out with imaginary y0 for
-    elliptic ones.  Order: (x0,y0), (-x0,y0), (x0,-y0), (-x0,-y0).
-    """
-    sv = s.s if isinstance(s, CausticParam) else s
-    c2 = e.c2
-    if abs(sv) < 1e-15 or abs(sv - c2) < 1e-15:
-        raise ValueError("degenerate caustic has no four distinct points")
-    x0 = math.sqrt(sv) / e.c
-    y0sq = e.b2 * (c2 - sv) / c2
-    if y0sq >= 0.0:
-        y0 = math.sqrt(y0sq)
-    else:
-        y0 = 1j * math.sqrt(-y0sq)
-    return (x0, y0), (-x0, y0), (x0, -y0), (-x0, -y0)
-
-
 def z_of_point(x, y):
     """Rational boundary parameter z = y/(x - 1); (1,0) maps to inf."""
     if x == 1.0:
@@ -408,17 +389,10 @@ def z_of_point(x, y):
     return y / (x - 1.0)
 
 
-def point_of_z(e, z):
-    """Inverse of z_of_point on the boundary."""
-    if math.isinf(z):
-        return 1.0, 0.0
-    b2 = e.b2
-    den = z * z + b2
-    return (z * z - b2) / den, -2.0 * z * b2 / den
-
-
 def _density_roots(e, s):
-    """The two squared zeros A < B of the measure radicand."""
+    """The two squared zeros A < B of the measure radicand, y0^2/(x0 +- 1)^2,
+    from the points (+-x0, +-y0) where C meets C_s: x0^2 = s/c^2 and
+    y0^2 = (1-c^2)(c^2-s)/c^2 (negative for an elliptic caustic)."""
     sv = s.s if isinstance(s, CausticParam) else s
     c2 = e.c2
     x0 = math.sqrt(sv) / e.c
@@ -444,45 +418,6 @@ def invariant_density(e, s, z):
     from scipy.special import elliprf
 
     return 1.0 / (math.sqrt(abs(r)) * 2.0 * float(elliprf(0.0, abs(A), abs(B))))
-
-
-def arc_measure(e, s, z_lo, z_hi):
-    """Invariant measure of the z-interval [z_lo, z_hi]."""
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda z: invariant_density(e, s, z), z_lo, z_hi,
-                  epsabs=1e-12, epsrel=1e-12, limit=200)
-    return abs(val)
-
-
-def chord_dual(q1, q2):
-    """Dual coordinates (t, u) with t*x + u*y = 1 of the line q1 q2.
-
-    Returns None when the chord passes through the origin, where the
-    dual chart is singular.
-    """
-    x1, y1 = q1
-    x2, y2 = q2
-    det = x1 * y2 - x2 * y1
-    if abs(det) < 1e-13 * max(1.0, abs(x1), abs(y1)):
-        return None
-    return (y2 - y1) / det, (x1 - x2) / det
-
-
-def dual_tangency_residual(e, s, q1, q2):
-    """|s t^2 + (s - c^2) u^2 - 1| for the chord q1 q2.
-
-    Falls back to the slope form of the tangency condition for chords
-    through the origin.
-    """
-    sv = s.s if isinstance(s, CausticParam) else s
-    tu = chord_dual(q1, q2)
-    if tu is None:
-        xi = slope_of(q2[0] - q1[0], q2[1] - q1[1])
-        s2 = caustic_of_line(e, q1, xi).s
-        return abs(s2 - sv)
-    t, u = tu
-    return abs(sv * t * t + (sv - e.c2) * u * u - 1.0)
 
 
 def tangent_slopes(e, p, s):

@@ -622,7 +622,9 @@ def boomerang_scan(e, p, n_max, tol, grid=DEFAULT_GRID):
     classified as retraced (kind 2, direction reversed) or crossing on
     the other tangent line (kind 3).  Sign changes of the passage
     distance over a direction grid are refined by the in-repo Brent
-    solver (_roots.brentq) and each hit is certified by re-simulation."""
+    solver (_roots.brentq) and each hit is certified by re-simulation.
+    Each grid cell brackets its own root, so two hits at nearby angles
+    are two roots and both are reported, sorted by angle and bounce."""
     _require_interior(e, p)
     hits = []
     for k, phi, states, cross in _passages(e, p, p, n_max, tol, grid, 0):
@@ -635,14 +637,7 @@ def boomerang_scan(e, p, n_max, tol, grid=DEFAULT_GRID):
         kind = 2 if (dot < 0.0 and abs(crossdir) < 1e-6) else 3
         hits.append(BoomerangHit((v0x, v0y), k, kind, abs(cross)))
     hits.sort(key=lambda h: (math.atan2(h.direction[1], h.direction[0]) % (2 * math.pi), h.bounce))
-    dedup = []
-    for h in hits:
-        if dedup and abs(math.atan2(dedup[-1].direction[1], dedup[-1].direction[0])
-                         - math.atan2(h.direction[1], h.direction[0])) < 1e-10 \
-                and dedup[-1].bounce == h.bounce:
-            continue
-        dedup.append(h)
-    return dedup
+    return hits
 
 
 def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):

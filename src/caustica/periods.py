@@ -1,38 +1,34 @@
 """Periods of caustic curves, the Betti map, and rotation numbers.
 
-The real and imaginary periods of Y^2 = X(X-1)(X-lambda) are
-hypergeometric,
+The real period of Y^2 = X(X-1)(X-lambda) is hypergeometric,
 
     omega2 = pi F(1/2,1/2;1;lambda) = integral over [1,inf) of dx/y,
-    omega1 = i pi F(1/2,1/2;1;1-lambda),
 
-and are evaluated here in closed form through Carlson's R_F, with
-quadrature as an independent cross-check.  The billiard section B(lambda)
-has Betti coordinates (beta1, beta2); beta2 is the ratio of an incomplete
-period integral to omega2 and coincides with the rotation number of the
-billiard circle map on elliptic caustics.  BettiModel evaluates beta2 in
-closed form through Carlson's R_F (B. C. Carlson, Numer. Algorithms 10
-(1995)); betti_billiard evaluates the same integrals by adaptive
-quadrature and is the independent reference.  scipy.special is imported on
-first use, so importing this module loads no scipy: omega1, omega2 and
-omega2_above_one import elliprf inside the call, and BettiModel binds it once
-when a model is built.  Both Gauss-Legendre operator
-residuals (on omega2 itself and on the elliptic logarithm of B) are
-provided as finite-difference checks; the second has the closed value
-2c sqrt(1-c^2) (1-c^2 lambda)^(-3/2), which is nonzero and so certifies
-that the section is non-torsion.
+and is evaluated here in closed form through Carlson's R_F (B. C.
+Carlson, Numer. Algorithms 10 (1995)).  The billiard section B(lambda)
+has Betti coordinates (beta1, beta2); beta2 is the ratio of an
+incomplete period integral to omega2 and coincides with the rotation
+number of the billiard circle map on elliptic caustics.  Every period
+the library uses goes through R_F: omega2, BettiModel's beta2 and the
+elliptic logarithm of manin_residual.  Quadrature is kept only for the
+independent references, betti_billiard and omega2_quadrature, which
+share no code with the R_F route; only they reach _quad, the one import
+of scipy's quadrature.
+scipy.special is imported on first use, so importing this module loads
+no scipy: omega2 and manin_residual import elliprf inside the call, and
+BettiModel binds it once when a model is built.  Both Gauss-Legendre
+operator residuals (on omega2 itself and on the elliptic logarithm of B)
+are provided as finite-difference checks; the second has the closed
+value 2c sqrt(1-c^2) (1-c^2 lambda)^(-3/2), which is nonzero and so
+certifies that the section is non-torsion.
 """
 
 import math
 import warnings
 from typing import NamedTuple
 
-import numpy as np
-
 from ._roots import brentq
 from .conics import CausticParam, CausticKind, _step, caustic_phase_point, classify_caustic
-
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
 
 def _quad(f, a, b):
@@ -43,18 +39,13 @@ def _quad(f, a, b):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, a, b, **_QUAD_OPTS)
+        val, _ = quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
     return val
 
 
 class BettiCoords(NamedTuple):
     beta1: float
     beta2: float
-
-
-class PeriodPair(NamedTuple):
-    omega1: complex
-    omega2: float
 
 
 def omega2(lam):
@@ -65,20 +56,6 @@ def omega2(lam):
     from scipy.special import elliprf
 
     return 2.0 * float(elliprf(1.0, 0.0, 1.0 - lam))
-
-
-def omega1(lam):
-    """Imaginary period i pi F(1/2,1/2;1;1-lambda) = 2i R_F(1, 0, lambda)
-    for 0 < lambda < 1."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("omega1 needs lambda in (0, 1)")
-    from scipy.special import elliprf
-
-    return 2j * float(elliprf(1.0, 0.0, lam))
-
-
-def period_pair(lam):
-    return PeriodPair(omega1(lam), omega2(lam))
 
 
 def omega2_quadrature(lam):
@@ -93,88 +70,7 @@ def omega2_quadrature(lam):
         x = 1.0 + t * t
         return 2.0 * t / math.sqrt(x * (t * t) * (x - lam))
 
-    val = _quad(f, 0.0, np.inf)
-    return val
-
-
-def omega1_quadrature(lam):
-    """|omega1| as the integral over (-inf, 0] of dx/|y|, by x = -t^2."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("omega1 needs lambda in (0, 1)")
-
-    def f(t):
-        x = -t * t
-        return 2.0 * t / math.sqrt(-x * (x - 1.0) * (x - lam))
-
-    val = _quad(f, 0.0, np.inf)
-    return val
-
-
-def omega2_above_one(lam):
-    """Real period for lambda > 1 through the 1/lambda isomorphism.
-
-    omega2(lambda) = omega2(1/lambda)/sqrt(lambda) = 2 R_F(lambda,
-    lambda-1, 0); equals the integral over [0,1] of dx/y, which
-    omega2_above_one_quadrature evaluates independently.
-    """
-    if lam <= 1.0:
-        raise ValueError("omega2_above_one needs lambda > 1")
-    from scipy.special import elliprf
-
-    return 2.0 * float(elliprf(lam, lam - 1.0, 0.0))
-
-
-def omega2_above_one_quadrature(lam):
-    """The equal-component integral over [0,1] of dx/y, by x = sin^2."""
-    if lam <= 1.0:
-        raise ValueError("omega2_above_one needs lambda > 1")
-
-    def f(th):
-        si = math.sin(th)
-        return 2.0 / math.sqrt(lam - si * si)
-
-    val = _quad(f, 0.0, 0.5 * math.pi)
-    return val
-
-
-def integral_I(u, lam):
-    """I_u(lambda): integral over [u, inf) of dx/sqrt(x(x-1)(x-lambda)).
-
-    The substitution x = u + t^2 removes the square-root endpoint
-    singularity (in particular at u = 1, where the factor x - 1 supplies
-    it); the infinite tail is left to adaptive quadrature.
-    """
-    if u < 1.0:
-        raise ValueError("integral_I needs u >= 1")
-    if lam >= u:
-        raise ValueError("integral_I needs lambda < u")
-
-    def f(t):
-        x = u + t * t
-        return 2.0 * t / math.sqrt(x * (x - 1.0) * (x - lam))
-
-    val = _quad(f, 0.0, np.inf)
-    return val
-
-
-def elliptic_numerator(e, lam):
-    """Integral over [lambda, 1/c^2] of dx/y, by x = lambda + t^2.
-
-    Both the integrand and the upper limit are smooth in lambda on
-    (1, 1/c^2), so this is the smooth branch used for the elliptic
-    logarithm of the billiard section.
-    """
-    U = 1.0 / e.c2
-    if not 1.0 < lam < U:
-        raise ValueError("elliptic numerator needs lambda in (1, 1/c^2)")
-    T = math.sqrt(U - lam)
-
-    def f(t):
-        x = lam + t * t
-        return 2.0 / math.sqrt(x * (x - 1.0))
-
-    val = _quad(f, 0.0, T)
-    return val
+    return _quad(f, 0.0, math.inf)
 
 
 def _check_section(U, lam):
@@ -187,20 +83,36 @@ def _check_section(U, lam):
 
 
 def betti_billiard(e, lam):
-    """Betti coordinates of the billiard section at parameter lambda.
+    """Betti coordinates of the billiard section at parameter lambda, by
+    adaptive quadrature: the independent reference for BettiModel, with
+    which it shares no code.
 
-    Hyperbolic branch (0 < lambda < 1): (1/2, 1/2 - I_{1/c^2}/(2 I_1));
-    elliptic branch (1 < lambda < 1/c^2): (0, N/(2 omega2)) with N the
-    incomplete integral from lambda to 1/c^2.  Both branches extend to
-    the logarithmic regime near lambda = 1 (beta2 -> 1/2 from either
-    side); lambda = 1 itself is degenerate and rejected.
+    Hyperbolic branch (0 < lambda < 1): (1/2, 1/2 - I_U/(2 omega2)) with
+    I_U the integral over [U, inf) of dx/y, U = 1/c^2; elliptic branch
+    (1 < lambda < U): (0, N/(2 omega2)) with N the incomplete integral
+    from lambda to U and omega2 the integral over [0, 1].  Both branches
+    extend to the logarithmic regime near lambda = 1 (beta2 -> 1/2 from
+    either side); lambda = 1 itself is degenerate and rejected.
     """
     U = 1.0 / e.c2
     _check_section(U, lam)
     if lam < 1.0:
-        b2 = 0.5 - integral_I(U, lam) / (2.0 * omega2(lam))
+        def i_u(t):  # x = U + t^2 on [U, inf)
+            x = U + t * t
+            return 2.0 * t / math.sqrt(x * (x - 1.0) * (x - lam))
+
+        b2 = 0.5 - _quad(i_u, 0.0, math.inf) / (2.0 * omega2_quadrature(lam))
         return BettiCoords(0.5, b2)
-    b2 = elliptic_numerator(e, lam) / (2.0 * omega2_above_one_quadrature(lam))
+
+    def n(t):  # x = lambda + t^2 on [lambda, U]
+        x = lam + t * t
+        return 2.0 / math.sqrt(x * (x - 1.0))
+
+    def w(th):  # x = sin^2 on [0, 1]
+        si = math.sin(th)
+        return 2.0 / math.sqrt(lam - si * si)
+
+    b2 = _quad(n, 0.0, math.sqrt(U - lam)) / (2.0 * _quad(w, 0.0, 0.5 * math.pi))
     return BettiCoords(0.0, b2)
 
 
@@ -217,7 +129,7 @@ class BettiModel:
     valid on both branches since the incomplete elliptic numerator
     equals omega2 - I_U above lambda = 1.  Grid scans and the inverse
     in lambda of the periodic-direction search go through this model;
-    betti_billiard remains the direct-quadrature reference.  R_F is
+    betti_billiard is the quadrature reference.  R_F is
     scipy.special.elliprf, imported and bound here when the model is
     built, so beta2 pays no import per call.
     """
@@ -353,7 +265,8 @@ def manin_residual(e, lam):
     value 2c sqrt(1-c^2) (1-c^2 lambda)^(-3/2).
 
     The logarithm branch is ell = (1/2) integral from lambda to 1/c^2 of
-    dx/y, smooth across the elliptic range, and the Manin map in the
+    dx/y = R_F(lambda, lambda-1, 0) - R_F(U, U-1, U-lambda), U = 1/c^2,
+    smooth across the elliptic range, and the Manin map in the
     normalization of the closed form equals 8 Gamma(ell): the factor 8
     between the bare Gauss-Legendre image and the corrected Manin map is
     constant in (c, lambda) and was pinned at 40-digit precision.  A
@@ -365,12 +278,10 @@ def manin_residual(e, lam):
     U = 1.0 / e.c2
     if not (1.0 < lam - 2.0 * h and lam + 2.0 * h < U):
         raise ValueError("lambda +- 2h (h = 1e-3) must stay inside (1, 1/c^2)")
+    from scipy.special import elliprf
 
     def ell(t):
-        v = 0.5 * elliptic_numerator(e, t)
-        if not math.isfinite(v):
-            raise ValueError("branch discontinuity in the elliptic logarithm")
-        return v
+        return float(elliprf(t, t - 1.0, 0.0) - elliprf(U, U - 1.0, U - t))
 
     r1 = _gamma_operator(ell, lam, h)
     r2 = _gamma_operator(ell, lam, 0.5 * h)

@@ -1,16 +1,22 @@
 """Periods of Legendre curves, Betti coordinates, rotation numbers."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import caustica
 from caustica import Ellipse, betti_billiard, lambda_for_beta2, omega2, rotation_number
 from caustica.conics import advance, caustic_phase_point
-from caustica.periods import (BettiModel, betti_scan, manin_residual, omega1,
-                              omega1_quadrature, omega2_above_one,
-                              omega2_above_one_quadrature, omega2_quadrature,
-                              period_pair, picard_fuchs_residual)
+from caustica.periods import (BettiModel, betti_scan, manin_residual, omega2_quadrature,
+                              picard_fuchs_residual)
 
 E = Ellipse(0.6)
 
@@ -28,16 +34,6 @@ def test_omega2_two_routes_agree():
         assert omega2(lam) == pytest.approx(omega2_quadrature(lam), rel=1e-11)
 
 
-def test_omega1_two_routes_agree():
-    # The series route gives the purely imaginary period, the
-    # quadrature route its magnitude.
-    for lam in (0.1, 0.5, 0.9):
-        a = omega1(lam)
-        q = omega1_quadrature(lam)
-        assert a.real == pytest.approx(0.0, abs=1e-12)
-        assert a.imag == pytest.approx(q, rel=1e-11)
-
-
 def test_omega2_agm_closed_form():
     # omega2(lam) = pi / AGM(1, sqrt(1 - lam)) at the symmetric point.
     assert omega2(0.5) == pytest.approx(math.pi / agm(1.0, math.sqrt(0.5)), rel=1e-13)
@@ -45,26 +41,14 @@ def test_omega2_agm_closed_form():
         assert omega2(lam) == pytest.approx(math.pi / agm(1.0, math.sqrt(1.0 - lam)), rel=1e-13)
 
 
-def test_omega2_above_one_routes_agree():
-    for lam in (1.2, 1.8, 2.4):
-        assert omega2_above_one(lam) == pytest.approx(
-            omega2_above_one_quadrature(lam), rel=1e-10)
-
-
-def test_period_pair_components():
-    lam = 0.4
-    w1, w2 = period_pair(lam)
-    assert w2 == pytest.approx(omega2(lam), rel=1e-13)
-    assert w1 == pytest.approx(omega1(lam), rel=1e-13)
-    # Real period real, imaginary period purely imaginary.
-    assert w1.real == pytest.approx(0.0, abs=1e-12)
-    assert w2.imag == 0.0 or abs(w2.imag) < 1e-12
-
-
 def test_legendre_symmetry_of_periods():
-    # lam -> 1 - lam swaps the period magnitudes.
+    # lam -> 1 - lam swaps the period magnitudes: the real period at lam
+    # is |omega1| at 1 - lam, the integral over (-inf, 0] of dx/|y|, here
+    # by x = -t^2.
     lam = 0.3
-    assert omega2(lam) == pytest.approx(abs(omega1(1.0 - lam)), rel=1e-11)
+    mu = 1.0 - lam
+    w1 = mp.quad(lambda t: 2 / mp.sqrt((t * t + 1) * (t * t + mu)), [0, 1, mp.inf])
+    assert omega2(lam) == pytest.approx(float(w1), rel=1e-11)
 
 
 def test_picard_fuchs_annihilates_periods():
@@ -156,3 +140,39 @@ def test_manin_residual_matches_closed_form():
     assert manin_residual(E, 1.5) < 1e-6
     for lam in (1.2, 1.8, 2.4):
         assert manin_residual(E, lam) < 1e-5
+
+
+# One library call in a fresh interpreter, then the scipy modules loaded.
+_GUARD = """
+import json, sys
+from caustica import (Ellipse, betti_billiard, invariant_density, lambda_for_beta2,
+                      manin_residual, picard_fuchs_residual)
+e = Ellipse(0.6)
+{"manin_residual": lambda: manin_residual(e, 1.5),
+ "picard_fuchs_residual": lambda: picard_fuchs_residual(0.5),
+ "invariant_density": lambda: invariant_density(e, 0.8, 0.1),
+ "lambda_for_beta2": lambda: lambda_for_beta2(e, 0.2),
+ "betti_billiard": lambda: betti_billiard(e, 1.5)}[sys.argv[1]]()
+print(json.dumps([m for m in ("scipy.special", "scipy.integrate") if m in sys.modules]))
+"""
+
+
+def test_only_the_quadrature_reference_loads_scipy_integrate():
+    # Every period of the library goes through Carlson's R_F
+    # (scipy.special); scipy.integrate is for the quadrature reference.
+    src = Path(caustica.__file__).resolve().parents[1]
+
+    def loaded(name):
+        proc = subprocess.run([sys.executable, "-c", _GUARD, name],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    r_f_users = ["manin_residual", "picard_fuchs_residual", "invariant_density",
+                 "lambda_for_beta2"]
+    # Two interpreters at a time.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        report = list(pool.map(loaded, r_f_users + ["betti_billiard"]))
+    for name, mods in zip(r_f_users, report):
+        assert mods == ["scipy.special"], name
+    assert "scipy.integrate" in report[-1]
