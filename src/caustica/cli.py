@@ -1,8 +1,10 @@
 """Command-line front end: reproducible CSV, JSON and SVG experiments.
 
 Each subcommand wraps one library capability and writes a single
-artifact.  Output is deterministic: the same configuration and seed
-produce byte-identical files and numeric CSV columns carry 17
+artifact.  It imports what it calls inside its function, so importing
+this module loads no library module and a run loads only the modules
+its subcommand needs.  Output is deterministic: the same configuration
+and seed produce byte-identical files and numeric CSV columns carry 17
 significant digits.  build_parser declares every flag once, with its
 type, default and whether the subcommand requires it.  A JSON config
 file (--config) can supply any flag: main parses each entry as the
@@ -20,19 +22,6 @@ import json
 import math
 import random
 import sys
-
-from .birkhoff import birkhoff_sum, moebius_fit, symmetric_sum
-from .conics import (Ellipse, Shot, caustic_of_line, caustic_phase_point,
-                     classify_caustic, inward, simulate, slope_of)
-from .dml import (ExponentialFamily, FiniteSet, LineFamily, ProjectiveLine,
-                  ProjectiveMap, _frac, classify, family_detect,
-                  triple_orbit_search)
-from .orbits import (DEFAULT_GRID, ConvergenceError, angle_pair_scan,
-                     boomerang_scan, closure_error, connecting_trajectory,
-                     count_periodic_range, find_periodic_directions,
-                     hole_scan, parallelogram_angle_pairs, predicted_count,
-                     reflection_residual, segment_caustics)
-from .periods import betti_scan, lambda_for_beta2
 
 
 def _fmt(v):
@@ -54,6 +43,13 @@ def _csv(args, command, header, rows):
     _emit(args, "\n".join(lines) + "\n")
 
 
+def _refuse(exc):
+    """Report a refused run on standard error; its exit status, 2."""
+    payload = {"error": type(exc).__name__, "message": str(exc)}
+    sys.stderr.write(json.dumps(payload) + "\n")
+    return 2
+
+
 def _json_out(args, command, payload):
     doc = {"command": command, "seed": args.seed}
     doc.update(payload)
@@ -65,6 +61,8 @@ def _json_out(args, command, payload):
 
 
 def _cmd_simulate(args):
+    from .conics import Ellipse, Shot, caustic_of_line, inward, simulate, slope_of
+
     e = Ellipse(args.c)
     x, y, vx, vy = args.x, args.y, args.vx, args.vy
     if vx is None or vy is None:
@@ -82,6 +80,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_betti_scan(args):
+    from .conics import Ellipse
+    from .periods import betti_scan
+
     e = Ellipse(args.c)
     lmin, lmax, num = args.lmin, args.lmax, args.num
     if num < 2:
@@ -95,6 +96,9 @@ def _cmd_betti_scan(args):
 
 
 def _cmd_count_periodic(args):
+    from .conics import Ellipse
+    from .orbits import count_periodic_range, predicted_count
+
     e = Ellipse(args.c)
     p = (args.px, args.py)
 
@@ -111,6 +115,9 @@ def _caustic_json(param):
 
 
 def _cmd_find_periodic(args):
+    from .conics import Ellipse
+    from .orbits import find_periodic_directions
+
     e = Ellipse(args.c)
     p = (args.px, args.py)
     dirs = find_periodic_directions(e, p, args.n)
@@ -123,11 +130,18 @@ def _cmd_find_periodic(args):
 
 
 def _cmd_connect(args):
+    from .conics import Ellipse
+    from .orbits import (ConvergenceError, connecting_trajectory,
+                         reflection_residual, segment_caustics)
+
     e = Ellipse(args.c)
     p1 = (args.x1, args.y1)
     p2 = (args.x2, args.y2)
     n = args.n
-    traj = connecting_trajectory(e, p1, p2, n, seed=args.seed)
+    try:
+        traj = connecting_trajectory(e, p1, p2, n, seed=args.seed)
+    except ConvergenceError as exc:
+        return _refuse(exc)
     verts = [(pt.x, pt.y) for pt in traj.points]
     full = [p1] + verts + [p2]
     residuals = [reflection_residual(e, full[j], full[j + 1], full[j + 2])
@@ -144,6 +158,11 @@ def _cmd_connect(args):
 
 
 def _cmd_poncelet(args):
+    from .conics import Ellipse, caustic_phase_point, classify_caustic
+    from .dml import _frac
+    from .orbits import closure_error
+    from .periods import lambda_for_beta2
+
     e = Ellipse(args.c)
     if args.starts < 1:
         raise ValueError("--starts must be >= 1")
@@ -167,6 +186,9 @@ def _cmd_poncelet(args):
 
 
 def _cmd_birkhoff(args):
+    from .birkhoff import birkhoff_sum, symmetric_sum
+    from .conics import Ellipse, caustic_phase_point, classify_caustic
+
     e = Ellipse(args.c)
     bounces, window, num = args.bounces, args.window, args.num
     if (bounces is None) == (window is None):
@@ -191,6 +213,9 @@ def _cmd_birkhoff(args):
 
 
 def _cmd_moebius_fit(args):
+    from .birkhoff import moebius_fit
+    from .conics import Ellipse
+
     e = Ellipse(args.c)
     fit = moebius_fit(e, args.s, args.n, samples=args.samples)
     _json_out(args, "moebius-fit", {
@@ -202,33 +227,44 @@ def _cmd_moebius_fit(args):
 
 
 def _cmd_scan_boomerang(args):
+    from .conics import Ellipse
+    from .orbits import DEFAULT_GRID, boomerang_scan
+
     e = Ellipse(args.c)
     p = (args.px, args.py)
-    hits = boomerang_scan(e, p, args.nmax, args.tol, args.grid)
+    grid = DEFAULT_GRID if args.grid is None else args.grid
+    hits = boomerang_scan(e, p, args.nmax, args.tol, grid)
     recs = [{"direction": list(h.direction), "bounce": h.bounce,
              "kind": h.kind, "miss": h.miss} for h in hits]
     _json_out(args, "scan-boomerang",
               {"c": e.c, "point": list(p), "nmax": args.nmax, "tol": args.tol,
-               "grid": args.grid, "results": recs})
+               "grid": grid, "results": recs})
     return 0
 
 
 def _cmd_scan_hole(args):
+    from .conics import Ellipse
+    from .orbits import DEFAULT_GRID, hole_scan
+
     e = Ellipse(args.c)
     p1 = (args.x1, args.y1)
     p2 = (args.x2, args.y2)
     h = (args.hx, args.hy)
-    hits = hole_scan(e, p1, p2, h, args.nmax, args.tol, args.grid)
+    grid = DEFAULT_GRID if args.grid is None else args.grid
+    hits = hole_scan(e, p1, p2, h, args.nmax, args.tol, grid)
     recs = [{"direction": list(t.direction), "m": t.m, "n": t.n,
              "miss_p": t.miss_p, "miss_h": t.miss_h} for t in hits]
     _json_out(args, "scan-hole",
               {"c": e.c, "p1": list(p1), "p2": list(p2), "hole": list(h),
-               "nmax": args.nmax, "tol": args.tol, "grid": args.grid,
+               "nmax": args.nmax, "tol": args.tol, "grid": grid,
                "results": recs})
     return 0
 
 
 def _cmd_scan_angle_pair(args):
+    from .conics import Ellipse
+    from .orbits import angle_pair_scan
+
     e = Ellipse(args.c)
     p = (args.px, args.py)
     pairs = angle_pair_scan(e, p, args.alpha, args.nmax, args.tol)
@@ -241,6 +277,8 @@ def _cmd_scan_angle_pair(args):
 
 
 def _cmd_lattice_pairs(args):
+    from .orbits import parallelogram_angle_pairs
+
     tau = complex(args.tau_re, args.tau_im)
     pairs, cm = parallelogram_angle_pairs(tau, args.alpha, args.hmax)
     recs = [{"lambda": list(lc), "delta": list(dc)} for lc, dc in pairs]
@@ -251,6 +289,8 @@ def _cmd_lattice_pairs(args):
 
 
 def _load_dml_input(args):
+    from .dml import ProjectiveLine, ProjectiveMap, _frac
+
     with open(args.input) as fh:
         obj = json.load(fh)
     beta = ProjectiveMap(obj["matrix"])
@@ -266,6 +306,8 @@ def _class_json(gc):
 
 
 def _family_json(rep):
+    from .dml import ExponentialFamily, FiniteSet, LineFamily
+
     pat = rep.pattern
     if isinstance(pat, ExponentialFamily):
         return {"kind": "ExponentialFamily", "A": str(pat.A),
@@ -281,6 +323,8 @@ def _family_json(rep):
 
 
 def _cmd_dml_classify(args):
+    from .dml import classify
+
     beta, _, _ = _load_dml_input(args)
     _json_out(args, "dml classify",
               {"classification": _class_json(classify(beta))})
@@ -288,6 +332,8 @@ def _cmd_dml_classify(args):
 
 
 def _cmd_dml_search(args):
+    from .dml import classify, family_detect, triple_orbit_search
+
     beta, lines, N = _load_dml_input(args)
     if len(lines) != 3:
         raise ValueError("dml search needs exactly three lines")
@@ -309,6 +355,8 @@ def _svg_fmt(v):
 
 
 def _cmd_render(args):
+    from .conics import Ellipse, Shot, inward, simulate
+
     e = Ellipse(args.c)
     x, y = args.x, args.y
     vx, vy = inward(e, (x, y), args.slope)
@@ -450,7 +498,7 @@ def build_parser():
     _float(sp, "--c", "--px", "--py")
     _float(sp, "--tol", default=1e-9)
     sp.add_argument("--nmax", type=int)
-    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    sp.add_argument("--grid", type=int)
 
     sp = _subcommand(sub, "scan-hole", _cmd_scan_hole,
                      "trajectories through a point that reach a hole",
@@ -458,7 +506,7 @@ def build_parser():
     _float(sp, "--c", "--x1", "--y1", "--x2", "--y2", "--hx", "--hy")
     _float(sp, "--tol", default=1e-6)
     sp.add_argument("--nmax", type=int)
-    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    sp.add_argument("--grid", type=int)
 
     sp = _subcommand(sub, "scan-angle-pair", _cmd_scan_angle_pair,
                      "periodic direction pairs at a fixed angle",
@@ -526,10 +574,8 @@ def main(argv=None):
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
         return args.func(args)
-    except (ValueError, TypeError, ConvergenceError, OSError, KeyError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(json.dumps(payload) + "\n")
-        return 2
+    except (ValueError, TypeError, OSError, KeyError) as exc:
+        return _refuse(exc)
 
 
 if __name__ == "__main__":

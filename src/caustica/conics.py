@@ -367,9 +367,13 @@ first_hit = advance
 
 
 def simulate(e, sh, n):
-    """Trajectory of n bounces; focal shots are tagged, not rejected."""
+    """Trajectory of n bounces from a start in the closed table (its
+    boundary residual at most _REFLECT_TOL); focal shots are tagged, not
+    rejected."""
     if n < 1:
         raise ValueError("need at least one bounce")
+    if e.boundary_residual(sh.x, sh.y) > _REFLECT_TOL:
+        raise ValueError("shot starts outside the table")
     if sh.vx == 0.0 and sh.vy == 0.0:
         raise ValueError("shot direction must be nonzero")
     caustic = caustic_of_line(e, (sh.x, sh.y), slope_of(sh.vx, sh.vy))

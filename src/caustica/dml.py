@@ -683,7 +683,9 @@ def _exponential_candidates(hits, bases, least):
     fitted exactly only if its residual vanishes there at `least` hits
     or more.  An exact zero is zero modulo the prime, so the screen
     drops no fit that covers `least` hits.  Each (lam, A, B, C, swap)
-    appears once, in order of its first fit.
+    appears once, in order of its first fit: a triple inside the support
+    of an earlier fit of its (lam, swap) is not solved, since three
+    points with d != 0 fit only that one, and d = 0 fits nothing.
     """
     p = _SCREEN_PRIME
     pairs = [(lam, swap) for lam in bases for swap in (False, True)]
@@ -714,8 +716,10 @@ def _exponential_candidates(hits, bases, least):
          for lo in range(0, len(trips), step)], axis=1)
 
     out = []
-    seen = set()
+    supports = [[] for _ in pairs]  # hit indices of each fit, per q
     for q, t in zip(*(ix.tolist() for ix in np.nonzero(covered >= least))):
+        if any(s.issuperset(trips[t]) for s in supports[q]):
+            continue
         lam, swap = pairs[q]
         pw, xy = pws[lam], pts[swap]
         aug = [(pw[x][0], x * pw[x][1], pw[x][1], y * pw[x][1])
@@ -730,12 +734,10 @@ def _exponential_candidates(hits, bases, least):
             continue
         g = math.gcd(a, b, c, d) * (1 if d > 0 else -1)
         a, b, c, d = a // g, b // g, c // g, d // g
-        if (q, a, b, c, d) in seen:
-            continue
-        seen.add((q, a, b, c, d))
-        support = tuple(
-            h for h, (x, y) in zip(hits, xy)
-            if a * pw[x][0] + (b * x + c - d * y) * pw[x][1] == 0)
+        idx = [i for i, (x, y) in enumerate(xy)
+               if a * pw[x][0] + (b * x + c - d * y) * pw[x][1] == 0]
+        supports[q].append(set(idx))
+        support = tuple(hits[i] for i in idx)
         if len(support) >= least:
             key = (lam, Fraction(a, d), Fraction(b, d), Fraction(c, d),
                    swap)

@@ -679,6 +679,8 @@ def angle_pair_scan(e, p, alpha, n_max, tol):
     counts once, with its smallest period: the first n that finds it."""
     if not 0.0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
+    if n_max < 2:
+        raise ValueError("angle-pair scan needs n_max >= 2")
     found = {}
     for n, dirs, _ in _certify(e, p, range(2, n_max + 1)):
         for d in dirs:

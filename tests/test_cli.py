@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import caustica
+from caustica import orbits
 from caustica.cli import build_parser, main
 from caustica.conics import Ellipse
-from caustica.orbits import find_periodic_directions
+from caustica.orbits import ConvergenceError, find_periodic_directions
 
 
 def run_to(tmp_path, name, argv):
@@ -432,6 +433,22 @@ def test_invalid_parameters_exit_two(capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     assert main(["poncelet", "--c", "0.6", "--rot", "1/0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    for command in ("simulate", "render"):  # a start outside the table
+        assert main([command, "--c", "0.6", "--x", "2", "--y", "0",
+                     "--slope", "0", "--bounces", "3"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "shot starts outside the table"}
+
+
+def test_connect_that_does_not_converge_exits_two(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise ConvergenceError("length maximization did not converge", None)
+    monkeypatch.setattr(orbits, "connecting_trajectory", refuse)
+    assert main(["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
+                 "--x2", "-0.3", "--y2", "0.1", "--n", "3"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConvergenceError",
+        "message": "length maximization did not converge"}
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -444,6 +461,9 @@ def test_invalid_parameters_exit_two(capsys):
      "--num must be >= 1"),
     (["poncelet", "--c", "0.6", "--rot", "1/7", "--starts", "0"],
      "--starts must be >= 1"),
+    *((["scan-angle-pair", "--c", "0.6", "--px", "0.2", "--py", "0.3",
+        "--alpha", "2.6608", "--nmax", nmax], "angle-pair scan needs n_max >= 2")
+      for nmax in ("1", "0", "-3")),
 ])
 def test_sizes_that_scan_nothing_exit_two(capsys, argv, message):
     assert main(argv) == 2
@@ -467,7 +487,9 @@ def test_console_script_installed(tmp_path):
 # module one job loads is not charged to the next.  Only the subcommands
 # that evaluate Carlson's R_F load scipy.special; none of them loads
 # scipy.optimize or scipy.integrate, which only the connecting-trajectory
-# solver and the quadrature references need.
+# solver and the quadrature references need.  Importing caustica or
+# caustica.cli loads no library module; each subcommand loads only the
+# modules it calls (LOADS).
 README_ARGV = [
     ["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7",
      "--bounces", "100"],
@@ -489,18 +511,41 @@ README_ARGV = [
 ]
 R_F_USERS = {"count-periodic", "find-periodic", "poncelet", "moebius-fit",
              "scan-angle-pair"}
+_ORBITS = ["_roots", "cli", "conics", "orbits", "periods"]
+LOADS = {
+    "simulate": ["cli", "conics"],
+    "render": ["cli", "conics"],
+    "betti-scan": ["_roots", "cli", "conics", "periods"],
+    "birkhoff": ["_roots", "birkhoff", "cli", "conics", "periods"],
+    "moebius-fit": ["_roots", "birkhoff", "cli", "conics", "periods"],
+    **dict.fromkeys(["count-periodic", "find-periodic", "connect",
+                     "scan-boomerang", "scan-hole", "scan-angle-pair",
+                     "lattice-pairs"], _ORBITS),
+    # The exact rotation p/q is parsed by the dml parser.
+    "poncelet": sorted(_ORBITS + ["dml"]),
+    "dml": ["cli", "dml"],
+}
 _GUARD = """
 import json, sys
+def loaded():
+    return sorted(m[len("caustica."):] for m in sys.modules
+                  if m.startswith("caustica."))
+import caustica
+bare = loaded()
 import caustica.cli
+with_cli = loaded()
 rc = caustica.cli.main(json.loads(sys.argv[1]))
 scipy = ("scipy", "scipy.special", "scipy.optimize", "scipy.integrate")
-print(json.dumps([rc, [m for m in scipy if m in sys.modules]]))
+print(json.dumps([rc, [m for m in scipy if m in sys.modules],
+                  [bare, with_cli, loaded()]]))
 """
 
 
 def _guarded_run(argv, src):
     """(exit code, which of scipy and its special/optimize/integrate
-    modules are loaded) after one CLI run in a fresh interpreter."""
+    modules are loaded, the caustica submodules loaded after `import
+    caustica`, after `import caustica.cli` and after the run) for one
+    CLI run in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _GUARD, json.dumps(argv)],
         capture_output=True, text=True, check=True,
@@ -513,25 +558,38 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
     inp.write_text(json.dumps({
         "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
         "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 25}))
-    jobs = [[a.format(input=inp) for a in argv] + ["--out", str(tmp_path / f"{i}.out")]
-            for i, argv in enumerate(README_ARGV)]
-    jobs += [["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
-              "--x2", "-0.3", "--y2", "0.1", "--n", "12",
-              "--out", str(tmp_path / "connect.out")],
+    extra = [["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
+              "--x2", "-0.3", "--y2", "0.1", "--n", "12"],
              ["betti-scan", "--c", "0.6", "--lmin", "1.1", "--lmax", "2.5",
-              "--num", "101", "--out", str(tmp_path / "betti.out")]]
+              "--num", "101"]]
+    argvs = [[a.format(input=inp) for a in argv] for argv in README_ARGV + extra]
+    jobs = [argv + ["--out", str(tmp_path / f"{i}.out")]
+            for i, argv in enumerate(argvs)]
     src = Path(caustica.__file__).resolve().parents[1]
     # Two interpreters at a time; each job writes only its own artifact.
     with ThreadPoolExecutor(max_workers=2) as pool:
         report = list(pool.map(lambda job: _guarded_run(job, src), jobs))
-    for argv, (rc, loaded) in zip(README_ARGV, report):
+    for argv, (rc, _, (bare, with_cli, after)) in zip(argvs, report):
         assert rc == 0, argv
+        assert bare == [] and with_cli == ["cli"], argv
+        assert after == LOADS[argv[0]], argv
+    for argv, (_, loaded, _) in zip(README_ARGV, report):
         assert loaded == (["scipy", "scipy.special"] if argv[0] in R_F_USERS else []), argv
     # scipy.optimize imports scipy.special; betti-scan evaluates the
     # closed form, not the quadrature reference.
-    (connect_rc, after_connect), (betti_rc, after_betti) = report[-2:]
-    assert connect_rc == 0 and after_connect == ["scipy", "scipy.special", "scipy.optimize"]
-    assert betti_rc == 0 and after_betti == ["scipy", "scipy.special"]
+    (_, after_connect, _), (_, after_betti, _) = report[-2:]
+    assert after_connect == ["scipy", "scipy.special", "scipy.optimize"]
+    assert after_betti == ["scipy", "scipy.special"]
+
+
+def test_every_public_name_resolves():
+    assert caustica.__all__ == sorted(set(caustica.__all__))
+    for name in caustica.__all__:
+        obj = getattr(caustica, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert set(caustica.__all__) <= set(dir(caustica))
+    with pytest.raises(AttributeError):
+        caustica.no_such_name
 
 
 def _config_of(argv):

@@ -1,6 +1,7 @@
 """Static check of the library sources: no module imports a name it does
-not use.  No linter is assumed; the check walks each module's syntax
-tree with the standard ast module."""
+not use, and no function imports a name it does not read itself.  No
+linter is assumed; the check walks each module's syntax tree with the
+standard ast module."""
 
 import ast
 from pathlib import Path
@@ -9,23 +10,43 @@ import pytest
 
 import caustica
 
-MODULES = sorted(p for p in Path(caustica.__file__).resolve().parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(caustica.__file__).resolve().parent.glob("*.py"))
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope_imports(scope):
+    """The import statements of a module or function, not counting those
+    of the functions defined inside it."""
+    todo = list(scope.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, _FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unused(scope):
+    """Names bound by the scope's own imports that no expression of the
+    scope reads, with their lines."""
+    read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+    bound = [(alias.asname or alias.name.split(".")[0], node.lineno)
+             for node in _scope_imports(scope) for alias in node.names]
+    return [f"{name} (line {line})" for name, line in bound if name not in read]
 
 
 def _unused_imports(source):
-    """Names bound by the module's top-level imports that no expression
-    of the module reads."""
+    """Names bound by the module's own imports that no expression of the
+    module reads."""
+    return sorted(_unused(ast.parse(source)))
+
+
+def _unused_local_imports(source):
+    """Names bound by a function's own imports that no expression of that
+    function reads."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound[name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(f"{name} (line {line})" for name, line in bound.items()
-                  if name not in read)
+    return sorted(u for fn in ast.walk(tree) if isinstance(fn, _FUNCTIONS)
+                  for u in _unused(fn))
 
 
 def test_the_check_sees_an_unused_import():
@@ -34,6 +55,32 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports("from a import b as c\nc()\n") == []
 
 
+def test_the_check_sees_an_unused_local_import():
+    assert _unused_local_imports(
+        "def f():\n"
+        "    from .a import b, c\n"
+        "    return b()\n") == ["c (line 2)"]
+    # A name a function imports must be read in that function, not
+    # merely somewhere in the module; a nested function's read counts.
+    assert _unused_local_imports(
+        "import b\n"
+        "def f():\n"
+        "    import b\n"
+        "def g():\n"
+        "    return b\n") == ["b (line 3)"]
+    assert _unused_local_imports(
+        "def f():\n"
+        "    import b\n"
+        "    def g():\n"
+        "        return b\n"
+        "    return g\n") == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_import_is_read_where_it_is_made(path):
+    assert _unused_local_imports(path.read_text()) == []
