@@ -21,7 +21,7 @@ from caustica.orbits import (angle_pair_scan, boomerang_scan,
 e = Ellipse(0.6)
 p1, p2 = (0.1, 0.2), (-0.3, 0.1)
 
-traj = connecting_trajectory(e, p1, p2, 12, seed=0)
+traj = connecting_trajectory(e, p1, p2, 12)
 verts = [(pt.x, pt.y) for pt in traj.points]
 full = [p1] + verts + [p2]
 res = [reflection_residual(e, full[j], full[j + 1], full[j + 2])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conics import (_walk, caustic_of_line, caustic_phase_point, reflect,
-                     slope_of, CausticParam)
+                     slope_of)
 from .periods import BettiModel
 
 # Distance of n*beta2 from the integers below which a caustic is
@@ -127,14 +127,13 @@ def moebius_fit(e, s, n, samples=20):
         raise ValueError("window length n must be odd and >= 3")
     if samples < 5:
         raise ValueError("need at least 5 samples")
-    sv = s.s if isinstance(s, CausticParam) else s
-    _check_not_periodic(e, sv, n)
+    _check_not_periodic(e, s, n)
     m = (n - 1) // 2
     thetas = [math.pi * (j + 0.5) / samples for j in range(samples)]
     ts, hs = [], []
     for th in thetas:
         ts.append(math.cos(th) ** 2)
-        hs.append(_window_value(e, sv, th, m))
+        hs.append(_window_value(e, s, th, m))
     if max(hs) - min(hs) < 1e-12:
         raise ValueError("window sum is constant; degenerate fit")
     pick = [0, samples // 4, samples // 2, (3 * samples) // 4]
@@ -153,15 +152,14 @@ def value_multiplicity(e, s, n, value):
     semi-ellipse."""
     if n < 1 or n % 2 == 0:
         raise ValueError("window length n must be odd")
-    sv = s.s if isinstance(s, CausticParam) else s
-    _check_not_periodic(e, sv, n)
+    _check_not_periodic(e, s, n)
     m = (n - 1) // 2
     grid = 1024
     thetas = np.linspace(0.0, math.pi, grid + 1)
     # Open the interval slightly: the vertices are extremal points.
     thetas[0] = 1e-9
     thetas[-1] = math.pi - 1e-9
-    vals = [_window_value(e, sv, th, m) - value for th in thetas]
+    vals = [_window_value(e, s, th, m) - value for th in thetas]
     count = 0
     for j in range(grid):
         v0, v1 = vals[j], vals[j + 1]

@@ -139,7 +139,7 @@ def _cmd_connect(args):
     p2 = (args.x2, args.y2)
     n = args.n
     try:
-        traj = connecting_trajectory(e, p1, p2, n, seed=args.seed)
+        traj = connecting_trajectory(e, p1, p2, n)
     except ConvergenceError as exc:
         return _refuse(exc)
     verts = [(pt.x, pt.y) for pt in traj.points]
@@ -158,7 +158,7 @@ def _cmd_connect(args):
 
 
 def _cmd_poncelet(args):
-    from .conics import Ellipse, caustic_phase_point, classify_caustic
+    from .conics import Ellipse, caustic_phase_point
     from .dml import _frac
     from .orbits import closure_error
     from .periods import lambda_for_beta2
@@ -169,12 +169,11 @@ def _cmd_poncelet(args):
     rot = _frac(args.rot)
     lam = lambda_for_beta2(e, float(rot))
     s = e.c2 * lam
-    param = classify_caustic(e, s)
     rng = random.Random(args.seed)
     recs = []
     for _ in range(args.starts):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        x = caustic_phase_point(e, param, theta)
+        x = caustic_phase_point(e, s, theta)
         err = closure_error(e, (x.x, x.y), (x.vx, x.vy), rot.denominator)
         recs.append({"theta": theta, "closure_error": err})
     _json_out(args, "poncelet", {
@@ -196,11 +195,11 @@ def _cmd_birkhoff(args):
                          "--window (symmetric sum half-width)")
     if num < 1:
         raise ValueError("--num must be >= 1")
-    param = classify_caustic(e, args.s)
+    classify_caustic(e, args.s)  # refuses s outside [0, 1]
     thetas = [math.pi * (j + 0.5) / num for j in range(num)]
 
     def row(theta):
-        x = caustic_phase_point(e, param, theta)
+        x = caustic_phase_point(e, args.s, theta)
         if bounces is not None:
             val = birkhoff_sum(e, x, bounces)
         else:

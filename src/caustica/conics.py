@@ -397,10 +397,9 @@ def _density_roots(e, s):
     """The two squared zeros A < B of the measure radicand, y0^2/(x0 +- 1)^2,
     from the points (+-x0, +-y0) where C meets C_s: x0^2 = s/c^2 and
     y0^2 = (1-c^2)(c^2-s)/c^2 (negative for an elliptic caustic)."""
-    sv = s.s if isinstance(s, CausticParam) else s
     c2 = e.c2
-    x0 = math.sqrt(sv) / e.c
-    y0sq = e.b2 * (c2 - sv) / c2
+    x0 = math.sqrt(s) / e.c
+    y0sq = e.b2 * (c2 - s) / c2
     A = y0sq / ((x0 + 1.0) ** 2)
     B = y0sq / ((x0 - 1.0) ** 2)
     return A, B
@@ -414,8 +413,7 @@ def invariant_density(e, s, z):
     (A, B) for a hyperbolic caustic (A > 0, two arcs), all of R for an
     elliptic one (A, B < 0), and Z = 2 R_F(0, |A|, |B|) on both.
     """
-    sv = s.s if isinstance(s, CausticParam) else s
-    A, B = _density_roots(e, sv)
+    A, B = _density_roots(e, s)
     r = (z * z - A) * (z * z - B)
     if abs(r) < 1e-30:
         raise ValueError("z at a singular endpoint of the invariant measure")
@@ -432,10 +430,9 @@ def tangent_slopes(e, p, s):
     list of 0, 1, or 2 slopes.
     """
     a, b = p
-    sv = s.s if isinstance(s, CausticParam) else s
-    qa = sv - a * a
+    qa = s - a * a
     qb = 2.0 * a * b
-    qc = sv - b * b - e.c2
+    qc = s - b * b - e.c2
     out = []
     if abs(qa) < 1e-14:
         out.append(math.inf)

@@ -24,8 +24,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .conics import (CausticParam, advance, inward, slope_of, tangent_slopes,
-                     z_of_point)
+from .conics import (advance, classify_caustic, inward, slope_of,
+                     tangent_slopes, z_of_point)
 
 # Separation below which a pair (P, Q) with P ~ -Q is treated as
 # summing to the identity.
@@ -89,14 +89,12 @@ class LegendreCurve:
 
 
 def lambda_of(e, s):
-    """Legendre parameter lambda = s/c^2 of a nondegenerate caustic."""
-    if isinstance(s, CausticParam):
-        if s.kind.value in ("focal", "center"):
-            raise ValueError(f"degenerate caustic ({s.kind.value}) has no Legendre model")
-        sv = s.s
-    else:
-        sv = s
-    return LegendreCurve(sv / e.c2)
+    """Legendre parameter lambda = s/c^2 of a nondegenerate caustic; a
+    focal or centre caustic (by classify_caustic) has no Legendre model."""
+    kind = classify_caustic(e, s).kind.value
+    if kind in ("focal", "center"):
+        raise ValueError(f"degenerate caustic ({kind}) has no Legendre model")
+    return LegendreCurve(s / e.c2)
 
 
 def neg(P):
@@ -243,22 +241,21 @@ def phase_to_legendre(e, s, x):
     P4 = (-x0, -y0) at Infinity; elliptic caustics give complex output of
     constant |X| = sqrt(lambda).
     """
-    sv = s.s if isinstance(s, CausticParam) else s
     c2, b2 = e.c2, e.b2
-    x0 = math.sqrt(sv) / e.c
-    y0 = cmath.sqrt(b2 * (c2 - sv) / c2)
+    x0 = math.sqrt(s) / e.c
+    y0 = cmath.sqrt(b2 * (c2 - s) / c2)
     z4 = y0 / (x0 + 1.0)
-    rt1ms = math.sqrt(1.0 - sv)
+    rt1ms = math.sqrt(1.0 - s)
     z = z_of_point(x.x, x.y)
     if math.isinf(z):
         # p = (1, 0): finite limit of all formulas as z -> inf, where
         # w grows like z^2 and (z - z4)^2 cancels the growth.
         u_dual = x.vx / (x.vx * x.y - x.vy * x.x)
-        w_scaled = -(sv - c2) * u_dual * math.sqrt(b2) / (e.c * y0)
+        w_scaled = -(s - c2) * u_dual * math.sqrt(b2) / (e.c * y0)
         X = complex(x0)
         Y = ETA_SIGN * x0 * (x0 - 1.0) * w_scaled / rt1ms
         return LegendrePoint(X, Y)
-    w = _w_from_line(e, sv, x, y0, z)
+    w = _w_from_line(e, s, x, y0, z)
     den = (x0 + 1.0) * z - y0
     if abs(den) < 1e-13 * max(1.0, abs(z)):
         return Infinity

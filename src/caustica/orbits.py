@@ -38,8 +38,10 @@ counts grow linearly in n, with odd slope 2 - 4 beta2(M/c^2).
 Connecting trajectories between two interior points are found by
 maximizing total length over bounce angles (the maximum satisfies the
 reflection law at every vertex): the length is maximized by quasi-Newton
-(L-BFGS-B) on its analytic gradient, then polished by Newton (fsolve) on
-the same gradient; boomerang, hole, and angle-pair scans
+(L-BFGS-B) on its analytic gradient from one start per rotation number
+k/n and phase 0 or pi (deterministic, so a connection depends on its
+input alone), then polished by Newton (fsolve) on the same gradient;
+boomerang, hole, and angle-pair scans
 bracket sign changes of passage distances over a direction grid and
 re-simulate every hit.
 """
@@ -47,7 +49,6 @@ re-simulate every hit.
 import bisect
 import cmath
 import math
-import random as _random
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,9 +75,6 @@ _PAIR_WINDOW = 1e-7
 # Rows (two per candidate direction) walked in one lockstep (a few MB of
 # state); a longer range of n is certified band by band.
 _BAND_ROWS = 1 << 16
-# Random starts of connecting_trajectory, besides the three wound
-# interpolations.
-_CONNECT_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -450,22 +448,20 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def _path_length(e, p1, p2, thetas):
-    pts = [p1] + [e.boundary_point(t) for t in thetas] + [p2]
-    return sum(math.hypot(q[0] - r[0], q[1] - r[1])
-               for q, r in zip(pts, pts[1:]))
-
-
-def connecting_trajectory(e, p1, p2, n, seed=0):
+def connecting_trajectory(e, p1, p2, n):
     """Billiard path between two interior points, p1 -> (n-1 bounces)
     -> p2, by total-length maximization (the maximum satisfies the
-    reflection law at every bounce).  From three wound interpolations
-    and _CONNECT_STARTS seeded random starts, the length is maximized by
-    quasi-Newton (L-BFGS-B) on its analytic gradient over bounce angles;
-    the longest candidate is then polished by Newton (fsolve) on the
-    same gradient, whose zeros obey the reflection law at every bounce.
-    Returns a Trajectory whose points carry the outgoing direction at
-    each bounce."""
+    reflection law at every bounce).  The length is climbed by
+    quasi-Newton (L-BFGS-B) on its analytic gradient over bounce angles
+    from 2(n-1) starts, one per rotation number k/n (k = 1..n-1, after
+    Birkhoff's one length maximum per rotation number) and phase 0 or
+    pi, in that order: the first bounce sits at angle atan2(p1) + phase
+    and each later one turns on by 2 pi k/n.  The starts follow from the
+    input alone, so no seed enters.  The longest candidate (the earliest
+    on ties) is then polished by Newton (fsolve) on the same gradient,
+    whose zeros obey the reflection law at every bounce.  Returns a
+    Trajectory whose points carry the outgoing direction at each
+    bounce."""
     from scipy.optimize import fsolve, minimize
 
     if n < 1:
@@ -474,33 +470,29 @@ def connecting_trajectory(e, p1, p2, n, seed=0):
         raise ValueError("a single segment has no bounce to optimize")
     _require_interior(e, p1)
     _require_interior(e, p2)
-    rng = _random.Random(seed)
     a1 = math.atan2(p1[1], p1[0])
-    a2 = math.atan2(p2[1], p2[0])
-    inits = []
-    for w in (1, 2, -1):
-        end = a2 + 2.0 * math.pi * w
-        inits.append([a1 + (end - a1) * (j + 1) / n for j in range(n - 1)])
-    for _ in range(_CONNECT_STARTS):
-        inits.append([rng.uniform(0.0, 2.0 * math.pi) for _ in range(n - 1)])
+    inits = [[a1 + phase + 2.0 * math.pi * k * j / n for j in range(n - 1)]
+             for k in range(1, n) for phase in (0.0, math.pi)]
 
     b = math.sqrt(e.b2)
 
-    def grad(th):
+    def objective(th):
+        """(-length, -gradient) of the path through the bounce angles."""
         chain = [p1] + [e.boundary_point(t) for t in th] + [p2]
-        out = []
+        length = sum(math.hypot(q[0] - r[0], q[1] - r[1])
+                     for q, r in zip(chain, chain[1:]))
+        grad = []
         for j in range(n - 1):
             q = chain[j + 1]
             ux, uy = unit(q[0] - chain[j][0], q[1] - chain[j][1])
             wx, wy = unit(chain[j + 2][0] - q[0], chain[j + 2][1] - q[1])
-            out.append((ux - wx) * (-math.sin(th[j]))
-                       + (uy - wy) * (b * math.cos(th[j])))
-        return out
+            grad.append((ux - wx) * (-math.sin(th[j]))
+                        + (uy - wy) * (b * math.cos(th[j])))
+        return -length, -np.array(grad)
 
     best_len, best_th = -1.0, None
     for th in inits:
-        res = minimize(lambda t: -_path_length(e, p1, p2, t), th,
-                       jac=lambda t: -np.array(grad(t)), method="L-BFGS-B",
+        res = minimize(objective, th, jac=True, method="L-BFGS-B",
                        options={"gtol": 1e-12})
         if -res.fun > best_len:
             best_len, best_th = -res.fun, list(res.x)
@@ -514,7 +506,8 @@ def connecting_trajectory(e, p1, p2, n, seed=0):
     # just above the gate it can reach a residual near 1e-16 and still
     # report no progress at xtol=1e-13.  full_output keeps that report
     # off stderr.
-    sol = list(fsolve(grad, best_th, full_output=True, xtol=1e-13)[0])
+    sol = list(fsolve(lambda th: objective(th)[1], best_th,
+                      full_output=True, xtol=1e-13)[0])
     if (all(map(math.isfinite, sol))
             and worst_residual(sol) < worst_residual(best_th)):
         best_th = sol
@@ -592,11 +585,16 @@ def _passages(e, p, q, n_max, tol, grid, n_states):
     max(n_states, k + 2) states.  Yields (k, phi, states, cross) for
     every root within tol of q whose foot lies within tol of the segment
     from states[k] to states[k + 1]; brackets the solver rejects (a NaN
-    value or no sign change) are skipped.  A grid of no cells scans
-    nothing and raises ValueError.
+    value or no sign change) are skipped.  Inputs that can find nothing
+    raise ValueError: a grid of no cells, n_max < 2 (no segment after a
+    bounce) and a tol that is not positive (NaN included).
     """
     if grid < 1:
         raise ValueError("direction grid needs grid >= 1")
+    if n_max < 2:
+        raise ValueError("passage scan needs n_max >= 2")
+    if not tol > 0.0:
+        raise ValueError("passage scan needs tol > 0")
     thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
     rows = _grid_passages(e, p, q, thetas[:-1], n_max)
     for k, vals in enumerate(rows, start=1):
@@ -681,6 +679,8 @@ def angle_pair_scan(e, p, alpha, n_max, tol):
         raise ValueError("alpha must lie in (0, pi)")
     if n_max < 2:
         raise ValueError("angle-pair scan needs n_max >= 2")
+    if not tol > 0.0:
+        raise ValueError("angle-pair scan needs tol > 0")
     found = {}
     for n, dirs, _ in _certify(e, p, range(2, n_max + 1)):
         for d in dirs:

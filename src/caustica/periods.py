@@ -28,7 +28,7 @@ import warnings
 from typing import NamedTuple
 
 from ._roots import brentq
-from .conics import CausticParam, CausticKind, _step, caustic_phase_point, classify_caustic
+from .conics import CausticKind, _step, caustic_phase_point, classify_caustic
 
 
 def _quad(f, a, b):
@@ -218,10 +218,9 @@ def rotation_number(e, s, n_iter):
     beta2(s/c^2) at rate O(1/n_iter)."""
     if n_iter < 1000:
         raise ValueError("rotation_number needs n_iter >= 1000")
-    cp = s if isinstance(s, CausticParam) else classify_caustic(e, s)
-    if cp.kind is not CausticKind.ELLIPTIC:
+    if classify_caustic(e, s).kind is not CausticKind.ELLIPTIC:
         raise ValueError("rotation number needs an elliptic caustic")
-    x = caustic_phase_point(e, cp.s, 0.3)
+    x = caustic_phase_point(e, s, 0.3)
     qx, qy, vx, vy = x.x, x.y, x.vx, x.vy
     b2 = e.b2
     rb2 = math.sqrt(b2)

@@ -212,7 +212,7 @@ def test_criterion_07_section_decomposition_and_residue():
 def test_criterion_08_interior_connection():
     t0 = time.perf_counter()
     p1, p2 = (0.1, 0.2), (-0.3, 0.1)
-    traj = connecting_trajectory(E6, p1, p2, 12, seed=0)
+    traj = connecting_trajectory(E6, p1, p2, 12)
     verts = [(pt.x, pt.y) for pt in traj.points]
     assert len(verts) == 11
     full = [p1] + verts + [p2]

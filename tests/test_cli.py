@@ -170,6 +170,15 @@ def test_connect_json(tmp_path):
         assert abs(e.boundary_residual(b["x"], b["y"])) < 1e-9
 
 
+def test_connect_does_not_depend_on_seed(tmp_path):
+    argv = ["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
+            "--x2", "-0.3", "--y2", "0.1", "--n", "4"]
+    docs = [json.loads(run_to(tmp_path, f"c{seed}.json", argv + ["--seed", seed]))
+            for seed in ("0", "5")]
+    assert [d["seed"] for d in docs] == [0, 5]
+    assert docs[0]["bounces"] == docs[1]["bounces"]
+
+
 def test_poncelet_rational_rotation_closes(tmp_path):
     raw = run_to(tmp_path, "p.json", [
         "poncelet", "--c", "0.6", "--rot", "1/7", "--starts", "8",
@@ -464,6 +473,12 @@ def test_connect_that_does_not_converge_exits_two(monkeypatch, capsys):
     *((["scan-angle-pair", "--c", "0.6", "--px", "0.2", "--py", "0.3",
         "--alpha", "2.6608", "--nmax", nmax], "angle-pair scan needs n_max >= 2")
       for nmax in ("1", "0", "-3")),
+    *((SCAN_ARGV[name] + ["--nmax", nmax], "passage scan needs n_max >= 2")
+      for name in ("boomerang", "hole") for nmax in ("1", "0", "-3")),
+    *((SCAN_ARGV[name] + [f"--tol={tol}"], "passage scan needs tol > 0")
+      for name in ("boomerang", "hole") for tol in ("-0.05", "0", "nan")),
+    *((PERIODIC_ARGV["angle_pair.json"] + [f"--tol={tol}"],
+       "angle-pair scan needs tol > 0") for tol in ("-1e-6", "0", "nan")),
 ])
 def test_sizes_that_scan_nothing_exit_two(capsys, argv, message):
     assert main(argv) == 2

@@ -48,6 +48,13 @@ def test_lambda_of():
     assert L.lam == pytest.approx(0.9 / 0.36)
 
 
+@pytest.mark.parametrize("s, kind", [(E.c2, "focal"), (E.c2 * (1.0 + 1e-10), "focal"),
+                                     (0.0, "center"), (1e-12, "center")])
+def test_lambda_of_refuses_focal_and_centre_caustics(s, kind):
+    with pytest.raises(ValueError, match=f"degenerate caustic \\({kind}\\)"):
+        lambda_of(E, s)
+
+
 def test_identity_and_inverse():
     rng = np.random.default_rng(0)
     for lam in (0.3, 0.7, 1.8):
