@@ -1,12 +1,13 @@
 """Shooting between two interior points, and exhaustive direction scans.
 
 A trajectory from p1 to p2 with a prescribed number of segments is found
-by maximizing its length over the boundary contact points (quasi-Newton
-on the analytic gradient, then polished by Newton) and certified by the
-reflection law at every bounce.  Grid scans over the direction circle
-then enumerate near-return shots, trajectories threading a second point
-into a boundary hole, and angle-constrained pairs of periodic
-directions; every reported hit re-simulates within its tolerance.
+by maximizing its length over the boundary contact points (damped
+Newton on the closed-form gradient and tridiagonal Hessian) and
+certified by the reflection law at every bounce.  Grid scans over the
+direction circle then enumerate near-return shots, trajectories
+threading a second point into a boundary hole, and angle-constrained
+pairs of periodic directions; every reported hit re-simulates within
+its tolerance.
 """
 
 import math

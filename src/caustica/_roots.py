@@ -4,8 +4,8 @@ A port of the iteration of scipy.optimize.brentq (its C brentq.c, after
 R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
 ch. 4): the same arithmetic in the same order, the same defaults and the
 same errors, so it returns the same double bit for bit.  It keeps the
-program's cold start free of scipy.optimize, which only the connecting
-trajectory solver needs.
+program free of scipy.optimize, which only the two quadrature
+references load, through scipy.integrate.
 """
 
 import math
@@ -16,27 +16,30 @@ _RTOL = 4 * sys.float_info.epsilon
 _MAXITER = 100
 
 
-def _value(f, x, args):
-    fx = float(f(x, *args))
+def _checked(fx, x):
+    fx = float(fx)
     if math.isnan(fx):
         raise ValueError(f"The function value at x={x} is NaN; "
                          "solver cannot continue.")
     return fx
 
 
-def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER):
+def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER,
+           fa=None, fb=None):
     """Root of f(x, *args) in the bracket [a, b], as a float.
 
-    Raises ValueError when f(a) and f(b) have the same sign or any value
-    of f is NaN, and RuntimeError after maxiter iterations without
-    convergence to xtol + rtol |x|.
+    fa and fb, when given, stand for f(a) and f(b), which are then not
+    evaluated; given as the values f returns, they change no bit of the
+    result.  Raises ValueError when f(a) and f(b) have the same sign or
+    any value of f is NaN, and RuntimeError after maxiter iterations
+    without convergence to xtol + rtol |x|.
     """
     if not isinstance(args, tuple):
         args = (args,)
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = _value(f, xpre, args)
-    fcur = _value(f, xcur, args)
+    fpre = _checked(f(xpre, *args) if fa is None else fa, xpre)
+    fcur = _checked(f(xcur, *args) if fb is None else fb, xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -76,5 +79,5 @@ def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur, args)
+        fcur = _checked(f(xcur, *args), xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

@@ -501,10 +501,9 @@ def test_console_script_installed(tmp_path):
 # The README invocations, each run in its own fresh interpreter, so that a
 # module one job loads is not charged to the next.  Only the subcommands
 # that evaluate Carlson's R_F load scipy.special; none of them loads
-# scipy.optimize or scipy.integrate, which only the connecting-trajectory
-# solver and the quadrature references need.  Importing caustica or
-# caustica.cli loads no library module; each subcommand loads only the
-# modules it calls (LOADS).
+# scipy.optimize or scipy.integrate, which only the quadrature references
+# need.  Importing caustica or caustica.cli loads no library module;
+# each subcommand loads only the modules it calls (LOADS).
 README_ARGV = [
     ["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7",
      "--bounces", "100"],
@@ -590,10 +589,10 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
         assert after == LOADS[argv[0]], argv
     for argv, (_, loaded, _) in zip(README_ARGV, report):
         assert loaded == (["scipy", "scipy.special"] if argv[0] in R_F_USERS else []), argv
-    # scipy.optimize imports scipy.special; betti-scan evaluates the
+    # connect climbs by in-repo Newton steps; betti-scan evaluates the
     # closed form, not the quadrature reference.
     (_, after_connect, _), (_, after_betti, _) = report[-2:]
-    assert after_connect == ["scipy", "scipy.special", "scipy.optimize"]
+    assert after_connect == []
     assert after_betti == ["scipy", "scipy.special"]
 
 

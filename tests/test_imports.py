@@ -1,7 +1,7 @@
 """Static check of the library sources: no module imports a name it does
-not use, and no function imports a name it does not read itself.  No
-linter is assumed; the check walks each module's syntax tree with the
-standard ast module."""
+not use, no function imports a name it does not read itself, and no
+module uses scipy.optimize.  No linter is assumed; the check walks each
+module's syntax tree with the standard ast module."""
 
 import ast
 from pathlib import Path
@@ -74,6 +74,41 @@ def test_the_check_sees_an_unused_local_import():
         "    def g():\n"
         "        return b\n"
         "    return g\n") == []
+
+
+def _optimize_uses(source):
+    """Lines where the module imports scipy.optimize or reads it as the
+    attribute scipy.optimize, in any form."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(f"{name}.".startswith("scipy.optimize.") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_sees_scipy_optimize():
+    for source in ("import scipy.optimize\n",
+                   "from scipy.optimize import brentq\n",
+                   "from scipy import optimize\n",
+                   "import scipy\nscipy.optimize.brentq\n",
+                   "def f():\n    from scipy.optimize._zeros import brentq\n"):
+        assert _optimize_uses(source), source
+    assert _optimize_uses('"""A port of scipy.optimize.brentq."""\n'
+                          "from scipy.special import elliprf\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_uses_scipy_optimize(path):
+    assert _optimize_uses(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,5 +1,5 @@
-"""High-precision oracles for the numerical contracts of periods and of
-the cosine sums along orbits.
+"""High-precision oracles for the numerical contracts of periods, of
+the cosine sums along orbits and of the derivatives of path length.
 
 Every reference value here is computed by mpmath at 30-40 digits from
 the defining integrals, the hypergeometric/AGM closed forms or a bounce
@@ -9,13 +9,14 @@ one-ulp change in U moves beta2 by about 1e-11.
 """
 
 import math
+import random
 
 import mpmath as mp
 import pytest
 
 from caustica import Ellipse, PhasePoint
 from caustica.birkhoff import birkhoff_sum, symmetric_sum
-from caustica.orbits import LAYER_BAND
+from caustica.orbits import LAYER_BAND, _derivatives, _segments
 from caustica.periods import (BettiModel, _beta2_inverse, betti_billiard,
                               lambda_for_beta2, omega2)
 
@@ -213,3 +214,41 @@ def test_window_and_birkhoff_sums_against_mpmath_walk(c, frac, theta):
             assert abs(symmetric_sum(e, center, m) - want) <= 1e-13, m
             want = _cos_walk_mp(1 - cm * cm, x, y, vx, vy, 2 * m + 1)
             assert abs(birkhoff_sum(e, center, 2 * m + 1) - want) <= 1e-13, m
+
+
+def _path_length_mp(b, p1, p2, th):
+    """Length of the path p1 -> (cos t, b sin t) for t in th -> p2."""
+    chain = [p1] + [(mp.cos(t), b * mp.sin(t)) for t in th] + [p2]
+    return mp.fsum(mp.hypot(r[0] - q[0], r[1] - q[1])
+                   for q, r in zip(chain, chain[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_path_length_derivatives_against_mpmath(n):
+    # The closed-form gradient and tridiagonal Hessian that the
+    # connecting-trajectory climb steps on, against mpmath.diff of the
+    # length at 30 digits, at random bounce angles of an n-segment path;
+    # every Hessian entry off the three diagonals must vanish.
+    e = Ellipse(0.6)
+    p1, p2 = (0.1, 0.2), (-0.3, 0.1)
+    rng = random.Random(n)
+    for _ in range(3):
+        th = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n - 1)]
+        chain = [p1] + [e.boundary_point(t) for t in th] + [p2]
+        g, diag, off = _derivatives(math.sqrt(e.b2), th, chain, _segments(chain))
+        with mp.workdps(30):
+            b = mp.sqrt(mp.mpf(e.b2))
+            x = [mp.mpf(t) for t in th]
+
+            def partial(*orders):
+                order = [0] * (n - 1)
+                for j in orders:
+                    order[j] += 1
+                return mp.diff(lambda *t: _path_length_mp(b, p1, p2, t), x, order)
+
+            for j in range(n - 1):
+                assert abs(g[j] - partial(j)) <= 1e-12, j
+                for k in range(j, n - 1):
+                    want = partial(j, k)
+                    got = diag[j] if k == j else off[j] if k == j + 1 else 0.0
+                    assert abs(got - want) <= 1e-10 * (1.0 + abs(want)), (j, k)

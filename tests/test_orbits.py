@@ -332,14 +332,26 @@ def test_connecting_trajectory_contract():
 
 
 def test_connecting_trajectory_keeps_polish_that_passes_the_gate():
-    # The longest quasi-Newton candidate has a worst residual of 2.7e-8,
-    # outside the 1e-8 gate and far from the 1e-12 asserted here; the
-    # Newton polish reaches ~1e-16 while fsolve reports no progress.
+    # A climb that stops on the length's relative progress ends here
+    # with a worst residual of 2.7e-8, outside the 1e-8 gate and far
+    # from the 1e-12 asserted here; the Newton climb, which stops on the
+    # gradient, ends at ~1e-15.
     e = Ellipse(0.581618)
     p1, p2 = (0.142828747, -0.2331292), (0.214014181, -0.111429673)
     traj = connecting_trajectory(e, p1, p2, 3)
     chain = [p1] + [q.p for q in traj] + [p2]
     assert max(reflection_residual(e, *chain[j:j + 3]) for j in range(2)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_connecting_trajectory_ends_at_rounding_level(n):
+    # Criterion 8's input (n = 12) and a longer path: every climb stops
+    # on the gradient, so the returned path obeys the reflection law to
+    # rounding level, far inside the 1e-8 gate.
+    p1, p2 = (0.1, 0.2), (-0.3, 0.1)
+    traj = connecting_trajectory(E, p1, p2, n)
+    chain = [p1] + [q.p for q in traj] + [p2]
+    assert max(reflection_residual(E, *chain[j:j + 3]) for j in range(n - 1)) <= 1e-12
 
 
 def test_connecting_trajectory_needs_interior_points():

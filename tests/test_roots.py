@@ -27,15 +27,20 @@ def _outcome(solve, f, a, b, args, kwargs):
 
 class _Oracle:
     """Stands in for a module's brentq: solves every bracket with both
-    solvers, keeps the pairs, and returns (or raises) the port's result."""
+    solvers, keeps the pairs, and returns (or raises) the port's result.
+    End values the caller supplies go to the port alone, and each is
+    kept beside the value f returns there."""
 
     def __init__(self):
         self.pairs = []
+        self.supplied = []
 
-    def __call__(self, f, a, b, args=(), **kwargs):
-        ours = _outcome(brentq, f, a, b, args, kwargs)
+    def __call__(self, f, a, b, args=(), fa=None, fb=None, **kwargs):
+        ours = _outcome(brentq, f, a, b, args, dict(kwargs, fa=fa, fb=fb))
         ref = _outcome(scipy.optimize.brentq, f, a, b, args, kwargs)
         self.pairs.append((ours, ref))
+        self.supplied += [(float(v), float(f(x, *args)))
+                          for v, x in ((fa, a), (fb, b)) if v is not None]
         if isinstance(ours, tuple):
             raise ours[0](ours[1])
         return ours
@@ -72,6 +77,9 @@ def test_scan_brackets_match_scipy(monkeypatch, tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "scan.json")]) == 0
     assert len(oracle.pairs) > 50
     _assert_bitwise(oracle.pairs)
+    # The scan hands the solver its grid values: they are f's, bit for bit.
+    assert len(oracle.supplied) > 50
+    assert all(v.hex() == fx.hex() for v, fx in oracle.supplied)
 
 
 @settings(max_examples=300, deadline=None)
@@ -87,6 +95,9 @@ def test_monotone_functions_match_scipy(root, left, right, scale, power, xtol):
     ours = brentq(f, a, b, args=(power,), xtol=xtol)
     ref = scipy.optimize.brentq(f, a, b, args=(power,), xtol=xtol)
     assert ours.hex() == ref.hex()
+    supplied = brentq(f, a, b, args=(power,), xtol=xtol,
+                      fa=f(a, power), fb=f(b, power))
+    assert supplied.hex() == ref.hex()
     assert type(ours) is float
     assert a <= ours <= b
 
@@ -104,6 +115,16 @@ def test_nan_evaluation_raises():
         brentq(f, -1.0, 1.0)
     with pytest.raises(ValueError, match="NaN"):
         brentq(lambda x: math.nan, 0.0, 1.0)
+
+
+def test_supplied_nan_end_value_raises_as_evaluated():
+    def nan_at(end):
+        return lambda x: math.nan if x == end else x - 0.5
+
+    for key, end in (("fa", 0.0), ("fb", 1.0)):
+        want = _outcome(brentq, nan_at(end), 0.0, 1.0, (), {})
+        got = _outcome(brentq, lambda x: x - 0.5, 0.0, 1.0, (), {key: math.nan})
+        assert got[0] is ValueError and got == want
 
 
 def test_exact_endpoint_root_is_returned_as_is():
