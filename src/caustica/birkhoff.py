@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import (_walk, caustic_of_line, caustic_phase_point, reflect,
-                     slope_of)
+from .conics import (_REFLECT_TOL, _walk, caustic_of_line,
+                     caustic_phase_point, reflect, slope_of)
 from .periods import BettiModel
 
 # Distance of n*beta2 from the integers below which a caustic is
@@ -56,7 +56,7 @@ class MoebiusFit:
 def h_weight(e, p):
     """Boundary weight h(p) = 1/(1 - c^2 x^2)."""
     x, y = p
-    if abs(e.boundary_residual(x, y)) > 1e-9:
+    if abs(e.boundary_residual(x, y)) > _REFLECT_TOL:
         raise ValueError("h_weight needs a boundary point")
     return 1.0 / (1.0 - e.c2 * x * x)
 

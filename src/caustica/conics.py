@@ -40,7 +40,7 @@ TANGENCY_EPS = 1e-12
 # Relative tolerance used to classify nearly degenerate caustics.
 DEGENERACY_RTOL = 1e-9
 
-# Largest boundary residual accepted at a reflection point.
+# Largest boundary residual of a point taken to lie on the boundary.
 _REFLECT_TOL = 1e-9
 
 

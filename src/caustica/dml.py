@@ -18,6 +18,16 @@ arguments for quadratic ones).  Infinite families among the hits are
 detected by exact pattern fits: lines in Z^2 and exponential families
 m = A lambda^n + B n + C with lambda taken from the spectrum.
 
+The exact kernel has one mechanism per computation.  One rescaling,
+_coprime, turns rationals into coprime integers by one positive factor:
+the canonical rows of lines, the integer matrices of beta and its
+powers, and the integer cubic of the rational root test.  One dot and
+one cross product build the rest: det A = A0 . (A1 x A2), the columns
+of adj A are the cross products of pairs of rows, matrix products are
+dots of rows with columns, and Cramer's numerators are adj(M) y.  Each
+call derives the spectrum once, by _spectrum, and each eigenspace is
+the exact null space of A - lambda I.
+
 The orbit search runs on Python integers.  beta and its adjugate are
 rescaled once to integer matrices, and each line is stepped once, to
 its coprime integer rows L . beta^k with |k| <= N.  The distinct-orbit
@@ -84,62 +94,65 @@ def _primitive(v, multiple=0):
     return (v[0] // g, v[1] // g, v[2] // g)
 
 
+def _coprime(xs):
+    """The integers proportional to the rationals xs by one positive
+    factor, with gcd 1; zeros stay zeros."""
+    den = math.lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (den // x.denominator) for x in xs]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
 def _canon(v):
     """Scale a rational triple to coprime integers, first nonzero > 0."""
-    v = tuple(_frac(x) for x in v)
-    den = math.lcm(*(x.denominator for x in v))
-    return _primitive([int(x * den) for x in v])
+    return _primitive(_coprime(v))
 
 
-def _mat_mul(A, B):
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(3))
-                       for j in range(3)) for i in range(3))
-
-
-def _vec_mat(v, A):
-    return tuple(sum(v[k] * A[k][j] for k in range(3)) for j in range(3))
-
-
-def _det3(A):
-    return (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-            - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-            + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
-
-
-def _adjugate(A):
-    """Exact inverse up to scale (det-free)."""
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        return A[r[0]][c[0]] * A[r[1]][c[1]] - A[r[0]][c[1]] * A[r[1]][c[0]]
-    return tuple(tuple((-1) ** (i + j) * cof(j, i) for j in range(3))
-                 for i in range(3))
-
-
-def _strip_mat(A):
-    """Rescale a matrix by one global factor to coprime integers.
+def _int_mat(A):
+    """Rescale a matrix by one positive factor to coprime integers.
 
     A single scalar keeps the projective map; per-row scaling would
     change it.
     """
-    lcm = 1
-    for r in A:
-        for x in r:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [[int(x * lcm) for x in r] for r in A]
-    g = 0
-    for r in ints:
-        for x in r:
-            g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [[x // g for x in r] for r in ints]
-    return tuple(tuple(Fraction(x) for x in r) for r in ints)
+    flat = _coprime([x for r in A for x in r])
+    return (flat[0:3], flat[3:6], flat[6:9])
+
+
+def _strip_mat(A):
+    """_int_mat with Fraction entries."""
+    return tuple(tuple(Fraction(x) for x in r) for r in _int_mat(A))
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
+
+
+def _vec_mat(v, A):
+    return tuple(_dot(v, c) for c in zip(*A))
+
+
+def _mat_mul(A, B):
+    cols = tuple(zip(*B))
+    return tuple(tuple(_dot(r, c) for c in cols) for r in A)
+
+
+def _det3(A):
+    return _dot(A[0], _cross(A[1], A[2]))
+
+
+def _adjugate(A):
+    """Exact inverse up to scale (det-free): row i of A dotted with
+    column j of the adjugate is det(A) when i = j and 0 otherwise, so
+    column j is the cross product of the other two rows, in cyclic
+    order."""
+    return tuple(zip(_cross(A[1], A[2]), _cross(A[2], A[0]),
+                     _cross(A[0], A[1])))
 
 
 @dataclass(frozen=True)
@@ -161,18 +174,19 @@ class ProjectiveMap:
         after every product (entry bit-size linear in |k|).  Each
         stripped factor is a positive multiple of a power of the base,
         so the result is the unique coprime integer matrix that is a
-        positive multiple of base^|k|, whatever the order of products."""
-        base = self.matrix if k >= 0 else _adjugate(self.matrix)
-        out = tuple(tuple(Fraction(int(i == j)) for j in range(3))
-                    for i in range(3))
+        positive multiple of base^|k|, whatever the order of products.
+        The products are of integer matrices; the entries are returned
+        as Fractions."""
+        base = _int_mat(self.matrix if k >= 0 else _adjugate(self.matrix))
+        out = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         k = abs(k)
         while k:
             if k & 1:
-                out = _strip_mat(_mat_mul(out, base))
+                out = _int_mat(_mat_mul(out, base))
             k >>= 1
             if k:
-                base = _strip_mat(_mat_mul(base, base))
-        return out
+                base = _int_mat(_mat_mul(base, base))
+        return tuple(tuple(Fraction(x) for x in r) for r in out)
 
 
 @dataclass(frozen=True)
@@ -264,29 +278,19 @@ def _divisors(n):
 def _rational_roots(c2, c1, c0):
     """Rational roots (with multiplicity) of t^3 + c2 t^2 + c1 t + c0,
     plus the residual quadratic (p, q) for t^2 + p t + q, or None."""
-    lcm = 1
-    for c in (c2, c1, c0):
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    a3, a2, a1, a0 = lcm, int(c2 * lcm), int(c1 * lcm), int(c0 * lcm)
-    roots = []
-    if a0 == 0:
-        roots.append(Fraction(0))
-    else:
-        # r/q is a root exactly when q^3 times the polynomial at r/q,
-        # an integer, vanishes.
-        for p in _divisors(a0):
-            for q in _divisors(a3):
-                for r in (p, -p):
-                    if (((a3 * r + a2 * q) * r + a1 * q * q) * r
-                            + a0 * q ** 3 == 0):
-                        roots.append(Fraction(r, q))
-                        break
-                else:
-                    continue
-                break
-    if not roots:
+    # a3 is the lcm of the denominators: _coprime divides by nothing
+    # more, since each prime of the lcm divides some c_i's denominator
+    # to its full power and so does not divide that a_i.
+    a3, a2, a1, a0 = _coprime((1, c2, c1, c0))
+    # r/q is a root exactly when q^3 times the polynomial at r/q, an
+    # integer, vanishes.
+    r = Fraction(0) if a0 == 0 else next(
+        (Fraction(t, q) for p in _divisors(a0) for q in _divisors(a3)
+         for t in (p, -p)
+         if ((a3 * t + a2 * q) * t + a1 * q * q) * t + a0 * q ** 3 == 0),
+        None)
+    if r is None:
         return [], None
-    r = roots[0]
     # Deflate: t^3 + c2 t^2 + c1 t + c0 = (t - r)(t^2 + p t + q)
     p = c2 + r
     q = c1 + r * p
@@ -300,10 +304,16 @@ def _rational_roots(c2, c1, c0):
     return [r], (p, q)
 
 
-def _eigen_multiplicity(A, lam):
-    B = tuple(tuple(A[i][j] - (lam if i == j else 0) for j in range(3))
-              for i in range(3))
-    return len(_null_space(B))
+def _spectrum(A):
+    """Rational eigenvalues of A, sorted with multiplicity, and the
+    residual quadratic or None, as _rational_roots gives them."""
+    return _rational_roots(*_char_poly(A))
+
+
+def _eigenspace(A, lam):
+    """Basis of the exact null space of A - lam I."""
+    return _null_space([[x - lam if i == j else x for j, x in enumerate(r)]
+                        for i, r in enumerate(A)])
 
 
 def _prime_exponents(r):
@@ -346,12 +356,11 @@ def classify(beta):
     non-rigorous log-lattice witness.
     """
     A = beta.matrix
-    c2, c1, c0 = _char_poly(A)
-    roots, quad = _rational_roots(c2, c1, c0)
+    roots, quad = _spectrum(A)
 
     if quad is None and roots:
         eig = roots
-        semisimple = all(_eigen_multiplicity(A, lam) == eig.count(lam)
+        semisimple = all(len(_eigenspace(A, lam)) == eig.count(lam)
                          for lam in set(eig))
         ratios = [eig[i] / eig[j] for i in range(3) for j in range(i + 1, 3)]
         rank = _ratio_rank(ratios)
@@ -413,10 +422,6 @@ _SCREEN_PRIME = 1073741789  # the largest prime below 2^30
 _SCREEN_ROWS = 256  # values of m screened at once: memory O(rows * N)
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _shift_rows(fwd, bwd, L, N):
     """Canonical rows L.beta^k for k = -N..N, in that order, stepped as
     coprime integer rows; fwd and bwd are integer matrices of beta and
@@ -464,7 +469,7 @@ def triple_orbit_search(beta, L1, L2, L3, N):
     integers.  An exact zero is zero modulo the prime, so no hit is
     lost; a false candidate fails the re-check.
     """
-    fwd = tuple(tuple(int(x) for x in r) for r in _strip_mat(beta.matrix))
+    fwd = _int_mat(beta.matrix)
     bwd = _adjugate(fwd)
     shifts = [_shift_rows(fwd, bwd, L, N) for L in (L1, L2, L3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -517,39 +522,30 @@ def fixed_point_check(beta, L):
     no exact eigenvectors at this tier and raises.
     """
     A = beta.matrix
-    c2, c1, c0 = _char_poly(A)
-    roots, quad = _rational_roots(c2, c1, c0)
+    roots, quad = _spectrum(A)
     if quad is not None or not roots:
         raise ValueError("spectrum not rational; exact fixed points "
                          "unsupported")
-    lc = tuple(Fraction(x) for x in _canon(L.coeffs))
     out = []
     for lam in sorted(set(roots)):
-        B = [[A[i][j] - (lam if i == j else 0) for j in range(3)]
-             for i in range(3)]
-        basis = _null_space(B)
+        basis = _eigenspace(A, lam)
         if len(basis) == 1:
-            v = basis[0]
-            if sum(lc[j] * v[j] for j in range(3)) == 0:
-                out.append(_canon(v))
+            if _dot(L.coeffs, basis[0]) == 0:
+                out.append(_canon(basis[0]))
         elif len(basis) == 2:
             v1, v2 = basis
-            a1 = sum(lc[j] * v1[j] for j in range(3))
-            a2 = sum(lc[j] * v2[j] for j in range(3))
+            a1, a2 = _dot(L.coeffs, v1), _dot(L.coeffs, v2)
             if a1 == 0 and a2 == 0:
                 out.append(_canon(v1))
                 out.append(_canon(v2))
             else:
-                w = tuple(a2 * v1[j] - a1 * v2[j] for j in range(3))
-                if any(x != 0 for x in w):
-                    out.append(_canon(w))
+                # a2 v1 - a1 v2 is not zero: v1 and v2 are independent
+                # and a1, a2 are not both zero.
+                out.append(_canon(tuple(a2 * x - a1 * y
+                                        for x, y in zip(v1, v2))))
         elif len(basis) == 3:
             raise ValueError("beta is scalar; every point is fixed")
-    seen = []
-    for p in out:
-        if p not in seen:
-            seen.append(p)
-    return seen
+    return list(dict.fromkeys(out))
 
 
 def _null_space(M):
@@ -596,8 +592,7 @@ _FAMILY_HITS = 5
 def _spectrum_bases(beta):
     """Candidate exponential bases: rational eigenvalue ratios that are
     not roots of unity."""
-    c2, c1, c0 = _char_poly(beta.matrix)
-    roots, quad = _rational_roots(c2, c1, c0)
+    roots, quad = _spectrum(beta.matrix)
     if quad is not None or not roots:
         return []
     out = []
@@ -670,11 +665,12 @@ def _exponential_candidates(hits, bases, least):
     cover at least `least` hits, as ((lam, A, B, C, swap), support).
 
     With lam^x = u_x / v_x, the fit through three points solves the
-    integer rows (u_x, x v_x, v_x | y v_x) by Cramer's rule, giving
-    (A, B, C) = (a, b, c) / d.  Collinear triples are skipped: they fit
-    only with A = 0, which is discarded.  A point is covered exactly
-    when a u_x + (b x + c - d y) v_x = 0, which is the determinant of
-    the 4 x 4 rows of the point and the triple.
+    integer system M (A, B, C) = Y, with rows (u_x, x v_x, v_x) of M
+    and entries y v_x of Y, by Cramer's rule: (a, b, c) = adj(M) Y and
+    d = det M give (A, B, C) = (a, b, c) / d.  Collinear triples are
+    skipped: they fit only with A = 0, which is discarded.  A point is
+    covered exactly when a u_x + (b x + c - d y) v_x = 0, which is the
+    determinant of the 4 x 4 rows of the point and the triple.
 
     Every triple of every (lam, swap) is first screened modulo
     _SCREEN_PRIME in one int64 pass, _SCREEN_ROWS fits at a time
@@ -722,14 +718,13 @@ def _exponential_candidates(hits, bases, least):
             continue
         lam, swap = pairs[q]
         pw, xy = pws[lam], pts[swap]
-        aug = [(pw[x][0], x * pw[x][1], pw[x][1], y * pw[x][1])
-               for x, y in (xy[i] for i in trips[t])]
-        d = _det3(aug)
+        fit = [xy[i] for i in trips[t]]
+        M = [(pw[x][0], x * pw[x][1], pw[x][1]) for x, _ in fit]
+        d = _det3(M)
         if d == 0:
             continue
-        a, b, c = (_det3([[r[3] if k == col else r[k]
-                           for k in range(3)] for r in aug])
-                   for col in range(3))
+        yv = [y * pw[x][1] for x, y in fit]
+        a, b, c = (_dot(r, yv) for r in _adjugate(M))
         if a == 0:
             continue
         g = math.gcd(a, b, c, d) * (1 if d > 0 else -1)
@@ -755,23 +750,19 @@ def family_detect(hits, beta):
     hits = sorted(hits, key=lambda h: (h.m, h.n))
     if len(hits) < _FAMILY_HITS:
         return FamilyReport(FiniteSet(len(hits)), tuple(hits))
-    best = None  # (-support_size, rank_key, pattern, support)
-    for key, support in _line_candidates(hits, _FAMILY_HITS).items():
-        g, h, c = key
-        rank = (0, 0 if h >= 0 else 1, abs(g), abs(h), abs(c))
-        cand = (-len(support), rank, LineFamily(g, h, c), support)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    for (lam, A, B, C, swap), support in _exponential_candidates(
-            hits, _spectrum_bases(beta), _FAMILY_HITS):
-        rank = (1, 0 if not swap else 1, abs(A), abs(B), abs(C))
-        cand = (-len(support), rank,
-                ExponentialFamily(A, lam, B, C), support)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    if best is None:
+    # (-support_size, rank_key, pattern, support)
+    cands = [(-len(s), (0, int(h < 0), abs(g), abs(h), abs(c)),
+              LineFamily(g, h, c), s)
+             for (g, h, c), s in _line_candidates(hits, _FAMILY_HITS).items()]
+    cands += [(-len(s), (1, int(swap), abs(A), abs(B), abs(C)),
+               ExponentialFamily(A, lam, B, C), s)
+              for (lam, A, B, C, swap), s in _exponential_candidates(
+                  hits, _spectrum_bases(beta), _FAMILY_HITS)]
+    if not cands:
         return FamilyReport(FiniteSet(len(hits)), tuple(hits))
-    return FamilyReport(best[2], best[3])
+    # min keeps the first of equal keys.
+    _, _, pattern, support = min(cands, key=lambda cand: cand[:2])
+    return FamilyReport(pattern, support)
 
 
 # ---------------------------------------------------------------------------

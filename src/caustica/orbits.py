@@ -58,9 +58,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import brentq
-from .conics import (CausticParam, PhasePoint, Trajectory, _walk,
-                     advance_batch, caustic_of_line, classify_caustic, reflect,
-                     slope_of, unit)
+from .conics import (_REFLECT_TOL, CausticParam, PhasePoint, Trajectory,
+                     _walk, advance_batch, caustic_of_line, classify_caustic,
+                     reflect, slope_of, unit)
 from .periods import BettiModel, _beta2_inverse
 
 # Certification bound on the phase-space closure defect of a returned
@@ -747,7 +747,7 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
     if (math.hypot(p1[0] - e.c, p1[1]) < 1e-9 and math.hypot(p2[0] + e.c, p2[1]) < 1e-9) or \
        (math.hypot(p1[0] + e.c, p1[1]) < 1e-9 and math.hypot(p2[0] - e.c, p2[1]) < 1e-9):
         raise ValueError("p1, p2 are the foci: excluded exceptional case")
-    if abs(e.boundary_residual(h[0], h[1])) > 1e-9:
+    if abs(e.boundary_residual(h[0], h[1])) > _REFLECT_TOL:
         raise ValueError("h must lie on the boundary")
     _require_interior(e, p1)
     _require_interior(e, p2)

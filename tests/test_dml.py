@@ -126,6 +126,67 @@ def test_negative_power_inverts():
         assert prod == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def leibniz_det(A):
+    """det A as the signed sum over the six permutations."""
+    total = 0
+    for perm in itertools.permutations(range(3)):
+        term = (-1) ** sum(perm[i] > perm[j]
+                           for i, j in itertools.combinations(range(3), 2))
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
+
+
+def plain_product(A, B):
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(3))
+                       for j in range(3)) for i in range(3))
+
+
+kernel_entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+kernel_rows = st.lists(kernel_entries, min_size=3, max_size=3)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Rational 3 x 3 matrices; half of them have a third row that is a
+    combination of the first two, so singular ones are common."""
+    r0, r1, r2 = draw(st.lists(kernel_rows, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        s, t = draw(kernel_entries), draw(kernel_entries)
+        r2 = [s * x + t * y for x, y in zip(r0, r1)]
+    return (tuple(r0), tuple(r1), tuple(r2))
+
+
+def assert_coprime_multiple(xs):
+    ints = dml._coprime(xs)
+    assert all(type(v) is int for v in ints)
+    assert all(v == 0 for v, x in zip(ints, xs) if x == 0)
+    nonzero = [(v, x) for v, x in zip(ints, xs) if x != 0]
+    assert math.gcd(*ints) == (1 if nonzero else 0)
+    if nonzero:
+        scale = Fraction(nonzero[0][0]) / nonzero[0][1]
+        assert scale > 0
+        assert all(v == scale * x for v, x in nonzero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=kernel_matrices())
+def test_kernel_matches_independent_formulas(A):
+    # References that share no code with the kernel: the Leibniz sum,
+    # plain triple-loop products and the identity A adj(A) = det(A) I.
+    d = _det3(A)
+    assert d == leibniz_det(A)
+    adj = dml._adjugate(A)
+    scalar = tuple(tuple(d if i == j else 0 for j in range(3))
+                   for i in range(3))
+    assert _mat_mul(A, adj) == plain_product(A, adj) == scalar
+    assert plain_product(adj, A) == scalar
+    assert_coprime_multiple([x for r in A for x in r])
+    for r in A:
+        assert_coprime_multiple(r)
+
+
 def test_det_condition_concurrent_at_origin():
     La, Lb, Lc = (ProjectiveLine(v) for v in ([1, 0, 0], [0, 1, 0], [1, 1, 0]))
     assert det_condition(BETA_EXP, La, Lb, Lc, 0, 0) == 0
