@@ -13,10 +13,13 @@ common factors (projectively harmless) so entry bit-size stays linear
 in the exponent, hits are certified by zero residual, and the closure
 group of the cyclic group generated by beta is classified from the
 Jordan structure and the multiplicative relations of the eigenvalue
-ratios (prime exponent vectors for rational ratios, norm and trace
-arguments for quadratic ones).  Infinite families among the hits are
-detected by exact pattern fits: lines in Z^2 and exponential families
-m = A lambda^n + B n + C with lambda taken from the spectrum.
+ratios (Euclid's algorithm on the exponents for rational ratios, norm
+and trace arguments for quadratic ones).  Nothing is factored: rational
+eigenvalues are integer roots of a monic cubic, found by exact
+bisection, so the spectrum costs time polynomial in the bit size.
+Infinite families among the hits are detected by exact pattern fits:
+lines in Z^2 and exponential families m = A lambda^n + B n + C with
+lambda taken from the spectrum.
 
 The exact kernel has one mechanism per computation.  One rescaling,
 _coprime, turns rationals into coprime integers by one positive factor:
@@ -57,11 +60,12 @@ import numpy as np
 def _frac(x):
     """An exact rational from an int, an integral float, a string "p/q"
     or a pair [p, q] of integers, each part under the same rule.  A
-    non-integral float raises TypeError, a zero denominator ValueError.
+    boolean or a non-integral float raises TypeError, a zero
+    denominator ValueError.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -78,6 +82,15 @@ def _frac(x):
             raise ValueError(f"zero denominator in {x!r}")
         return p / q
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _row(xs):
+    """A row of exact rationals by _frac; a string is a value, not a row,
+    and raises TypeError rather than being read one character at a time.
+    """
+    if isinstance(xs, str):
+        raise TypeError(f"a row must be a list, not the string {xs!r}")
+    return tuple(_frac(x) for x in xs)
 
 
 def _primitive(v, multiple=0):
@@ -162,7 +175,7 @@ class ProjectiveMap:
     matrix: tuple
 
     def __init__(self, rows):
-        m = tuple(tuple(_frac(x) for x in r) for r in rows)
+        m = tuple(_row(r) for r in rows)
         if len(m) != 3 or any(len(r) != 3 for r in m):
             raise ValueError("need a 3x3 matrix")
         if _det3(m) == 0:
@@ -196,7 +209,7 @@ class ProjectiveLine:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        c = tuple(_frac(x) for x in coeffs)
+        c = _row(coeffs)
         if len(c) != 3 or all(x == 0 for x in c):
             raise ValueError("line needs a nonzero coefficient triple")
         object.__setattr__(self, "coeffs", c)
@@ -263,34 +276,55 @@ def _char_poly(A):
     return -tr, m2, -_det3(A)
 
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _integer_root(b2, b1, b0):
+    """One integer root of g(u) = u^3 + b2 u^2 + b1 u + b0, or None.
+
+    Every real root lies within the Cauchy bound B = 1 + max |b_i|.
+    With d = b2^2 - 3 b1 and s = isqrt(d), k1 = (-b2 - s - 1) // 3 and
+    k2 = (-b2 + s) // 3 bracket the critical points (-b2 -+ sqrt(d)) / 3
+    so that g is monotone on each of the integer runs -B..k1,
+    k1 + 1..k2 and k2 + 1..B (one run -B..B when d <= 0).  Each run is
+    bisected in exact integers for the first u where g meets zero or
+    leaves the sign it has at the run's start, and that one candidate
+    is tested: O(bit size) evaluations in all.
+    """
+    def g(u):
+        return ((u + b2) * u + b1) * u + b0
+    bound = 1 + max(abs(b2), abs(b1), abs(b0))
+    d = b2 * b2 - 3 * b1
+    s = math.isqrt(max(d, 0))
+    ks = [(-b2 - s - 1) // 3, (-b2 + s) // 3] if d > 0 else []
+    cuts = [-bound - 1, *ks, bound]  # the runs are cuts[i] + 1..cuts[i + 1]
+    for lo, hi in zip(cuts, cuts[1:]):
+        # An empty run tests its one start, harmlessly: any root will do.
+        a, b = lo + 1, hi + 1
+        sign = g(a)
+        if sign == 0:
+            return a
+        while b - a > 1:  # g(a) has the sign; b = hi + 1 or g(b) does not
+            mid = (a + b) // 2
+            if g(mid) * sign > 0:
+                a = mid
+            else:
+                b = mid
+        if b <= hi and g(b) == 0:
+            return b
+    return None
 
 
 def _rational_roots(c2, c1, c0):
     """Rational roots (with multiplicity) of t^3 + c2 t^2 + c1 t + c0,
-    plus the residual quadratic (p, q) for t^2 + p t + q, or None."""
-    # a3 is the lcm of the denominators: _coprime divides by nothing
-    # more, since each prime of the lcm divides some c_i's denominator
-    # to its full power and so does not divide that a_i.
+    plus the residual quadratic (p, q) for t^2 + p t + q, or None.
+
+    Any rational root serves to deflate: a cubic with two rational roots
+    has three, and they are returned sorted."""
     a3, a2, a1, a0 = _coprime((1, c2, c1, c0))
-    # r/q is a root exactly when q^3 times the polynomial at r/q, an
-    # integer, vanishes.
-    r = Fraction(0) if a0 == 0 else next(
-        (Fraction(t, q) for p in _divisors(a0) for q in _divisors(a3)
-         for t in (p, -p)
-         if ((a3 * t + a2 * q) * t + a1 * q * q) * t + a0 * q ** 3 == 0),
-        None)
-    if r is None:
+    # With u = a3 t, a3^2 times the polynomial is the monic integer cubic
+    # u^3 + a2 u^2 + a1 a3 u + a0 a3^2, whose rational roots are integers.
+    u = _integer_root(a2, a1 * a3, a0 * a3 * a3)
+    if u is None:
         return [], None
+    r = Fraction(u, a3)
     # Deflate: t^3 + c2 t^2 + c1 t + c0 = (t - r)(t^2 + p t + q)
     p = c2 + r
     q = c1 + r * p
@@ -316,30 +350,30 @@ def _eigenspace(A, lam):
                         for i, r in enumerate(A)])
 
 
-def _prime_exponents(r):
-    """Exponent vector of a nonzero rational over its prime support."""
-    out = {}
-    for v, sgn in ((r.numerator, 1), (r.denominator, -1)):
-        v = abs(v)
-        d = 2
-        while d * d <= v:
-            while v % d == 0:
-                out[d] = out.get(d, 0) + sgn
-                v //= d
-            d += 1
-        if v > 1:
-            out[v] = out.get(v, 0) + sgn
-    return out
-
-
 def _ratio_rank(ratios):
-    """Rank of the multiplicative lattice of rational ratios mod torsion."""
-    primes = sorted({p for r in ratios for p in _prime_exponents(r)})
-    if not primes:
-        return 0
-    rows = [[Fraction(_prime_exponents(r).get(p, 0)) for p in primes]
-            for r in ratios]
-    return len(primes) - len(_null_space(rows))
+    """Rank modulo torsion (+-1) of the multiplicative group generated by
+    the ratios of three rational eigenvalues, which is at most 2.
+
+    Each ratio other than +-1 is taken as x = max(|r|, 1/|r|) > 1.  Two
+    such x are dependent exactly when both are powers of one c = u/v in
+    lowest terms.  Then, as u^k / v^k is in lowest terms too, the larger
+    is the smaller times a power of c, and its numerator and denominator
+    are divisible by the smaller's: Euclid's algorithm runs on the
+    exponents without knowing them, and a failed division proves the
+    pair independent.  Each step divides the larger numerator by one
+    above 1, so the loop ends.  The rank is 2 when some x is independent
+    of the first, and otherwise 1, or 0 when no x is left.
+    """
+    xs = [max(abs(r), 1 / abs(r)) for r in ratios if abs(r) != 1]
+    for b in xs[1:]:
+        a = xs[0]
+        while a != 1 and b != 1:
+            if a < b:
+                a, b = b, a
+            if a.numerator % b.numerator or a.denominator % b.denominator:
+                return 2
+            a /= b
+    return min(1, len(xs))
 
 
 def classify(beta):
@@ -348,12 +382,14 @@ def classify(beta):
     Eigenvalues are computed exactly; the class follows from the Jordan
     structure (unipotent part -> Ga factor) and the rank of the
     multiplicative-relation lattice of the eigenvalue ratios (0, 1, 2
-    -> torsion only / Gm / Gm^2).  Rational ratios are compared through
-    prime exponent vectors; a conjugate quadratic pair through the
-    exact norm and trace (modulus pins relations to the antidiagonal,
-    where only a root-of-unity quotient survives).  An irreducible
-    cubic spectrum is reported Undetermined with a numeric, explicitly
-    non-rigorous log-lattice witness.
+    -> torsion only / Gm / Gm^2).  Rational eigenvalues come from
+    integer bisection of a monic cubic (_integer_root), and rational
+    ratios are compared by Euclid's algorithm on their exponents
+    (_ratio_rank), both without factoring; a conjugate quadratic pair
+    through the exact norm and trace (modulus pins relations to the
+    antidiagonal, where only a root-of-unity quotient survives).  An
+    irreducible cubic spectrum is reported Undetermined with a numeric,
+    explicitly non-rigorous log-lattice witness.
     """
     A = beta.matrix
     roots, quad = _spectrum(A)
@@ -617,15 +653,10 @@ def _line_candidates(hits, least):
     """
     pairs = {}
     for h1, h2 in itertools.combinations(hits, 2):
-        g = h2.n - h1.n
-        h = h1.m - h2.m
-        k = math.gcd(g, h)
-        if k == 0:
-            continue
-        if (g or h) < 0:
-            k = -k
-        key = (g // k, h // k, -(g * h1.m + h * h1.n) // k)
-        pairs[key] = pairs.get(key, 0) + 1
+        g, h = h2.n - h1.n, h1.m - h2.m
+        if g or h:  # equal cells span no line
+            key = _primitive((g, h, -(g * h1.m + h * h1.n)))
+            pairs[key] = pairs.get(key, 0) + 1
     return {key: tuple(ht for ht in hits
                        if key[0] * ht.m + key[1] * ht.n + key[2] == 0)
             for key, count in pairs.items()

@@ -394,7 +394,8 @@ def test_dml_search_input_validation(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] in (
         "FileNotFoundError", "OSError")
     # Exact inputs that are not exact: a zero denominator, a pair with a
-    # non-integral part, a range that is not an integer.
+    # non-integral part, a range that is not an integer, a boolean (not
+    # read as 1), and rows given as strings (not read digit by digit).
     good = {"matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
             "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 5}
     for key, value, error in (
@@ -402,7 +403,11 @@ def test_dml_search_input_validation(tmp_path, capsys):
             ("lines", [[0, 1, -1], [[1, 0], 1, 0], [1, 1, 1]], "ValueError"),
             ("matrix", [[[1.5, 2], 1, 0], [0, 1, 0], [0, 0, 2]], "TypeError"),
             ("range", 2.5, "TypeError"),
-            ("range", "5/2", "ValueError")):
+            ("range", "5/2", "ValueError"),
+            ("matrix", [[True, 1, 0], [0, 1, 0], [0, 0, 2]], "TypeError"),
+            ("range", True, "TypeError"),
+            ("matrix", ["200", "030", "001"], "TypeError"),
+            ("lines", [[0, 1, -1], "110", [1, 1, 1]], "TypeError")):
         inp.write_text(json.dumps(dict(good, **{key: value})))
         assert main(["dml", "search", "--input", str(inp)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == error

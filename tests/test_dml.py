@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -647,9 +648,22 @@ def test_family_detect_matches_exhaustive_fits(case, prime):
     assert_family_detect_is_exhaustive(*case, prime)
 
 
+def trial_divisors(n):
+    """The positive divisors of n, by trial division up to sqrt(|n|)."""
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.update((d, n // d))
+        d += 1
+    return sorted(out)
+
+
 def fraction_rational_roots(c2, c1, c0):
     """_rational_roots with the polynomial evaluated in Fraction powers
-    at every candidate p/q: the reference for the integer test."""
+    at every candidate p/q, p dividing a0 and q dividing a3: the
+    rational root theorem as the reference for the integer bisection."""
     lcm = 1
     for c in (c2, c1, c0):
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
@@ -658,8 +672,8 @@ def fraction_rational_roots(c2, c1, c0):
     if a0 == 0:
         roots.append(Fraction(0))
     else:
-        for p in dml._divisors(a0):
-            for q in dml._divisors(a3):
+        for p in trial_divisors(a0):
+            for q in trial_divisors(a3):
                 for sgn in (1, -1):
                     r = Fraction(sgn * p, q)
                     if a3 * r ** 3 + a2 * r ** 2 + a1 * r + a0 == 0:
@@ -708,6 +722,127 @@ def test_rational_roots_match_fraction_evaluation(r, s, t, repeat, quadratic):
         assert len(roots) == 3
         if not quadratic:
             assert sorted(roots) == sorted([r, s, t])
+
+
+def prime_exponents(r):
+    """Exponent vector of a nonzero rational over its primes, by trial
+    division."""
+    out = {}
+    for v, sgn in ((abs(r.numerator), 1), (r.denominator, -1)):
+        d = 2
+        while d * d <= v:
+            while v % d == 0:
+                out[d] = out.get(d, 0) + sgn
+                v //= d
+            d += 1
+        if v > 1:
+            out[v] = out.get(v, 0) + sgn
+    return out
+
+
+def factored_ratio_rank(ratios):
+    """Rank of the ratios' exponent matrix over their primes, by exact
+    elimination: the reference for Euclid's algorithm on the exponents."""
+    exps = [prime_exponents(r) for r in ratios]
+    primes = sorted(set().union(*exps))
+    if not primes:
+        return 0
+    rows = [[Fraction(e.get(p, 0)) for p in primes] for e in exps]
+    return len(primes) - len(dml._null_space(rows))
+
+
+# Bases of the drawn spectra: powers of 2 among them (2, 4, 8) make
+# ratios that are powers of one another, so that Euclid's algorithm
+# takes several steps and meets its pairs in either order.
+atoms = st.sampled_from([Fraction(2), Fraction(3), Fraction(4), Fraction(8),
+                         Fraction(3, 2), Fraction(5, 4)])
+small_q = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                    st.integers(1, 3))
+
+
+@st.composite
+def rational_spectra(draw):
+    """(matrix, eigenvalues): G (D + N) G^-1 for a unimodular G, with
+    D = diag(eigenvalues) and N a Jordan entry above two equal ones.
+    Each eigenvalue is +-s c^i d^j for a common scale s and atoms c, d,
+    or a free rational, so the ratios have rank 0, 1 or 2."""
+    c, d, s = draw(atoms), draw(atoms), draw(small_q)
+    eig = [draw(st.sampled_from([1, -1])) * s * c ** draw(st.integers(-2, 2))
+           * d ** draw(st.integers(-1, 1)) for _ in range(3)]
+    if draw(st.booleans()):
+        eig[2] = draw(small_q)
+    jordan = draw(st.booleans())
+    if jordan:
+        eig[1] = eig[0]
+    A = [[eig[0], int(jordan), 0], [0, eig[1], 0], [0, 0, eig[2]]]
+    a, b, e, f, g, h = (draw(st.integers(-2, 2)) for _ in range(6))
+    U = [[1, a, b], [0, 1, e], [0, 0, 1]]
+    L = [[1, 0, 0], [f, 1, 0], [g, h, 1]]
+    G = _mat_mul(U, L)  # det 1, so the adjugate is the inverse
+    return _mat_mul(_mat_mul(G, A), dml._adjugate(G)), eig
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rational_spectra())
+def test_classify_matches_factoring_oracles(case):
+    A, eig = case
+    beta = ProjectiveMap(A)
+    witness = classify(beta).witness
+    roots, quad = fraction_rational_roots(*dml._char_poly(beta.matrix))
+    assert quad is None and roots == sorted(eig)
+    assert witness["eigenvalues"] == [str(x) for x in roots]
+    ratios = [roots[i] / roots[j] for i in range(3) for j in range(i + 1, 3)]
+    assert witness["ratio_rank"] == factored_ratio_rank(ratios)
+
+
+G_UNIMODULAR = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+G_INVERSE = [[1, -1, 1], [0, 1, -1], [0, 0, 1]]
+J_LARGE = 6 ** 30
+
+
+@pytest.mark.parametrize("A, kind, rank, semisimple, on_z0", [
+    ([[2 ** 40, 0, 0], [0, 3 ** 25, 0], [0, 0, 1]], GroupKind.GM2, 2, True,
+     {(1, 0, 0), (0, 1, 0)}),
+    ([[10 ** 18 + 9, 0, 0], [0, 1, 0], [0, 0, 2]], GroupKind.GM2, 2, True,
+     {(1, 0, 0), (0, 1, 0)}),
+    ([[2 ** 40, 0, 0], [0, 4 ** 20, 0], [0, 0, 1]], GroupKind.GM, 1, True,
+     {(1, 0, 0), (0, 1, 0)}),
+    ([[J_LARGE, 1, 0], [0, J_LARGE, 0], [0, 0, 1]], GroupKind.GAGM, 1, False,
+     {(1, 0, 0)}),
+], ids=["diag-2^40-3^25-1", "diag-10^18+9-1-2", "diag-2^40-4^20-1",
+        "jordan-6^30"])
+def test_classify_large_entries_in_polynomial_time(A, kind, rank, semisimple,
+                                                   on_z0):
+    # Factoring the determinant by trial division takes time in the
+    # square root of its size: more than 100 s for diag(2^40, 3^25, 1).
+    # The conjugate has the same class; its fixed points on the moved
+    # line L G^-1 are the images G P of those of A on L.
+    def apply(M, P):
+        return tuple(sum(M[i][k] * P[k] for k in range(3)) for i in range(3))
+    assert _mat_mul(G_UNIMODULAR, G_INVERSE) == tuple(
+        tuple(int(i == j) for j in range(3)) for i in range(3))
+    line = (0, 0, 1)
+    moved = tuple(sum(line[k] * G_INVERSE[k][j] for k in range(3))
+                  for j in range(3))
+    images = {dml._primitive(apply(G_UNIMODULAR, P)) for P in on_z0}
+    conj = _mat_mul(_mat_mul(G_UNIMODULAR, A), G_INVERSE)
+    for M, L, points in ((A, line, on_z0), (conj, moved, images)):
+        t0 = time.perf_counter()
+        beta = ProjectiveMap(M)
+        g = classify(beta)
+        pts = fixed_point_check(beta, ProjectiveLine(L))
+        assert time.perf_counter() - t0 < 1.0
+        assert g.kind is kind
+        assert g.witness["ratio_rank"] == rank
+        assert g.witness["semisimple"] is semisimple
+        assert len(set(pts)) == len(points)
+        for P in pts:
+            assert sum(x * y for x, y in zip(L, P)) == 0
+            assert not any(dml._cross(apply(M, P), P))
+        if kind is not GroupKind.GM:
+            # Isolated fixed points.  For GM the double eigenvalue 2^40
+            # fixes L pointwise, and any basis of its eigenspace will do.
+            assert set(pts) == points
 
 
 def test_fixed_point_check_diagonal():
