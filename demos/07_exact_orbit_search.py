@@ -2,10 +2,11 @@
 
 Over the rationals everything here is certified: a point P on L1 whose
 m-th image lies on L2 and n-th image on L3 exists exactly when one 3x3
-determinant vanishes.  The search screens every cell modulo a prime and
-checks each candidate's determinant exactly on coprime integer rows, no
-epsilons.  Infinite hit families are recognized by exact pattern fits,
-and the closure group of the matrix is classified from its spectrum.
+determinant vanishes, that is when the shifted lines L2 . beta^m and
+L3 . beta^n meet L1 at one point.  The search joins those exact points
+on coprime integer rows, no epsilons.  Infinite hit families are
+recognized by exact pattern fits, and the closure group of the matrix
+is classified from its spectrum.
 """
 
 from caustica.dml import (ProjectiveLine, ProjectiveMap, classify,

@@ -31,20 +31,21 @@ dots of rows with columns, and Cramer's numerators are adj(M) y.  Each
 call derives the spectrum once, by _spectrum, and each eigenspace is
 the exact null space of A - lambda I.
 
-The orbit search runs on Python integers.  beta and its adjugate are
-rescaled once to integer matrices, and each line is stepped once, to
-its coprime integer rows L . beta^k with |k| <= N.  The distinct-orbit
-check reads the same rows: L_i . beta^k = L_j for some 0 < |k| <= 2N
-exactly when L_i . beta^a = L_j . beta^b for some |a|, |b| <= N with
-a != b, because the differences a - b are exactly the k with
-0 < |k| <= 2N.  With w(n) = L1 x r3(n), the determinant of
-cell (m, n) is -r2(m) . w(n); every cell is first screened modulo one
-prime below 2^30 as an int64 matrix product, in blocks of rows, and
-each cell that vanishes there is re-checked exactly in integers.  An
-exact zero is zero modulo p, so the screen cannot lose a hit.  The
-family fits hold lambda^x as an integer pair and solve by Cramer's rule
-on integer rows; they are screened modulo the same prime, and only a
-fit that can cover enough hits to be reported is solved exactly.
+The orbit search runs on Python integers and the standard library.
+beta and its adjugate are rescaled once to integer matrices, and each
+line is stepped once, to its coprime integer rows L . beta^k with
+|k| <= N.  The distinct-orbit check reads the same rows:
+L_i . beta^k = L_j for some 0 < |k| <= 2N exactly when
+L_i . beta^a = L_j . beta^b for some |a|, |b| <= N with a != b,
+because the differences a - b are exactly the k with 0 < |k| <= 2N.
+Cell (m, n) is a hit exactly when L1, L2 . beta^m and L3 . beta^n are
+concurrent, that is when the two shifted lines meet L1 at one point, so
+the cells are found by one exact join of those meeting points, in time
+linear in N plus the number of hits.  The family fits hold lambda^x as
+an integer pair and solve by Cramer's rule on integer rows; they are
+screened modulo a prime with numpy, which only the fits and the
+irreducible-cubic witness import, and only a fit that can cover enough
+hits to be reported is solved exactly.
 """
 
 import enum
@@ -53,8 +54,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 
 def _frac(x):
@@ -431,6 +430,7 @@ def classify(beta):
         return GroupClass(GroupKind.GM2, witness)
 
     # Irreducible cubic: no exact support at this tier.
+    import numpy as np
     ev = np.linalg.eigvals([[float(x) for x in row] for row in A])
     witness = {"eigenvalues": [str(x) for x in ev],
                "note": "irreducible cubic spectrum; numeric log-lattice "
@@ -449,13 +449,6 @@ def det_condition(beta, L1, L2, L3, m, n):
     r2 = _vec_mat(L2.coeffs, beta.power(m))
     r3 = _vec_mat(L3.coeffs, beta.power(n))
     return _det3((r1, r2, r3))
-
-
-# The modular screen of the cell test.  Residues are below 2^30, so a
-# sum of three products of residues stays below 2^62 and one int64
-# matrix product screens a block of cells without overflow.
-_SCREEN_PRIME = 1073741789  # the largest prime below 2^30
-_SCREEN_ROWS = 256  # values of m screened at once: memory O(rows * N)
 
 
 def _shift_rows(fwd, bwd, L, N):
@@ -489,22 +482,28 @@ def triple_orbit_search(beta, L1, L2, L3, N):
     by (m, n).
 
     Each line is stepped once, to the rows L . beta^k with |k| <= N,
-    and one table of rows per line serves the cells, the exact
-    re-check and the hypothesis check.  The check needs no further
-    rows: L_i . beta^k = L_j for some 0 < |k| <= 2N exactly when
+    and one table of rows per line serves the join below and the
+    hypothesis check.  The check needs no further rows:
+    L_i . beta^k = L_j for some 0 < |k| <= 2N exactly when
     L_i . beta^a = L_j . beta^b for some |a|, |b| <= N with a != b,
     since k = a - b one way and k splits into such a - b the other.
     Rows are canonical coprime integer triples, so equal lines are
     equal tuples.
 
-    The shifted lines are coprime integer rows r2(m), r3(n).  With
-    w(n) = L1 x r3(n) precomputed, the cell determinant is -r2(m).w(n).
-    All (2N + 1)^2 cells are screened modulo _SCREEN_PRIME as a numpy
-    product of residue tables, _SCREEN_ROWS values of m at a time, and
-    every cell that vanishes modulo the prime is re-checked exactly in
-    integers.  An exact zero is zero modulo the prime, so no hit is
-    lost; a false candidate fails the re-check.
+    The shifted lines are coprime integer rows r2(m), r3(n).  Three
+    distinct lines are dependent exactly when they are concurrent, and
+    then they share the point r2(m) x L1 = r3(n) x L1; equal rows
+    r2(m) = r3(n) meet L1 there too, and a row equal to L1 meets every
+    other row on L1.  So each row is reduced once to its canonical point
+    on L1 (None when it is L1), the line-3 points are keyed in a dict,
+    and the hits are read off by one join with the line-2 points: equal
+    points, a line-3 row equal to L1, or a line-2 row equal to L1 with
+    P the line-3 point.  The cell where both rows are L1 has no point
+    and is skipped.  Every P is certified by three zero dot products.
+    A negative N raises ValueError; N = 0 searches the one cell (0, 0).
     """
+    if N < 0:
+        raise ValueError(f"range must be at least 0, got {N}")
     fwd = _int_mat(beta.matrix)
     bwd = _adjugate(fwd)
     shifts = [_shift_rows(fwd, bwd, L, N) for L in (L1, L2, L3)]
@@ -522,29 +521,26 @@ def triple_orbit_search(beta, L1, L2, L3, N):
                 f"(shift {min(ks)}, checked |k| <= {2 * N}); "
                 "distinct-orbit hypothesis violated")
 
-    row1, r2s, r3s = shifts[0][N], shifts[1], shifts[2]
-    ws = [_cross(row1, r3) for r3 in r3s]
-    p = _SCREEN_PRIME
-    R2 = np.array([[x % p for x in r] for r in r2s], dtype=np.int64)
-    W = np.array([[x % p for x in w] for w in ws], dtype=np.int64).T
+    # Where each shifted row of lines 2 and 3 meets L1; None where it
+    # is L1.
+    row1 = shifts[0][N]
+    meets = [[_primitive(_cross(row1, r)) if r != row1 else None
+              for r in rows] for rows in shifts[1:]]
+    ns = {}
+    for n, P in enumerate(meets[1], -N):
+        ns.setdefault(P, []).append(n)
     hits = []
-    for lo in range(0, len(r2s), _SCREEN_ROWS):
-        screen = (R2[lo:lo + _SCREEN_ROWS] @ W) % p == 0
-        for i, j in zip(*(a.tolist() for a in np.nonzero(screen))):
-            r2, r3 = r2s[lo + i], r3s[j]
-            if _dot(r2, ws[j]) != 0:
-                continue  # zero modulo the prime only
-            P = _cross(r2, r3)
-            if not any(P):
-                # r2 and r3 are the same line; intersect with L1.
-                P = _cross(row1, r2)
-                if not any(P):
-                    continue  # L1 coincides with the shifted line
-            P = _primitive(P)
+    for m, P2 in enumerate(meets[0], -N):
+        if P2 is None:  # L2.beta^m is L1: it meets every other row on L1
+            cells = [(n, P) for n, P in enumerate(meets[1], -N)
+                     if P is not None]
+        else:  # L3.beta^n through P2, or L3.beta^n equal to L1
+            cells = [(n, P2) for n in ns.get(P2, []) + ns.get(None, [])]
+        for n, P in cells:
             assert _dot(row1, P) == 0
-            assert _dot(r2, P) == 0
-            assert _dot(r3, P) == 0
-            hits.append(OrbitHit(lo + i - N, j - N, P))
+            assert _dot(shifts[1][m + N], P) == 0
+            assert _dot(shifts[2][n + N], P) == 0
+            hits.append(OrbitHit(m, n, P))
     hits.sort(key=lambda h: (h.m, h.n))
     return hits
 
@@ -623,6 +619,12 @@ def _null_space(M):
 
 # A family is reported only when it covers at least this many hits.
 _FAMILY_HITS = 5
+
+# The modular screen of the exponential fits.  Residues are below 2^30,
+# so a sum of four products of residues stays below 2^62 and one int64
+# matrix product screens a block of fits without overflow.
+_SCREEN_PRIME = 1073741789  # the largest prime below 2^30
+_SCREEN_ROWS = 256  # fits screened at once: memory O(rows * hits)
 
 
 def _spectrum_bases(beta):
@@ -724,6 +726,7 @@ def _exponential_candidates(hits, bases, least):
              if not _collinear(*(pts[False][i] for i in t))]
     if not trips or not pairs:
         return []
+    import numpy as np
 
     # Column h of G[q] is the row (u_x, x v_x, v_x, y v_x) of hit h
     # under the q-th (lam, swap), modulo p; rows[k] holds the k-th point

@@ -508,7 +508,11 @@ def test_console_script_installed(tmp_path):
 # that evaluate Carlson's R_F load scipy.special; none of them loads
 # scipy.optimize or scipy.integrate, which only the quadrature references
 # need.  Importing caustica or caustica.cli loads no library module;
-# each subcommand loads only the modules it calls (LOADS).
+# each subcommand loads only the modules it calls (LOADS).  `dml
+# classify` on a rational spectrum and a `dml search` with too few hits
+# for a family run on the standard library alone: numpy is imported
+# only to screen the exponential family fits and for the
+# irreducible-cubic witness.
 README_ARGV = [
     ["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7",
      "--bounces", "100"],
@@ -556,15 +560,15 @@ with_cli = loaded()
 rc = caustica.cli.main(json.loads(sys.argv[1]))
 scipy = ("scipy", "scipy.special", "scipy.optimize", "scipy.integrate")
 print(json.dumps([rc, [m for m in scipy if m in sys.modules],
-                  [bare, with_cli, loaded()]]))
+                  [bare, with_cli, loaded()], "numpy" in sys.modules]))
 """
 
 
 def _guarded_run(argv, src):
     """(exit code, which of scipy and its special/optimize/integrate
     modules are loaded, the caustica submodules loaded after `import
-    caustica`, after `import caustica.cli` and after the run) for one
-    CLI run in a fresh interpreter."""
+    caustica`, after `import caustica.cli` and after the run, whether
+    numpy is loaded) for one CLI run in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _GUARD, json.dumps(argv)],
         capture_output=True, text=True, check=True,
@@ -577,7 +581,9 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
     inp.write_text(json.dumps({
         "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
         "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 25}))
-    extra = [["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
+    sparse = ["dml", "search", "--input", str(DML_DATA / "sparse.input.json")]
+    extra = [sparse,
+             ["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
               "--x2", "-0.3", "--y2", "0.1", "--n", "12"],
              ["betti-scan", "--c", "0.6", "--lmin", "1.1", "--lmax", "2.5",
               "--num", "101"]]
@@ -588,15 +594,18 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
     # Two interpreters at a time; each job writes only its own artifact.
     with ThreadPoolExecutor(max_workers=2) as pool:
         report = list(pool.map(lambda job: _guarded_run(job, src), jobs))
-    for argv, (rc, _, (bare, with_cli, after)) in zip(argvs, report):
+    for argv, (rc, _, (bare, with_cli, after), _) in zip(argvs, report):
         assert rc == 0, argv
         assert bare == [] and with_cli == ["cli"], argv
         assert after == LOADS[argv[0]], argv
-    for argv, (_, loaded, _) in zip(README_ARGV, report):
+    for argv, (_, loaded, _, numpy) in zip(README_ARGV, report):
         assert loaded == (["scipy", "scipy.special"] if argv[0] in R_F_USERS else []), argv
+        if argv[:2] == ["dml", "classify"]:
+            assert not numpy, argv
+    assert report[len(README_ARGV)][3] is False, sparse
     # connect climbs by in-repo Newton steps; betti-scan evaluates the
     # closed form, not the quadrature reference.
-    (_, after_connect, _), (_, after_betti, _) = report[-2:]
+    (_, after_connect, _, _), (_, after_betti, _, _) = report[-2:]
     assert after_connect == []
     assert after_betti == ["scipy", "scipy.special"]
 

@@ -326,12 +326,15 @@ def test_search_hits_are_python_ints():
             assert all(type(x) is int for x in h.P)
 
 
-def test_search_row_blocks_do_not_change_hits(monkeypatch):
-    whole = [triple_orbit_search(BETA_EXP, *L_EXP, 25),
-             triple_orbit_search(BETA_REC, *L_REC, 8)]
-    monkeypatch.setattr(dml, "_SCREEN_ROWS", 4)
-    assert [triple_orbit_search(BETA_EXP, *L_EXP, 25),
-            triple_orbit_search(BETA_REC, *L_REC, 8)] == whole
+def test_search_range_must_not_be_negative():
+    with pytest.raises(ValueError, match="range"):
+        triple_orbit_search(BETA_EXP, *L_EXP, -1)
+    # N = 0 searches the one cell (0, 0): L2 = L3 = x + y - z meets
+    # L1 = x - y at (1 : 1 : 2); no shift of the exponential family's
+    # lines is concurrent at (0, 0), since 2^0 + 0 = 1.
+    assert triple_orbit_search(BETA_REC, *L_REC, 0) == [
+        OrbitHit(0, 0, (1, 1, 2))]
+    assert triple_orbit_search(BETA_EXP, *L_EXP, 0) == []
 
 
 small = st.integers(-3, 3)
@@ -367,19 +370,80 @@ def test_search_matches_det_condition(A, rows, N):
     assert {(h.m, h.n) for h in hits} == _det_zero_cells(beta, lines, N)
 
 
-@settings(max_examples=40, deadline=None)
-@given(A=maps, rows=lines3, N=st.integers(1, 5))
-def test_search_with_tiny_screen_prime(A, rows, N):
-    # Modulo 3 about a third of the nonzero cells pass the screen, so
-    # the exact re-check must reject them.
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _point(v):
+    """The coprime integer triple of a rational point, first nonzero
+    entry positive."""
+    den = math.lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def power_route_hits(beta, lines, N):
+    """Every hit (m, n, P) cell by cell on the power() route: the rows
+    are L . beta^k by _vec_mat, a cell is a hit where _det3 vanishes,
+    and P is r2 x r3, or L1 x r2 where the shifted rows are one line;
+    the cell where all three rows are one line has no point."""
+    r1 = lines[0].coeffs
+    rows = [{k: dml._vec_mat(L.coeffs, beta.power(k))
+             for k in range(-N, N + 1)} for L in lines[1:]]
+    hits = []
+    for m in range(-N, N + 1):
+        for n in range(-N, N + 1):
+            r2, r3 = rows[0][m], rows[1][n]
+            if _det3((r1, r2, r3)) != 0:
+                continue
+            P = _cross(r2, r3)
+            if not any(P):
+                P = _cross(r1, r2)
+            if any(P):
+                hits.append(OrbitHit(m, n, _point(P)))
+    return hits
+
+
+# Which input lines are made equal: none, L1 = L2, L1 = L3, L2 = L3, or
+# all three.
+TIES = [(), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def _tie(rows, tie):
+    return [rows[tie[0]] if i in tie else r for i, r in enumerate(rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(A=maps, rows=lines3, N=st.integers(0, 5), tie=st.sampled_from(TIES))
+def test_search_matches_power_route_oracle(A, rows, N, tie):
     beta = ProjectiveMap(A)
-    lines = [ProjectiveLine(r) for r in rows]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dml, "_SCREEN_PRIME", 3)
-        hits = _search_or_none(beta, lines, N)
+    lines = [ProjectiveLine(r) for r in _tie(rows, tie)]
+    hits = _search_or_none(beta, lines, N)
     assume(hits is not None)
-    assert {(h.m, h.n) for h in hits} == _det_zero_cells(beta, lines, N)
-    assert hits == triple_orbit_search(beta, *lines, N)
+    assert hits == power_route_hits(beta, lines, N)
+
+
+@pytest.mark.parametrize("tie", TIES[1:])
+@pytest.mark.parametrize("beta, rows", [
+    (BETA_EXP, [[0, 1, -1], [1, 1, 0], [1, 1, 1]]),
+    (BETA_REC, [[1, -1, 0], [1, 1, -1], [2, 0, 1]]),
+    (ProjectiveMap([[1, 2, 0], [0, 1, 1], [1, 0, 3]]),
+     [[1, 0, 0], [0, 1, -1], [1, -1, 2]])])
+def test_search_with_equal_input_lines(beta, rows, tie):
+    lines = [ProjectiveLine(r) for r in _tie(rows, tie)]
+    hits = triple_orbit_search(beta, *lines, 4)
+    assert hits == power_route_hits(beta, lines, 4)
+    # A shifted row equal to L1 meets every other row on L1: with
+    # L1 = L2 row m = 0 holds every other n, and with L1 = L3 column
+    # n = 0 every other m.
+    cells = {(h.m, h.n) for h in hits}
+    if tie in ((0, 1), (0, 2)):
+        zero = [(0, k) if tie == (0, 1) else (k, 0) for k in range(-4, 5)]
+        assert set(zero) - {(0, 0)} <= cells
 
 
 nonzero_q = st.builds(Fraction, st.integers(-5, 5).filter(bool),
