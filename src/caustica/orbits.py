@@ -50,6 +50,7 @@ re-simulate every hit.
 
 import bisect
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -59,8 +60,8 @@ import numpy as np
 
 from ._roots import brentq
 from .conics import (_REFLECT_TOL, CausticParam, PhasePoint, Trajectory,
-                     _walk, advance_batch, caustic_of_line, classify_caustic,
-                     reflect, slope_of, unit)
+                     _step, _walk, advance_batch, caustic_of_line,
+                     classify_caustic, reflect, slope_of, unit)
 from .periods import BettiModel, _beta2_inverse
 
 # Certification bound on the phase-space closure defect of a returned
@@ -71,6 +72,10 @@ CERT_TOL = 1e-6
 LAYER_BAND = 1e-6
 # Default number of direction cells for the passage scans.
 DEFAULT_GRID = 4096
+# Direction tables kept by _direction_grid: enough for the few grid
+# sizes one process scans over and over, few enough that a 2^20-cell
+# table (25 MB) is not held for the life of the process.
+_GRID_TABLES = 8
 # Largest gap (rad, mod 2 pi) between a direction angle plus alpha and
 # its partner's angle in angle_pair_scan.
 _PAIR_WINDOW = 1e-7
@@ -636,19 +641,43 @@ def segment_caustics(e, vertices):
 
 def _passage_at(phi, e, p, q, k):
     """Signed distance of q from the outgoing line of bounce state k of
-    the shot from p at angle phi; simulates only the k + 1 states read."""
-    x, y, vx, vy = _walk(e, p[0], p[1], math.cos(phi), math.sin(phi), k + 1)[k]
+    the shot from p at angle phi; steps only the k + 1 states read and
+    keeps the last.  At a node of _direction_grid it equals the grid
+    value of _grid_passages bit for bit (both start from math.cos and
+    math.sin of the same double), so brentq may take its end values from
+    the grid."""
+    b2 = e.b2
+    x, y, vx, vy = p[0], p[1], math.cos(phi), math.sin(phi)
+    for _ in range(k + 1):
+        x, y, vx, vy = _step(b2, x, y, vx, vy)
     return _cross(q, x, y, vx, vy)
 
 
-def _grid_passages(e, p, q, thetas, n_max):
-    """_passage_at for every angle in thetas and every state k in
-    1..n_max-1 (row k-1), all shots stepped at once in advance_batch."""
-    k = len(thetas)
-    x = np.full(k, p[0], dtype=float)
-    y = np.full(k, p[1], dtype=float)
-    vx = np.array([math.cos(t) for t in thetas])
-    vy = np.array([math.sin(t) for t in thetas])
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _direction_grid(grid):
+    """(thetas, vx, vy) of a scan over `grid` direction cells: the
+    grid + 1 node angles np.linspace(0, 2 pi, grid + 1) and the unit
+    vectors of the first `grid` nodes, from math.cos and math.sin (as
+    _passage_at computes them; np.cos need not round alike).  Built once
+    per grid size, kept for the last _GRID_TABLES sizes, and read-only,
+    so a write raises instead of changing a later scan."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
+    nodes = thetas[:-1].tolist()
+    vx = np.fromiter(map(math.cos, nodes), float, grid)
+    vy = np.fromiter(map(math.sin, nodes), float, grid)
+    for a in (thetas, vx, vy):
+        a.flags.writeable = False
+    return thetas, vx, vy
+
+
+def _grid_passages(e, p, q, vx, vy, n_max):
+    """_passage_at for every shot from p along the unit vectors (vx[i],
+    vy[i]) and every state k in 1..n_max-1 (row k-1), all shots stepped
+    at once in advance_batch.  The values equal _passage_at's bit for bit
+    when the unit vectors are math.cos and math.sin of its angles, as the
+    table of _direction_grid is."""
+    x = np.full(vx.size, p[0], dtype=float)
+    y = np.full(vx.size, p[1], dtype=float)
     x, y, vx, vy = advance_batch(e, x, y, vx, vy)
     rows = []
     for _ in range(n_max - 1):
@@ -662,7 +691,7 @@ def _sign_changes(vals):
     sign, or whose left value is exactly zero (the root on that node,
     which the cell before does not report); a NaN product counts as a
     change (the test is "not >= 0")."""
-    nxt = np.roll(vals, -1)
+    nxt = np.concatenate((vals[1:], vals[:1]))
     return np.flatnonzero((vals == 0.0) | ~(vals * nxt >= 0.0))
 
 
@@ -673,7 +702,11 @@ def _passages(e, p, q, n_max, tol, grid, n_states):
     Sign changes of the passage distance over a grid of `grid`
     directions are refined by the in-repo Brent solver (_roots.brentq,
     equal bit for bit to scipy's), which takes its end values from the
-    grid instead of simulating them again, and each root is re-simulated
+    grid instead of simulating them again.  The grid's angles and unit
+    vectors come from _direction_grid, built once per grid size from
+    math.cos and math.sin and kept for a bounded number of sizes; they
+    must stay the doubles _passage_at computes, or the reused end values
+    would no longer be the objective's.  Each root is re-simulated
     for max(n_states, k + 2) states.  Yields (k, phi, states, cross) for
     every root within tol of q whose foot lies within tol of the segment
     from states[k] to states[k + 1]; brackets the solver rejects (a NaN
@@ -687,8 +720,8 @@ def _passages(e, p, q, n_max, tol, grid, n_states):
         raise ValueError("passage scan needs n_max >= 2")
     if not tol > 0.0:
         raise ValueError("passage scan needs tol > 0")
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid + 1)
-    rows = _grid_passages(e, p, q, thetas[:-1], n_max)
+    thetas, vx, vy = _direction_grid(grid)
+    rows = _grid_passages(e, p, q, vx, vy, n_max)
     for k, vals in enumerate(rows, start=1):
         for j in _sign_changes(vals):
             # The grid values are _passage_at's, bit for bit; the last

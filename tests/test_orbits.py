@@ -20,8 +20,9 @@ from caustica.conics import (Shot, _walk, advance, advance_batch,
                              caustic_of_line, caustic_phase_point, first_hit,
                              simulate)
 from caustica.orbits import (CERT_TOL, LAYER_BAND, AnglePair, PeriodicDirection,
-                             _certify, _defect, _grid_passages, _line_roots,
-                             _pair_angles, _view, angle_pair_scan, boomerang_scan,
+                             _certify, _defect, _direction_grid, _grid_passages,
+                             _line_roots, _pair_angles, _passage_at, _view,
+                             angle_pair_scan, boomerang_scan,
                              caustic_extrema, hole_scan, parallelogram_angle_pairs,
                              predicted_count)
 from caustica.periods import BettiModel, lambda_for_beta2
@@ -151,7 +152,9 @@ def _scan_periodic(e, p, n, cells=1 << 13):
     Returns the counts outside and inside the focal layer."""
 
     def defect(phis):
-        return _grid_passages(e, p, p, phis, n)[-1]
+        phis = phis.tolist()
+        return _grid_passages(e, p, p, np.array([math.cos(t) for t in phis]),
+                              np.array([math.sin(t) for t in phis]), n)[-1]
 
     offsets = np.logspace(-9.0, -1.0, 400)
     focal = [math.atan2(p[1], p[0] - sg * e.c) + turn
@@ -472,6 +475,58 @@ def test_hole_scan_rejects_focal_pair():
         hole_scan(E, (E.c, 0.0), (-E.c, 0.0), (1.0, 0.0), 4, 1e-3)
     with pytest.raises(ValueError):
         hole_scan(E, (0.1, 0.2), (-0.3, 0.1), (0.5, 0.5), 4, 1e-3)
+
+
+@pytest.mark.parametrize("p, q", [(P, P), ((-0.45, 0.12), (-0.45, 0.12)),
+                                  (P, (-0.3, 0.1)), ((-0.45, 0.12), (0.1, -0.2))])
+def test_grid_values_are_the_objectives_bit_for_bit(p, q):
+    # brentq takes its end values from the grid, so every grid value must
+    # be the one _passage_at computes at that node, on the scan's table
+    # and on unit vectors a caller passes for angles of its own.
+    n_max = 6
+    thetas, vx, vy = _direction_grid(64)
+    assert vx.tolist() == [math.cos(t) for t in thetas[:-1]]
+    assert vy.tolist() == [math.sin(t) for t in thetas[:-1]]
+    own = sorted(np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 40).tolist())
+    for phis, ux, uy in [(thetas[:-1].tolist(), vx, vy),
+                         (own, np.array([math.cos(t) for t in own]),
+                          np.array([math.sin(t) for t in own]))]:
+        rows = _grid_passages(E, p, q, ux, uy, n_max)
+        assert len(rows) == n_max - 1
+        for k, row in enumerate(rows, start=1):
+            assert row.tolist() == [_passage_at(t, E, p, q, k) for t in phis], k
+
+
+def test_direction_table_is_read_only():
+    for a in _direction_grid(64):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
+def test_direction_table_carries_no_state_between_scans():
+    p1, p2, h = (0.1, 0.2), (-0.3, 0.1), (1.0, 0.0)
+
+    def scans(grid):
+        return (boomerang_scan(E, P, 6, 1e-7, grid),
+                hole_scan(E, p1, p2, h, 8, 0.05, grid))
+
+    def cold(grid):
+        _direction_grid.cache_clear()
+        return scans(grid)
+
+    sizes = (64, 128, 64)
+    warm = [scans(g) for g in sizes]
+    assert warm == [cold(g) for g in sizes]
+    assert any(w[1] for w in warm)
+    # More sizes than the table keeps, visited in a cycle: every call
+    # finds its table evicted and builds it again, with the same results.
+    many = range(64, 64 + 3 * (orbits._GRID_TABLES + 2), 3)
+    first = [scans(g) for g in many]
+    assert _direction_grid.cache_info().currsize == orbits._GRID_TABLES
+    misses = _direction_grid.cache_info().misses
+    again = [scans(g) for g in many]
+    assert _direction_grid.cache_info().misses == misses + len(many)
+    assert again == first == [cold(g) for g in many]
 
 
 def test_angle_pair_scan_finds_realized_separation():
