@@ -413,13 +413,13 @@ def invariant_density(e, s, z):
     (A, B) for a hyperbolic caustic (A > 0, two arcs), all of R for an
     elliptic one (A, B < 0), and Z = 2 R_F(0, |A|, |B|) on both.
     """
-    A, B = _density_roots(e, s)
+    A, B = _density_roots(e, float(s))
     r = (z * z - A) * (z * z - B)
     if abs(r) < 1e-30:
         raise ValueError("z at a singular endpoint of the invariant measure")
-    from scipy.special import elliprf
+    from scipy.special.cython_special import elliprf
 
-    return 1.0 / (math.sqrt(abs(r)) * 2.0 * float(elliprf(0.0, abs(A), abs(B))))
+    return 1.0 / (math.sqrt(abs(r)) * 2.0 * elliprf(0.0, abs(A), abs(B)))
 
 
 def tangent_slopes(e, p, s):

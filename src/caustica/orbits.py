@@ -319,7 +319,8 @@ def _line_roots(e, view, n):
     The levels are read between the extremes of view.kinds and 1/2: on
     the elliptic range, and for even n also on the hyperbolic one.  A
     level strictly between beta2 at the extreme and at the layer edge is
-    inverted once for lambda_k, and its caustic s_k = c^2 lambda_k
+    inverted once for lambda_k, on the bracket between the two with the
+    end values view.kinds holds, and its caustic s_k = c^2 lambda_k
     touches the two lines through p at
     phi = (delta +- arccos((s_k - P)/rho))/2.  The levels between the
     layer edge and 1/2 are counted by integer arithmetic, two lines
@@ -332,11 +333,11 @@ def _line_roots(e, view, n):
     for ext, edge, b_ext, b_edge in filter(None, (ell, None if n % 2 else hyp)):
         k_edge = math.floor(b_edge * n)
         layer_lines += 2 * max(0, (n - 1) // 2 - k_edge)
-        lo, hi = sorted((ext, edge))
+        (lo, b_lo), (hi, b_hi) = sorted(((ext, b_ext), (edge, b_edge)))
         for k in range(math.floor(b_ext * n) + 1, k_edge + 1):
             if not b_ext < k / n < b_edge:
                 continue
-            s = e.c2 * _beta2_inverse(view.model, k / n, lo, hi)
+            s = e.c2 * _beta2_inverse(view.model, k / n, lo, hi, b_lo, b_hi)
             half = 0.5 * math.acos(max(-1.0, min(1.0, (s - view.P) / view.rho)))
             roots += [((0.5 * view.delta + half) % math.pi, s),
                       ((0.5 * view.delta - half) % math.pi, s)]

@@ -14,6 +14,11 @@ elliptic logarithm of manin_residual.  Quadrature is kept only for the
 independent references, betti_billiard and omega2_quadrature, which
 share no code with the R_F route; only they reach _quad, the one import
 of scipy's quadrature.
+R_F is scipy.special.cython_special.elliprf: the C++ routine behind the
+scipy.special.elliprf ufunc, called as a C-level scalar that returns a
+Python float, so the same double at about a quarter of the ufunc's call
+cost.  A fused function, it matches no signature for an int or a numpy
+float32 among floats, so every entry here hands it Python floats.
 scipy.special is imported on first use, so importing this module loads
 no scipy: omega2 and manin_residual import elliprf inside the call, and
 BettiModel binds it once when a model is built.  Both Gauss-Legendre
@@ -53,9 +58,9 @@ def omega2(lam):
     0 < lambda < 1."""
     if not 0.0 < lam < 1.0:
         raise ValueError("omega2 needs lambda in (0, 1)")
-    from scipy.special import elliprf
+    from scipy.special.cython_special import elliprf
 
-    return 2.0 * float(elliprf(1.0, 0.0, 1.0 - lam))
+    return 2.0 * elliprf(1.0, 0.0, 1.0 - float(lam))
 
 
 def omega2_quadrature(lam):
@@ -130,17 +135,21 @@ class BettiModel:
     equals omega2 - I_U above lambda = 1.  Grid scans and the inverse
     in lambda of the periodic-direction search go through this model;
     betti_billiard is the quadrature reference.  R_F is
-    scipy.special.elliprf, imported and bound here when the model is
-    built, so beta2 pays no import per call.
+    scipy.special.cython_special.elliprf, imported and bound here when
+    the model is built, so beta2 pays no import per call.  It is the
+    scipy.special.elliprf ufunc's value bit for bit as a scalar call, at
+    a quarter of the ufunc's call cost, and takes Python floats only, so
+    U and the arguments of beta2 and _beta2_gap go through float().
     """
 
     def __init__(self, e):
-        from scipy.special import elliprf
+        from scipy.special.cython_special import elliprf
 
-        self.U = 1.0 / e.c2
+        self.U = 1.0 / float(e.c2)
         self._rf = elliprf
 
     def beta2(self, lam):
+        lam = float(lam)
         if lam == 1.0:
             # Continuous limit from both sides (the period diverges).
             return 0.5
@@ -159,6 +168,7 @@ class BettiModel:
         """beta2 at lambda = 1 + g from the signed gap g itself, which
         keeps a gap below one ulp of 1 that lambda would round away:
         omega2/2 is R_F(1+g, g, 0) above 1 and R_F(1, 0, -g) below."""
+        g = float(g)
         if g == 0.0:
             return 0.5
         if g > 0.0:
@@ -170,7 +180,7 @@ class BettiModel:
     def _ratio(self, half_w2, u_gap):
         """1/2 - I_U/(2 omega2) from omega2/2 and U - lambda."""
         U = self.U
-        return float(0.5 - self._rf(U, U - 1.0, max(0.0, u_gap)) / (2.0 * half_w2))
+        return 0.5 - self._rf(U, U - 1.0, max(0.0, u_gap)) / (2.0 * half_w2)
 
 
 def betti_scan(e, lambdas):
@@ -190,14 +200,19 @@ def betti_scan(e, lambdas):
     return out
 
 
-def _beta2_inverse(model, target, lo, hi):
+def _beta2_inverse(model, target, lo, hi, b_lo=None, b_hi=None):
     """lambda in [lo, hi] with model.beta2(lambda) = target.
 
     The bracket lies on one side of lambda = 1, where beta2 is strictly
     monotone (increasing below 1, decreasing above), and target lies
     between the end values; one bracketed solve on the closed form.
+    b_lo and b_hi, when given, are the values model.beta2 returns at lo
+    and hi; brentq then takes them instead of evaluating the ends, which
+    changes no bit of the root.
     """
-    return brentq(lambda lam: model.beta2(lam) - target, lo, hi, xtol=1e-15)
+    return brentq(lambda lam: model.beta2(lam) - target, lo, hi, xtol=1e-15,
+                  fa=None if b_lo is None else b_lo - target,
+                  fb=None if b_hi is None else b_hi - target)
 
 
 def lambda_for_beta2(e, target):
@@ -274,13 +289,14 @@ def manin_residual(e, lam):
     Richardson level (steps h and h/2).
     """
     h = 1e-3
-    U = 1.0 / e.c2
+    U = 1.0 / float(e.c2)
+    lam = float(lam)
     if not (1.0 < lam - 2.0 * h and lam + 2.0 * h < U):
         raise ValueError("lambda +- 2h (h = 1e-3) must stay inside (1, 1/c^2)")
-    from scipy.special import elliprf
+    from scipy.special.cython_special import elliprf
 
     def ell(t):
-        return float(elliprf(t, t - 1.0, 0.0) - elliprf(U, U - 1.0, U - t))
+        return elliprf(t, t - 1.0, 0.0) - elliprf(U, U - 1.0, U - t)
 
     r1 = _gamma_operator(ell, lam, h)
     r2 = _gamma_operator(ell, lam, 0.5 * h)

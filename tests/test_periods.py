@@ -6,15 +6,18 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sp
+from scipy.special import cython_special
 
 import caustica
 from caustica import Ellipse, betti_billiard, lambda_for_beta2, omega2, rotation_number
-from caustica.conics import advance, caustic_phase_point
+from caustica.conics import _density_roots, advance, caustic_phase_point, invariant_density
 from caustica.periods import (BettiModel, betti_scan, manin_residual, omega2_quadrature,
                               picard_fuchs_residual)
 
@@ -140,6 +143,83 @@ def test_manin_residual_matches_closed_form():
     assert manin_residual(E, 1.5) < 1e-6
     for lam in (1.2, 1.8, 2.4):
         assert manin_residual(E, lam) < 1e-5
+
+
+# References for the scalar R_F binding (scipy.special.cython_special):
+# the same closed forms on the scipy.special.elliprf ufunc.
+def _ufunc_ratio(U, half_w2, u_gap):
+    return float(0.5 - sp.elliprf(U, U - 1.0, max(0.0, u_gap)) / (2.0 * half_w2))
+
+
+def _ufunc_beta2(U, lam):
+    if lam < 1.0:
+        return _ufunc_ratio(U, sp.elliprf(1.0, 0.0, 1.0 - lam), U - lam)
+    return _ufunc_ratio(U, sp.elliprf(lam, lam - 1.0, 0.0), U - lam)
+
+
+def _ufunc_beta2_gap(U, g):
+    if g > 0.0:
+        return _ufunc_ratio(U, sp.elliprf(1.0 + g, g, 0.0), (U - 1.0) - g)
+    return _ufunc_ratio(U, sp.elliprf(1.0, 0.0, -g), (U - 1.0) - g)
+
+
+_GAPS = [sign * 10.0 ** -k for k in range(3, 16) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("c", [0.3, 0.6, 0.9])
+def test_scalar_rf_is_the_ufunc_bit_for_bit(c, monkeypatch):
+    e = Ellipse(c)
+    model = BettiModel(e)
+    U = model.U
+    # Both branches, the focal gaps, and lambda within 1e-12 of 1/c^2.
+    lams = (np.linspace(0.01, U - 0.01, 60).tolist() + [1.0 + g for g in _GAPS]
+            + [U + k * 1e-13 for k in range(-10, 10)])
+    for lam in lams:
+        assert model.beta2(lam).hex() == _ufunc_beta2(U, lam).hex(), lam
+    for g in _GAPS + np.linspace(-0.9, U - 1.0, 60).tolist():
+        assert model._beta2_gap(g).hex() == _ufunc_beta2_gap(U, g).hex(), g
+    for lam in np.linspace(0.001, 0.999, 60).tolist() + [1.0 - 10.0 ** -k for k in range(3, 16)]:
+        assert omega2(lam).hex() == (2.0 * float(sp.elliprf(1.0, 0.0, 1.0 - lam))).hex()
+    for s in np.linspace(0.02, 0.98, 25).tolist():
+        A, B = _density_roots(e, s)
+        for z in np.linspace(-3.0, 3.0, 25).tolist():
+            r = (z * z - A) * (z * z - B)
+            if abs(r) < 1e-30:
+                continue
+            ref = 1.0 / (math.sqrt(abs(r)) * 2.0 * float(sp.elliprf(0.0, abs(A), abs(B))))
+            assert invariant_density(e, s, z).hex() == ref.hex(), (s, z)
+    # manin_residual with the ufunc put in place of the scalar binding.
+    manin_lams = np.linspace(1.0 + 0.003, U - 0.003, 30).tolist()
+    scalar = [manin_residual(e, lam) for lam in manin_lams]
+    monkeypatch.setattr(cython_special, "elliprf", sp.elliprf)
+    ufunc = [float(manin_residual(e, lam)) for lam in manin_lams]
+    assert [v.hex() for v in scalar] == [v.hex() for v in ufunc]
+
+
+def test_scalar_rf_entries_take_any_real_number():
+    # The scalar binding matches no signature for an int or a numpy
+    # float32 among floats; every entry hands it Python floats.
+    model = BettiModel(E)
+    e = Ellipse(0.5)  # 2 lies inside manin_residual's domain (1, 4)
+    pairs = [(model.beta2(2), model.beta2(2.0)),
+             (model.beta2(np.float32(2.5)), model.beta2(2.5)),
+             (model._beta2_gap(1), model._beta2_gap(1.0)),
+             (model._beta2_gap(np.float32(-0.5)), model._beta2_gap(-0.5)),
+             # No int lies in omega2's domain (0, 1).
+             (omega2(np.float32(0.5)), omega2(0.5)),
+             (omega2(Fraction(1, 2)), omega2(0.5)),
+             (manin_residual(e, 2), manin_residual(e, 2.0)),
+             (manin_residual(e, np.float32(2.5)), manin_residual(e, 2.5)),
+             (invariant_density(E, np.float32(0.25), 1), invariant_density(E, 0.25, 1.0)),
+             (invariant_density(E, 0.75, 0), invariant_density(E, 0.75, 0.0))]
+    for got, want in pairs:
+        assert type(got) is float and type(want) is float
+        assert got.hex() == want.hex()
+    # A table whose c is a numpy float32 still reaches R_F with floats.
+    e32 = Ellipse(np.float32(0.6))
+    assert type(BettiModel(e32).beta2(2.0)) is float
+    assert type(lambda_for_beta2(e32, 0.2)) is float
+    assert manin_residual(e32, 1.5) >= 0.0
 
 
 # One library call in a fresh interpreter, then the scipy modules loaded.

@@ -62,6 +62,10 @@ def test_beta2_brackets_match_scipy(monkeypatch):
         count_periodic(E, P0, n)
     assert len(oracle.pairs) > 1500
     _assert_bitwise(oracle.pairs)
+    # Every level hands the solver beta2 at its bracket ends, from the
+    # view of p: they are f's, bit for bit.
+    assert len(oracle.supplied) > 1500
+    assert all(v.hex() == fx.hex() for v, fx in oracle.supplied)
 
 
 @pytest.mark.parametrize("argv", [
