@@ -5,15 +5,17 @@ artifact.  It imports what it calls inside its function, so importing
 this module loads no library module and a run loads only the modules
 its subcommand needs.  Output is deterministic: the same configuration
 and seed produce byte-identical files and numeric CSV columns carry 17
-significant digits.  build_parser declares every flag once, with its
-type, default and whether the subcommand requires it.  A JSON config
-file (--config) can supply any flag: main parses each entry as the
-flag it names, so a config value gets the flag's type, and explicit
-flags take precedence.  --threads is validated (>= 1) and changes no
-byte: every scan runs in input order on one thread, because the work
-holds the interpreter lock (on 2 cores, two threads were 4-14% slower
-than one).  Precondition violations exit with status 2 and a
-machine-readable JSON object on standard error.
+significant digits.  _COMMANDS declares each subcommand once: its
+words, handler, help line and flags, each flag with its type and its
+default, _REQUIRED for a flag that main demands; build_parser builds
+the argparse parser from it.  A JSON config file (--config) can supply
+any flag: main parses each entry as the flag it names, so a config
+value gets the flag's type, and explicit flags take precedence.
+--threads is validated (>= 1) and changes no byte: every scan runs in
+input order on one thread, because the work holds the interpreter lock
+(on 2 cores, two threads were 4-14% slower than one).  Precondition
+violations exit with status 2 and a machine-readable JSON object on
+standard error.
 """
 
 import argparse
@@ -158,15 +160,19 @@ def _cmd_connect(args):
 
 
 def _cmd_poncelet(args):
+    from fractions import Fraction
+
     from .conics import Ellipse, caustic_phase_point
-    from .dml import _frac
     from .orbits import closure_error
     from .periods import lambda_for_beta2
 
     e = Ellipse(args.c)
     if args.starts < 1:
         raise ValueError("--starts must be >= 1")
-    rot = _frac(args.rot)
+    try:
+        rot = Fraction(args.rot)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {args.rot!r}") from None
     lam = lambda_for_beta2(e, float(rot))
     s = e.c2 * lam
     rng = random.Random(args.seed)
@@ -413,133 +419,105 @@ def _svg_caustic(e, param):
 # parser
 
 
-def _subcommand(sub, name, func, help, required=()):
-    """Subparser `name` with the common flags.  `required` names the
-    flags (as attributes) that main demands, from the command line or
-    the config file."""
-    sp = sub.add_parser(name, help=help)
-    sp.add_argument("--config", help="JSON file whose keys mirror the flags")
-    sp.add_argument("--out", help="output path (default stdout)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for any randomized stage, recorded in output")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; scans run on one thread")
-    sp.set_defaults(func=func, required=required)
-    return sp
+# The default of a flag that main demands, from the command line or the
+# config file.
+_REQUIRED = object()
 
+# The flags of every subcommand.
+_COMMON = (
+    ("config", str, None, "JSON file whose keys mirror the flags"),
+    ("out", str, None, "output path (default stdout)"),
+    ("seed", int, 0, "seed for any randomized stage, recorded in output"),
+    ("threads", int, 1, "accepted for compatibility; scans run on one thread"),
+)
 
-def _float(sp, *names, default=None):
-    for name in names:
-        sp.add_argument(name, type=float, default=default)
+# Each subcommand once: its words, handler, help line and flags in
+# --help order, each (name, type, default) or (name, type, default,
+# help).  An entry without a handler is a group of subcommands.
+_COMMANDS = (
+    (("simulate",), _cmd_simulate, "bounce a shot, CSV trajectory",
+     (("c", float, _REQUIRED), ("x", float, _REQUIRED), ("y", float, _REQUIRED),
+      ("slope", float, None), ("vx", float, None), ("vy", float, None),
+      ("bounces", int, 100))),
+    (("betti-scan",), _cmd_betti_scan, "Betti coordinates over lambda",
+     (("c", float, _REQUIRED), ("lmin", float, _REQUIRED),
+      ("lmax", float, _REQUIRED), ("num", int, 101))),
+    (("count-periodic",), _cmd_count_periodic,
+     "periodic-direction counts per period",
+     (("c", float, _REQUIRED), ("px", float, _REQUIRED),
+      ("py", float, _REQUIRED), ("nmin", int, 2), ("nmax", int, _REQUIRED))),
+    (("find-periodic",), _cmd_find_periodic,
+     "certified periodic directions for one period",
+     (("c", float, _REQUIRED), ("px", float, _REQUIRED),
+      ("py", float, _REQUIRED), ("n", int, _REQUIRED))),
+    (("connect",), _cmd_connect, "billiard path between two interior points",
+     (("c", float, _REQUIRED), ("x1", float, _REQUIRED),
+      ("y1", float, _REQUIRED), ("x2", float, _REQUIRED),
+      ("y2", float, _REQUIRED), ("n", int, _REQUIRED, "segment count"))),
+    (("poncelet",), _cmd_poncelet, "closure test on a rational-rotation caustic",
+     (("c", float, _REQUIRED), ("rot", str, _REQUIRED, "rotation number p/q"),
+      ("starts", int, 20))),
+    (("birkhoff",), _cmd_birkhoff, "cosine sums along a caustic",
+     (("c", float, _REQUIRED), ("s", float, _REQUIRED), ("bounces", int, None),
+      ("window", int, None), ("num", int, 64))),
+    (("moebius-fit",), _cmd_moebius_fit, "Moebius model of the symmetric sum",
+     (("c", float, _REQUIRED), ("s", float, _REQUIRED), ("n", int, _REQUIRED),
+      ("samples", int, 20))),
+    (("scan-boomerang",), _cmd_scan_boomerang,
+     "shots returning through their start",
+     (("c", float, _REQUIRED), ("px", float, _REQUIRED),
+      ("py", float, _REQUIRED), ("tol", float, 1e-9),
+      ("nmax", int, _REQUIRED), ("grid", int, None))),
+    (("scan-hole",), _cmd_scan_hole,
+     "trajectories through a point that reach a hole",
+     (("c", float, _REQUIRED), ("x1", float, _REQUIRED),
+      ("y1", float, _REQUIRED), ("x2", float, _REQUIRED),
+      ("y2", float, _REQUIRED), ("hx", float, _REQUIRED),
+      ("hy", float, _REQUIRED), ("tol", float, 1e-6),
+      ("nmax", int, _REQUIRED), ("grid", int, None))),
+    (("scan-angle-pair",), _cmd_scan_angle_pair,
+     "periodic direction pairs at a fixed angle",
+     (("c", float, _REQUIRED), ("px", float, _REQUIRED),
+      ("py", float, _REQUIRED), ("alpha", float, _REQUIRED),
+      ("tol", float, 1e-6), ("nmax", int, _REQUIRED))),
+    (("lattice-pairs",), _cmd_lattice_pairs,
+     "lattice vector pairs at a fixed angle ratio",
+     (("tau-re", float, _REQUIRED), ("tau-im", float, _REQUIRED),
+      ("alpha", float, _REQUIRED), ("hmax", int, 3))),
+    (("dml",), None, "exact projective orbit tools", ()),
+    (("dml", "classify"), _cmd_dml_classify, "closure group of a matrix",
+     (("input", str, _REQUIRED, "JSON with matrix"),)),
+    (("dml", "search"), _cmd_dml_search, "orbits meeting three lines",
+     (("input", str, _REQUIRED, "JSON with matrix, lines, range"),)),
+    (("render",), _cmd_render, "SVG of table, caustic and trajectory",
+     (("c", float, _REQUIRED), ("x", float, _REQUIRED), ("y", float, _REQUIRED),
+      ("slope", float, _REQUIRED), ("bounces", int, 20))),
+)
 
 
 @functools.cache
 def build_parser():
-    """The caustica argument parser, built once per process: it holds no
-    append actions or mutable defaults, so parses do not share state."""
+    """The caustica argument parser, built once per process from
+    _COMMANDS: it holds no append actions or mutable defaults, so parses
+    do not share state.  Each subcommand's flags, the common ones first,
+    are its `flags` default, which main and _with_config read."""
     ap = argparse.ArgumentParser(
         prog="caustica",
         description="Elliptical billiards, caustics and exact orbit search")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = _subcommand(sub, "simulate", _cmd_simulate,
-                     "bounce a shot, CSV trajectory", ("c", "x", "y"))
-    _float(sp, "--c", "--x", "--y", "--slope", "--vx", "--vy")
-    sp.add_argument("--bounces", type=int, default=100)
-
-    sp = _subcommand(sub, "betti-scan", _cmd_betti_scan,
-                     "Betti coordinates over lambda", ("c", "lmin", "lmax"))
-    _float(sp, "--c", "--lmin", "--lmax")
-    sp.add_argument("--num", type=int, default=101)
-
-    sp = _subcommand(sub, "count-periodic", _cmd_count_periodic,
-                     "periodic-direction counts per period",
-                     ("c", "px", "py", "nmax"))
-    _float(sp, "--c", "--px", "--py")
-    sp.add_argument("--nmin", type=int, default=2)
-    sp.add_argument("--nmax", type=int)
-
-    sp = _subcommand(sub, "find-periodic", _cmd_find_periodic,
-                     "certified periodic directions for one period",
-                     ("c", "px", "py", "n"))
-    _float(sp, "--c", "--px", "--py")
-    sp.add_argument("--n", type=int)
-
-    sp = _subcommand(sub, "connect", _cmd_connect,
-                     "billiard path between two interior points",
-                     ("c", "x1", "y1", "x2", "y2", "n"))
-    _float(sp, "--c", "--x1", "--y1", "--x2", "--y2")
-    sp.add_argument("--n", type=int, help="segment count")
-
-    sp = _subcommand(sub, "poncelet", _cmd_poncelet,
-                     "closure test on a rational-rotation caustic",
-                     ("c", "rot"))
-    _float(sp, "--c")
-    sp.add_argument("--rot", help="rotation number p/q")
-    sp.add_argument("--starts", type=int, default=20)
-
-    sp = _subcommand(sub, "birkhoff", _cmd_birkhoff,
-                     "cosine sums along a caustic", ("c", "s"))
-    _float(sp, "--c", "--s")
-    sp.add_argument("--bounces", type=int)
-    sp.add_argument("--window", type=int)
-    sp.add_argument("--num", type=int, default=64)
-
-    sp = _subcommand(sub, "moebius-fit", _cmd_moebius_fit,
-                     "Moebius model of the symmetric sum", ("c", "s", "n"))
-    _float(sp, "--c", "--s")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--samples", type=int, default=20)
-
-    sp = _subcommand(sub, "scan-boomerang", _cmd_scan_boomerang,
-                     "shots returning through their start",
-                     ("c", "px", "py", "nmax"))
-    _float(sp, "--c", "--px", "--py")
-    _float(sp, "--tol", default=1e-9)
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--grid", type=int)
-
-    sp = _subcommand(sub, "scan-hole", _cmd_scan_hole,
-                     "trajectories through a point that reach a hole",
-                     ("c", "x1", "y1", "x2", "y2", "hx", "hy", "nmax"))
-    _float(sp, "--c", "--x1", "--y1", "--x2", "--y2", "--hx", "--hy")
-    _float(sp, "--tol", default=1e-6)
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--grid", type=int)
-
-    sp = _subcommand(sub, "scan-angle-pair", _cmd_scan_angle_pair,
-                     "periodic direction pairs at a fixed angle",
-                     ("c", "px", "py", "alpha", "nmax"))
-    _float(sp, "--c", "--px", "--py", "--alpha")
-    _float(sp, "--tol", default=1e-6)
-    sp.add_argument("--nmax", type=int)
-
-    sp = _subcommand(sub, "lattice-pairs", _cmd_lattice_pairs,
-                     "lattice vector pairs at a fixed angle ratio",
-                     ("tau_re", "tau_im", "alpha"))
-    _float(sp, "--tau-re", "--tau-im", "--alpha")
-    sp.add_argument("--hmax", type=int, default=3)
-
-    dml = sub.add_parser("dml", help="exact projective orbit tools")
-    dsub = dml.add_subparsers(dest="dml_command", required=True)
-    sp = _subcommand(dsub, "classify", _cmd_dml_classify,
-                     "closure group of a matrix", ("input",))
-    sp.add_argument("--input", help="JSON with matrix")
-    sp = _subcommand(dsub, "search", _cmd_dml_search,
-                     "orbits meeting three lines", ("input",))
-    sp.add_argument("--input", help="JSON with matrix, lines, range")
-
-    sp = _subcommand(sub, "render", _cmd_render,
-                     "SVG of table, caustic and trajectory",
-                     ("c", "x", "y", "slope"))
-    _float(sp, "--c", "--x", "--y", "--slope")
-    sp.add_argument("--bounces", type=int, default=20)
-
+    subs = {(): ap.add_subparsers(dest="command", required=True)}
+    for words, func, line, flags in _COMMANDS:
+        sp = subs[words[:-1]].add_parser(words[-1], help=line)
+        if func is None:
+            subs[words] = sp.add_subparsers(dest=f"{words[-1]}_command",
+                                            required=True)
+            continue
+        flags = _COMMON + flags
+        for name, kind, default, *text in flags:
+            sp.add_argument(f"--{name}", type=kind,
+                            default=None if default is _REQUIRED else default,
+                            help=text[0] if text else None)
+        sp.set_defaults(func=func, flags=flags)
     return ap
-
-
-# Namespace attributes that no flag sets.
-_NOT_FLAGS = {"command", "dml_command", "func", "required"}
 
 
 def _with_config(ap, argv, args):
@@ -552,7 +530,7 @@ def _with_config(ap, argv, args):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("--config must hold a JSON object")
-    flags = vars(args).keys() - _NOT_FLAGS
+    flags = {name.replace("-", "_") for name, *_ in args.flags}
     tokens = [f"--{key.replace('_', '-')}={val}" for key, val in cfg.items()
               if val is not None and key.replace("-", "_") in flags]
     names = 2 if args.command == "dml" else 1
@@ -566,10 +544,10 @@ def main(argv=None):
     try:
         if args.config:
             args = _with_config(ap, argv, args)
-        for key in args.required:
-            if getattr(args, key) is None:
-                raise ValueError(
-                    f"missing required option --{key.replace('_', '-')}")
+        for name, _, default, *_ in args.flags:
+            if default is _REQUIRED and getattr(
+                    args, name.replace("-", "_")) is None:
+                raise ValueError(f"missing required option --{name}")
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
         return args.func(args)

@@ -61,6 +61,9 @@ class Ellipse:
     def __post_init__(self):
         if not 0.0 < self.c < 1.0:
             raise ValueError("focal parameter must satisfy 0 < c < 1")
+        # A Python float, so that a numpy float32 c does not make the
+        # library compute in float32.
+        object.__setattr__(self, "c", float(self.c))
 
     @property
     def c2(self):

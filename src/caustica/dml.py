@@ -716,6 +716,8 @@ def _exponential_candidates(hits, bases, least):
     of an earlier fit of its (lam, swap) is not solved, since three
     points with d != 0 fit only that one, and d = 0 fits nothing.
     """
+    if not bases:
+        return []
     p = _SCREEN_PRIME
     pairs = [(lam, swap) for lam in bases for swap in (False, True)]
     pws = {lam: _power_pairs(lam, {h.m for h in hits} | {h.n for h in hits})
@@ -724,7 +726,7 @@ def _exponential_candidates(hits, bases, least):
            for swap in (False, True)}
     trips = [t for t in itertools.combinations(range(min(12, len(hits))), 3)
              if not _collinear(*(pts[False][i] for i in t))]
-    if not trips or not pairs:
+    if not trips:
         return []
     import numpy as np
 

@@ -139,13 +139,14 @@ class BettiModel:
     the model is built, so beta2 pays no import per call.  It is the
     scipy.special.elliprf ufunc's value bit for bit as a scalar call, at
     a quarter of the ufunc's call cost, and takes Python floats only, so
-    U and the arguments of beta2 and _beta2_gap go through float().
+    the arguments of beta2 and _beta2_gap go through float() (U is a
+    float, since Ellipse stores c as one).
     """
 
     def __init__(self, e):
         from scipy.special.cython_special import elliprf
 
-        self.U = 1.0 / float(e.c2)
+        self.U = 1.0 / e.c2
         self._rf = elliprf
 
     def beta2(self, lam):
@@ -289,7 +290,7 @@ def manin_residual(e, lam):
     Richardson level (steps h and h/2).
     """
     h = 1e-3
-    U = 1.0 / float(e.c2)
+    U = 1.0 / e.c2
     lam = float(lam)
     if not (1.0 < lam - 2.0 * h and lam + 2.0 * h < U):
         raise ValueError("lambda +- 2h (h = 1e-3) must stay inside (1, 1/c^2)")

@@ -14,7 +14,8 @@ import pytest
 
 import caustica
 from caustica import orbits
-from caustica.cli import build_parser, main
+from caustica import cli
+from caustica.cli import _COMMANDS, _REQUIRED, build_parser, main
 from caustica.conics import Ellipse
 from caustica.orbits import ConvergenceError, find_periodic_directions
 
@@ -524,10 +525,9 @@ README_ARGV = [
     ["moebius-fit", "--c", "0.6", "--s", "0.62", "--n", "7"],
     SCAN_ARGV["boomerang"],
     SCAN_ARGV["hole"],
-    ["scan-angle-pair", "--c", "0.6", "--px", "0.2", "--py", "0.3",
-     "--alpha", "2.6608", "--nmax", "6"],
-    ["lattice-pairs", "--tau-re", "0.0", "--tau-im", "1.0", "--alpha", "1.5707963",
-     "--hmax", "3"],
+    PERIODIC_ARGV["angle_pair.json"],
+    ["lattice-pairs", "--tau-re", "0.0", "--tau-im", "1.0",
+     "--alpha", "1.5707963267948966", "--hmax", "3"],
     ["render", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7"],
     ["dml", "classify", "--input", "{input}"],
     ["dml", "search", "--input", "{input}"],
@@ -541,11 +541,9 @@ LOADS = {
     "betti-scan": ["_roots", "cli", "conics", "periods"],
     "birkhoff": ["_roots", "birkhoff", "cli", "conics", "periods"],
     "moebius-fit": ["_roots", "birkhoff", "cli", "conics", "periods"],
-    **dict.fromkeys(["count-periodic", "find-periodic", "connect",
+    **dict.fromkeys(["count-periodic", "find-periodic", "connect", "poncelet",
                      "scan-boomerang", "scan-hole", "scan-angle-pair",
                      "lattice-pairs"], _ORBITS),
-    # The exact rotation p/q is parsed by the dml parser.
-    "poncelet": sorted(_ORBITS + ["dml"]),
     "dml": ["cli", "dml"],
 }
 _GUARD = """
@@ -608,6 +606,36 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
     (_, after_connect, _, _), (_, after_betti, _, _) = report[-2:]
     assert after_connect == []
     assert after_betti == ["scipy", "scipy.special"]
+
+
+def test_dropping_a_required_flag_exits_two(capsys):
+    # Each valid invocation less one flag that the table marks _REQUIRED
+    # is refused by name before its subcommand runs.
+    valid = README_ARGV + [
+        ["betti-scan", "--c", "0.6", "--lmin", "1.1", "--lmax", "2.5"],
+        ["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
+         "--x2", "-0.3", "--y2", "0.1", "--n", "12"]]
+    flags = {words: flags for words, func, _, flags in _COMMANDS if func}
+    covered = set()
+    for argv in valid:
+        words = tuple(argv[:2] if argv[0] == "dml" else argv[:1])
+        covered.add(words)
+        for name, _, default, *_ in flags[words]:
+            if default is not _REQUIRED:
+                continue
+            i = argv.index(f"--{name}")
+            assert main(argv[:i] + argv[i + 2:]) == 2, (argv, name)
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ValueError",
+                "message": f"missing required option --{name}"}, (argv, name)
+    assert covered == flags.keys()
+
+
+def test_every_handler_is_declared_once():
+    handlers = [func for _, func, _, _ in _COMMANDS if func]
+    assert all(getattr(cli, func.__name__) is func for func in handlers)
+    assert sorted(func.__name__ for func in handlers) == sorted(
+        name for name in vars(cli) if name.startswith("_cmd_"))
 
 
 def test_every_public_name_resolves():

@@ -85,6 +85,22 @@ def test_ellipse_validation():
     assert E.foci == ((0.6, 0.0), (-0.6, 0.0))
 
 
+def test_float32_focal_parameter_computes_in_double():
+    # A numpy float32 c is stored as the Python float of its value, so
+    # the library computes as for that float (in float32 it certified 0
+    # of 4 candidates at n = 7 and gave a Manin residual of 0.0).
+    from caustica import count_periodic, manin_residual
+
+    c32 = np.float32(0.6)
+    e32, e = Ellipse(c32), Ellipse(float(c32))
+    assert type(e32.c) is float and e32 == e
+    assert count_periodic(e32, (0.2, 0.3), 7) == count_periodic(e, (0.2, 0.3), 7)
+    assert count_periodic(e, (0.2, 0.3), 7).certified == 4
+    assert manin_residual(e32, 1.5).hex() == manin_residual(e, 1.5).hex()
+    with pytest.raises(TypeError):
+        Ellipse("0.6")
+
+
 def test_boundary_point_on_boundary():
     for theta in np.linspace(0.0, 2.0 * math.pi, 17):
         x, y = E.boundary_point(theta)
