@@ -41,7 +41,9 @@ for rows in ([[2, 0, 0], [0, 3, 0], [0, 0, 1]],
              [[4, 0, 0], [0, 2, 0], [0, 0, 1]],
              [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
              [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
-             [[0, -1, 0], [1, 0, 0], [0, 0, 1]]):
+             [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+             [[0, 0, 2], [1, 0, 0], [0, 1, 0]],  # t^3 - 2: order 3
+             [[0, 0, 1], [1, 0, 1], [0, 1, 0]]):  # t^3 - t - 1
     g = classify(ProjectiveMap(rows))
     print(f"{rows} -> {g.kind.value}")
 

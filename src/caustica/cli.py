@@ -311,7 +311,7 @@ def _class_json(gc):
 
 
 def _family_json(rep):
-    from .dml import ExponentialFamily, FiniteSet, LineFamily
+    from .dml import ExponentialFamily, LineFamily
 
     pat = rep.pattern
     if isinstance(pat, ExponentialFamily):
@@ -322,9 +322,7 @@ def _family_json(rep):
         return {"kind": "LineFamily", "g": pat.g, "h": pat.h, "c": pat.c,
                 "equation": f"{pat.g}*m + {pat.h}*n + {pat.c} = 0",
                 "support": len(rep.hits)}
-    if isinstance(pat, FiniteSet):
-        return {"kind": "FiniteSet", "size": pat.size}
-    return {"kind": "Undetermined"}
+    return {"kind": "FiniteSet", "size": pat.size}
 
 
 def _cmd_dml_classify(args):

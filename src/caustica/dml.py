@@ -14,7 +14,8 @@ in the exponent, hits are certified by zero residual, and the closure
 group of the cyclic group generated by beta is classified from the
 Jordan structure and the multiplicative relations of the eigenvalue
 ratios (Euclid's algorithm on the exponents for rational ratios, norm
-and trace arguments for quadratic ones).  Nothing is factored: rational
+and trace arguments for quadratic ones, and two characteristic
+coefficients for an irreducible cubic).  Nothing is factored: rational
 eigenvalues are integer roots of a monic cubic, found by exact
 bisection, so the spectrum costs time polynomial in the bit size.
 Infinite families among the hits are detected by exact pattern fits:
@@ -43,9 +44,9 @@ concurrent, that is when the two shifted lines meet L1 at one point, so
 the cells are found by one exact join of those meeting points, in time
 linear in N plus the number of hits.  The family fits hold lambda^x as
 an integer pair and solve by Cramer's rule on integer rows; they are
-screened modulo a prime with numpy, which only the fits and the
-irreducible-cubic witness import, and only a fit that can cover enough
-hits to be reported is solved exactly.
+screened modulo a prime with numpy, which only the fits import, and
+only a fit that can cover enough hits to be reported is solved
+exactly.
 """
 
 import enum
@@ -128,11 +129,6 @@ def _int_mat(A):
     """
     flat = _coprime([x for r in A for x in r])
     return (flat[0:3], flat[3:6], flat[6:9])
-
-
-def _strip_mat(A):
-    """_int_mat with Fraction entries."""
-    return tuple(tuple(Fraction(x) for x in r) for r in _int_mat(A))
 
 
 def _dot(u, v):
@@ -223,7 +219,6 @@ class GroupKind(enum.Enum):
     GM = "Gm"
     GAGM = "GaGm"
     GM2 = "Gm2"
-    UNDETERMINED = "Undetermined"
 
 
 @dataclass(frozen=True)
@@ -386,12 +381,52 @@ def classify(beta):
     ratios are compared by Euclid's algorithm on their exponents
     (_ratio_rank), both without factoring; a conjugate quadratic pair
     through the exact norm and trace (modulus pins relations to the
-    antidiagonal, where only a root-of-unity quotient survives).  An
-    irreducible cubic spectrum is reported Undetermined with a numeric,
-    explicitly non-rigorous log-lattice witness.
+    antidiagonal, where only a root-of-unity quotient survives).
+
+    An irreducible cubic spectrum, p = t^3 + c2 t^2 + c1 t + c0 with no
+    rational root, is Finite of order 3 when c2 = c1 = 0 and Gm2
+    otherwise (J.-P. Serre, Linear Representations of Finite Groups,
+    GTM 42, part III):
+    - p is irreducible over Q, so its roots r1, r2, r3 are distinct:
+      beta is semisimple, and the Galois group G (A3 or S3) of the
+      splitting field K permutes the roots transitively.
+    - The relations (a1, a2, a3) with r1^a1 r2^a2 r3^a3 = 1 and
+      a1 + a2 + a3 = 0 are the relations among the ratios.  They form
+      a G-stable sublattice of the sum-zero plane, and that plane is an
+      irreducible Q-representation of both A3 and S3, so the ratio rank
+      is 0 or 2, never 1.
+    - Rank 0 means r1^m = r2^m = r3^m = a for some m >= 1, and a is
+      fixed by G, so a is in Q: p divides t^m - a, and every ratio is a
+      root of unity in K, whose degree is 3 or 6.
+      - A cyclic cubic K is real, so its roots of unity are +-1, and
+        r1 . {1, -1} holds no three distinct roots.
+      - A K of degree 6 (S3) holds a root of unity of order w only if
+        phi(w) divides 6, so w divides 4, 6, 14 or 18.  Q(zeta_7) and
+        Q(zeta_9) are cyclic of degree 6, so not K, and Q(zeta_8) and
+        Q(zeta_12) have degree 4: the roots of unity of K lie in mu_4
+        or in mu_6.
+      - mu_4: the roots are three of r1 . {1, i, -1, -i}, which sum to
+        0, so the fourth value is s = -(r1 + r2 + r3) = c2 in Q, and
+        p (t - s) = t^4 - s^4 = (t - s)(t + s)(t^2 + s^2).  Then -s is
+        a rational root of p, a contradiction.
+      - mu_6: every zeta in mu_6 has zeta^3 = +-1, so each cube ri^3 is
+        b or -b, with b = r1^3.  Cubing commutes with G, which is
+        transitive on the roots, so each value it takes has the same
+        number of roots over it; three roots do not split 2 + 1, so
+        r1^3 = r2^3 = r3^3 = b.  b is fixed by G, so b is in Q, p
+        divides t^3 - b, and p = t^3 - b: c2 = c1 = 0.
+    - Conversely, by Cayley-Hamilton M^3 = -(c2 M^2 + c1 M) - c0 I, so
+      M^3 is scalar exactly when c2 M^2 + c1 M is.  p is the minimal
+      polynomial, so I, M and M^2 are independent, and that holds
+      exactly when c2 = c1 = 0.  M itself is not scalar, so the order
+      is 3; of the orders m whose roots of unity K can hold, only 3
+      occurs.
+    The witness is exact: the coefficients, semisimple, the ratio rank
+    and, when finite, the order.
     """
     A = beta.matrix
-    roots, quad = _spectrum(A)
+    c2, c1, c0 = _char_poly(A)
+    roots, quad = _rational_roots(c2, c1, c0)
 
     if quad is None and roots:
         eig = roots
@@ -429,13 +464,14 @@ def classify(beta):
             return GroupClass(GroupKind.GM, witness)
         return GroupClass(GroupKind.GM2, witness)
 
-    # Irreducible cubic: no exact support at this tier.
-    import numpy as np
-    ev = np.linalg.eigvals([[float(x) for x in row] for row in A])
-    witness = {"eigenvalues": [str(x) for x in ev],
-               "note": "irreducible cubic spectrum; numeric log-lattice "
-                       "heuristic only, NOT rigorous"}
-    return GroupClass(GroupKind.UNDETERMINED, witness)
+    # Irreducible cubic: Finite of order 3 exactly when p = t^3 + c0.
+    finite = c2 == 0 and c1 == 0
+    witness = {"char_poly": [str(c2), str(c1), str(c0)], "semisimple": True,
+               "ratio_rank": 0 if finite else 2}
+    if finite:
+        witness["order"] = 3
+        return GroupClass(GroupKind.FINITE, witness)
+    return GroupClass(GroupKind.GM2, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +741,11 @@ def _exponential_candidates(hits, bases, least):
     covered exactly when a u_x + (b x + c - d y) v_x = 0, which is the
     determinant of the 4 x 4 rows of the point and the triple.
 
+    The triples are drawn only from the first min(12, len(hits)) hits,
+    in the (m, n) order family_detect sorts them in; the support of each
+    fit is then scanned over all hits.  So a family with fewer than
+    three members among those 12 hits is never fitted.
+
     Every triple of every (lam, swap) is first screened modulo
     _SCREEN_PRIME in one int64 pass, _SCREEN_ROWS fits at a time
     (memory O(rows * hits)): the cofactors (a, b, c, -d) and the
@@ -782,7 +823,9 @@ def family_detect(hits, beta):
     least _FAMILY_HITS hits.  Ties prefer lines, then nonnegative line
     coefficients, then the first fit found, for deterministic output.
     The hits are distinct cells (m, n), as triple_orbit_search returns
-    them."""
+    them.  Lines are fitted through every pair of hits; exponential
+    families only through triples of the first 12 hits by (m, n), so
+    one with fewer than three members there is not found."""
     hits = sorted(hits, key=lambda h: (h.m, h.n))
     if len(hits) < _FAMILY_HITS:
         return FamilyReport(FiniteSet(len(hits)), tuple(hits))

@@ -510,10 +510,10 @@ def test_console_script_installed(tmp_path):
 # scipy.optimize or scipy.integrate, which only the quadrature references
 # need.  Importing caustica or caustica.cli loads no library module;
 # each subcommand loads only the modules it calls (LOADS).  `dml
-# classify` on a rational spectrum and a `dml search` with too few hits
-# for a family run on the standard library alone: numpy is imported
-# only to screen the exponential family fits and for the
-# irreducible-cubic witness.
+# classify` on any spectrum (the README's rational one and, as an extra
+# job, the irreducible cubic t^3 - 2) and a `dml search` with too few
+# hits for a family run on the standard library alone: numpy is
+# imported only to screen the exponential family fits.
 README_ARGV = [
     ["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7",
      "--bounces", "100"],
@@ -580,7 +580,10 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
         "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
         "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 25}))
     sparse = ["dml", "search", "--input", str(DML_DATA / "sparse.input.json")]
-    extra = [sparse,
+    cubic_inp = tmp_path / "cubic.json"
+    cubic_inp.write_text(json.dumps({"matrix": [[0, 0, 2], [1, 0, 0], [0, 1, 0]]}))
+    cubic = ["dml", "classify", "--input", str(cubic_inp)]
+    extra = [sparse, cubic,
              ["connect", "--c", "0.6", "--x1", "0.1", "--y1", "0.2",
               "--x2", "-0.3", "--y2", "0.1", "--n", "12"],
              ["betti-scan", "--c", "0.6", "--lmin", "1.1", "--lmax", "2.5",
@@ -601,6 +604,7 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
         if argv[:2] == ["dml", "classify"]:
             assert not numpy, argv
     assert report[len(README_ARGV)][3] is False, sparse
+    assert report[len(README_ARGV) + 1][3] is False, cubic
     # connect climbs by in-repo Newton steps; betti-scan evaluates the
     # closed form, not the quadrature reference.
     (_, after_connect, _, _), (_, after_betti, _, _) = report[-2:]

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +18,7 @@ from caustica.dml import (ExponentialFamily, FiniteSet, GroupKind, LineFamily,
                           OrbitHit, ProjectiveLine, ProjectiveMap, classify,
                           det_condition, family_detect, fixed_point_check,
                           recurrence_zeros, triple_orbit_search,
-                          _det3, _mat_mul, _rational_roots, _strip_mat)
+                          _det3, _int_mat, _mat_mul, _rational_roots)
 
 # beta with a unipotent block on eigenvalue 1 and a second eigenvalue 2;
 # the three lines y-z, x+y, x+y+z produce the exponential hit family
@@ -83,7 +84,7 @@ def test_power_two_evaluation_orders_agree():
     for _ in range(20):
         a, b = int(rng.integers(-6, 7)), int(rng.integers(-6, 7))
         direct = BETA_EXP.power(a + b)
-        split = _strip_mat(_mat_mul(BETA_EXP.power(a), BETA_EXP.power(b)))
+        split = _int_mat(_mat_mul(BETA_EXP.power(a), BETA_EXP.power(b)))
         assert direct == split
 
 
@@ -101,7 +102,7 @@ def test_power_equals_repeated_stripped_products():
                         for i in range(3))
             base = M.matrix if k >= 0 else dml._adjugate(M.matrix)
             for _ in range(abs(k)):
-                out = _strip_mat(_mat_mul(out, base))
+                out = _int_mat(_mat_mul(out, base))
             P = M.power(k)
             assert P == out
             assert all(type(x) is Fraction for r in P for x in r)
@@ -123,7 +124,7 @@ def test_power_matches_true_power_up_to_scale():
 
 def test_negative_power_inverts():
     for k in (1, 3, 5):
-        prod = _strip_mat(_mat_mul(BETA_REC.power(k), BETA_REC.power(-k)))
+        prod = _int_mat(_mat_mul(BETA_REC.power(k), BETA_REC.power(-k)))
         assert prod == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -499,10 +500,95 @@ def test_classify_quadratic_spectra():
     assert classify(ProjectiveMap([[1, 2, 0], [3, 4, 0], [0, 0, 1]])).kind is GroupKind.GM2
 
 
-def test_classify_cubic_is_undetermined_with_disclaimer():
-    g = classify(ProjectiveMap([[0, 0, 2], [1, 0, 0], [0, 1, 0]]))
-    assert g.kind is GroupKind.UNDETERMINED
-    assert "NOT rigorous" in str(g.witness)
+def companion(c2, c1, c0):
+    """Companion matrix of t^3 + c2 t^2 + c1 t + c0."""
+    return [[0, 0, -c0], [1, 0, -c1], [0, 1, -c2]]
+
+
+def is_scalar(P):
+    return all(P[i][j] == (P[0][0] if i == j else 0)
+               for i in range(3) for j in range(3))
+
+
+# t^3 - 2 and t^3 + 2 are Finite of order 3; t^3 - t - 1 (S3) and the
+# cyclic t^3 + t^2 - 2t - 1 are Gm2.
+@pytest.mark.parametrize("coeffs, finite", [
+    ((0, 0, -2), True), ((0, 0, 2), True),
+    ((0, -1, -1), False), ((1, -2, -1), False)],
+    ids=["t3-2", "t3+2", "t3-t-1", "t3+t2-2t-1"])
+def test_classify_companion_cubics(coeffs, finite):
+    M = ProjectiveMap(companion(*coeffs))
+    g = classify(M)
+    assert g.kind is (GroupKind.FINITE if finite else GroupKind.GM2)
+    assert g.witness == {"char_poly": [str(c) for c in coeffs],
+                         "semisimple": True, "ratio_rank": 0 if finite else 2,
+                         **({"order": 3} if finite else {})}
+    assert [is_scalar(M.power(k)) for k in (1, 2, 3)] == [False, False, finite]
+
+
+def has_constant_power(c2, c1, c0, mmax):
+    """Whether t^m mod t^3 + c2 t^2 + c1 t + c0 is a constant for some
+    1 <= m <= mmax, by multiplying the remainder (a0, a1, a2) by t."""
+    a = (0, 1, 0)
+    for _ in range(mmax):
+        a = (-a[2] * c0, a[0] - a[2] * c1, a[1] - a[2] * c2)
+        if a[1] == a[2] == 0:
+            return True
+    return False
+
+
+small = st.integers(-6, 6)
+
+
+# Every cubic here is monic with integer coefficients, so a rational root
+# is an integer dividing c0; conjugating the companion matrix by a product
+# of elementary integer matrices keeps the spectrum and the class.  The
+# oracle reads only the drawn coefficients.
+@settings(max_examples=200, deadline=None)
+@given(c2=st.one_of(st.just(0), small), c1=st.one_of(st.just(0), small),
+       c0=small.filter(bool),
+       ops=st.lists(st.tuples(st.sampled_from(list(itertools.permutations(
+           range(3), 2))), st.integers(-2, 2)), max_size=6))
+def test_classify_irreducible_cubic_matches_power_remainders(c2, c1, c0, ops):
+    assume(all(((r + c2) * r + c1) * r + c0
+               for r in range(-abs(c0), abs(c0) + 1)))
+    U = [[int(i == j) for j in range(3)] for i in range(3)]
+    V = [row[:] for row in U]  # U^-1
+    for (i, j), a in ops:  # U <- U (I + a e_ij), V <- (I - a e_ij) V
+        for row in U:
+            row[j] += a * row[i]
+        V[i] = [x - a * y for x, y in zip(V[i], V[j])]
+    M = _mat_mul(_mat_mul(U, companion(c2, c1, c0)), V)
+    g = classify(ProjectiveMap(M))
+    finite = has_constant_power(c2, c1, c0, 36)
+    assert g.kind is (GroupKind.FINITE if finite else GroupKind.GM2)
+    assert g.witness["ratio_rank"] == (0 if finite else 2)
+
+
+# Five irreducible cubic maps of the benchmark's `exact` workload.
+CUBIC_MAPS = [
+    [[-2, -2, 3], [-2, -3, -2], [-2, 1, -2]],
+    [[-1, -1, -1], [0, 1, -1], [-2, 1, -3]],
+    [[1, 3, 1], [-1, 2, -1], [-1, -3, 0]],
+    [[-2, 1, -1], [-1, -2, 2], [0, 2, 1]],
+    [[0, 2, -3], [2, -1, 2], [2, 1, 1]],
+]
+
+
+@pytest.mark.parametrize("rows", CUBIC_MAPS, ids=range(len(CUBIC_MAPS)))
+def test_classify_gm2_has_no_small_ratio_relation(rows):
+    # Rank 2: no r1^a r2^b = 1 with 0 < max(|a|, |b|) <= 50, for the
+    # ratios of the eigenvalues at 50 digits.  (a, b) and (-a, -b) agree,
+    # so a > 0, or a = 0 < b.
+    assert classify(ProjectiveMap(rows)).kind is GroupKind.GM2
+    with mp.workdps(50):
+        ev, _ = mp.eig(mp.matrix(rows))
+        r1, r2 = ev[1] / ev[0], ev[2] / ev[0]
+        p1 = {a: r1 ** a for a in range(51)}
+        p2 = {b: r2 ** b for b in range(-50, 51)}
+        closest = min(abs(p1[a] * p2[b] - 1) for a in range(51)
+                      for b in range(-50, 51) if a or b > 0)
+        assert closest > mp.mpf(10) ** -30
 
 
 def test_classify_invariant_under_conjugation_and_scale():
@@ -511,7 +597,9 @@ def test_classify_invariant_under_conjugation_and_scale():
             ProjectiveMap([[2, 0, 0], [0, 3, 0], [0, 0, 1]]),
             ProjectiveMap([[4, 0, 0], [0, 2, 0], [0, 0, 1]]),
             ProjectiveMap([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
-            ProjectiveMap([[2, 1, 0], [1, 1, 0], [0, 0, 1]])]
+            ProjectiveMap([[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
+            ProjectiveMap(companion(0, 0, -2)),
+            ProjectiveMap(companion(0, -1, -1))]
     for M in maps:
         kind = classify(M).kind
         assert classify(ProjectiveMap([[3 * x for x in row] for row in M.matrix])).kind is kind
@@ -524,7 +612,7 @@ def test_classify_invariant_under_conjugation_and_scale():
                 if det != 0:
                     break
             Gm = ProjectiveMap(G)
-            conj = _strip_mat(_mat_mul(_mat_mul(Gm.power(1), M.power(1)), Gm.power(-1)))
+            conj = _int_mat(_mat_mul(_mat_mul(Gm.power(1), M.power(1)), Gm.power(-1)))
             assert classify(ProjectiveMap(conj)).kind is kind
 
 
