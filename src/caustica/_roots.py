@@ -24,15 +24,14 @@ def _checked(fx, x):
     return fx
 
 
-def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER,
-           fa=None, fb=None):
+def brentq(f, a, b, args=(), xtol=_XTOL, maxiter=_MAXITER, fa=None, fb=None):
     """Root of f(x, *args) in the bracket [a, b], as a float.
 
     fa and fb, when given, stand for f(a) and f(b), which are then not
     evaluated; given as the values f returns, they change no bit of the
     result.  Raises ValueError when f(a) and f(b) have the same sign or
     any value of f is NaN, and RuntimeError after maxiter iterations
-    without convergence to xtol + rtol |x|.
+    without convergence to xtol + _RTOL |x|.
     """
     if not isinstance(args, tuple):
         args = (args,)
@@ -46,6 +45,7 @@ def brentq(f, a, b, args=(), xtol=_XTOL, rtol=_RTOL, maxiter=_MAXITER,
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
+    rtol = _RTOL
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre

@@ -466,22 +466,20 @@ def inward(e, p, slope):
 def caustic_phase_point(e, s, theta):
     """PhasePoint at boundary angle theta tangent to the caustic s.
 
-    The direction is the clockwise one (p x v < 0) when a tangent winds
-    clockwise: the caustic lies to the right of the motion, which makes
-    the induced circle map rotate clockwise (the other tangent generates
-    the inverse map).  On a hyperbolic caustic both tangents can wind
-    counter-clockwise; then it is the last tangent of tangent_slopes,
-    and the winding of the orbit depends on theta.
+    The two tangents at p are mirror images in the normal, so their
+    tangential components tau = (1-c^2) x v2 - y v1 are opposite; the
+    one returned has tau < 0, moving clockwise along the boundary.  On
+    an elliptic caustic this puts the caustic to the right of the motion
+    (p x v < 0), so the induced circle map rotates clockwise (the other
+    tangent generates the inverse map).  tau vanishes only where the two
+    tangents merge, at the ends of a reachable arc of a hyperbolic
+    caustic, so the rule holds on both kinds of caustic and never flips
+    inside a reachable arc.
     """
     p = e.boundary_point(theta)
     slopes = tangent_slopes(e, p, s)
     if not slopes:
         raise ValueError("caustic not reachable from this boundary point")
-    for xi in slopes:
-        vx, vy = inward(e, p, xi)
-        best = PhasePoint(p[0], p[1], vx, vy)
-        if p[0] * vy - p[1] * vx < 0.0:
-            return best
-    # Both tangents can wind the same way (on hyperbolic caustics); fall
-    # back to the last candidate, unchanged.
-    return best
+    vx, vy = min((inward(e, p, xi) for xi in slopes),
+                 key=lambda v: e.b2 * p[0] * v[1] - p[1] * v[0])
+    return PhasePoint(p[0], p[1], vx, vy)

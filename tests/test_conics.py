@@ -406,6 +406,22 @@ def test_caustic_phase_point_orientation_consistent():
         x = caustic_phase_point(E, s, theta)
         signs.add(math.copysign(1.0, x.x * x.vy - x.y * x.vx))
     assert signs == {-1.0}
+    # Both tangents to a hyperbola can wind counter-clockwise about the
+    # centre, so the rule is the sign of the tangential component
+    # tau = (1-c^2) x v2 - y v1: negative at every reachable point of
+    # both arcs, hence the choice never flips inside an arc.
+    for c in (0.6, 0.9):
+        e = Ellipse(c)
+        s = 0.35 * e.c2
+        reached = 0
+        for theta in np.linspace(0.0, 2.0 * math.pi, 4000):
+            try:
+                x = caustic_phase_point(e, s, theta)
+            except ValueError:
+                continue
+            reached += 1
+            assert e.b2 * x.x * x.vy - x.y * x.vx < 0.0, (c, theta)
+        assert reached > 1000
 
 
 def test_phase_point_reversed():

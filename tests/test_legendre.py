@@ -12,7 +12,8 @@ from caustica.legendre import (ConjugationChecker, Infinity, LegendreCurve,
                                LegendrePoint, billiard_section,
                                conjugation_defect, j_invariant, lambda_of,
                                masser_point, phase_to_legendre)
-from caustica.conics import PhasePoint, caustic_phase_point, inward, tangent_slopes
+from caustica.conics import (PhasePoint, caustic_of_line, caustic_phase_point, inward,
+                             slope_of, tangent_slopes)
 
 E = Ellipse(0.6)
 
@@ -132,6 +133,26 @@ def test_group_law_properties(lam, specs):
     QR = add(L, Q, R)
     cond = max([1.0] + [abs(T.X) for T in (PQ, QR) if not T.inf])
     assert point_distance(PQ, QP) < 1e-11 * cond
+    assert point_distance(add(L, PQ, R), add(L, P, QR)) < 1e-11 * cond
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="affine chord law loses Y of (P + Q) + R when P ~ -Q")
+def test_group_law_near_inverse_draw():
+    # A draw of test_group_law_properties with P and Q nearly opposite.
+    # P + Q lands at (6.36e10, 1.6e16), 2e-11 off in relative terms;
+    # adding R then forms Y3 = -(Y1 + m (X3 - X1)) from two terms of
+    # size 1.6e16 and returns Y = -2.0 where 50-digit arithmetic gives
+    # (0.0468746, 0.0457632), so the two routes differ by 0.914 against
+    # the bound 0.64.
+    lam = 0.09375
+    specs = [(False, 0.19962459945589212, 1.0),
+             (False, 0.19962770092025212, -1.0),
+             (True, 0.5, 1.0)]
+    L = LegendreCurve(lam)
+    P, Q, R = (_curve_point(lam, *s) for s in specs)
+    PQ, QR = add(L, P, Q), add(L, Q, R)
+    cond = max([1.0] + [abs(T.X) for T in (PQ, QR) if not T.inf])
     assert point_distance(add(L, PQ, R), add(L, P, QR)) < 1e-11 * cond
 
 
@@ -270,6 +291,33 @@ def test_both_tangents_translate_by_the_section(s):
         for xi in slopes:
             x = PhasePoint(p[0], p[1], *inward(E, p, xi))
             assert checker.defect(x) < 1e-9
+
+
+@pytest.mark.parametrize("c", [0.6, 0.85])
+def test_conjugation_near_chords_through_the_centre(c):
+    # A chord through the centre has no dual coordinates t x + u y = 1;
+    # the ordinate in tau carries no 0/0 form there, so chords that miss
+    # the centre by 1e-8 or 1e-6 rad conjugate to full accuracy, and the
+    # two tangents at the point, mirror images in the normal, map to
+    # X equal and Y opposite.
+    e = Ellipse(c)
+    for theta in (0.3, 1.1, 2.0):
+        p = e.boundary_point(theta)
+        r = math.hypot(*p)
+        for delta in (1e-8, -1e-8, 1e-6, -1e-6):
+            ux, uy = -p[0] / r, -p[1] / r
+            vx = math.cos(delta) * ux - math.sin(delta) * uy
+            vy = math.sin(delta) * ux + math.cos(delta) * uy
+            s = caustic_of_line(e, p, slope_of(vx, vy)).s
+            checker = ConjugationChecker(e, s)
+            assert checker.defect(PhasePoint(p[0], p[1], vx, vy)) < 1e-13
+            a, b = (PhasePoint(p[0], p[1], *inward(e, p, xi))
+                    for xi in tangent_slopes(e, p, s))
+            assert checker.defect(a) < 1e-13
+            assert checker.defect(b) < 1e-13
+            Pa, Pb = phase_to_legendre(e, s, a), phase_to_legendre(e, s, b)
+            assert Pa.X == Pb.X
+            assert point_distance(Pb, neg(Pa)) < 1e-13
 
 
 def test_conjugation_defect_free_function():
