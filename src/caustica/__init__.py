@@ -21,8 +21,9 @@ _EXPORTS = {
     "conics": (
         "CausticKind", "CausticParam", "Ellipse", "PhasePoint", "Shot",
         "Trajectory", "advance", "caustic_of_line", "caustic_phase_point",
-        "classify_caustic", "first_hit", "invariant_density", "inward",
-        "phase_invariant", "reflect", "simulate",
+        "caustic_phase_points", "classify_caustic", "first_hit",
+        "invariant_density", "inward", "phase_invariant", "reflect",
+        "simulate", "tangential",
     ),
     "legendre": (
         "ConjugationChecker", "Infinity", "LegendreCurve", "LegendrePoint",
@@ -44,8 +45,8 @@ _EXPORTS = {
         "predicted_count", "reflection_residual", "segment_caustics",
     ),
     "birkhoff": (
-        "MoebiusFit", "birkhoff_sum", "h_weight", "moebius_fit",
-        "symmetric_sum", "value_multiplicity",
+        "MoebiusFit", "birkhoff_sum", "birkhoff_sums", "h_weight",
+        "moebius_fit", "symmetric_sum", "value_multiplicity", "window_sums",
     ),
     "dml": (
         "ExponentialFamily", "FamilyReport", "FiniteSet", "GroupClass",

@@ -20,6 +20,15 @@ incoming direction at p, retraces the bounces before p backwards and
 meets the same angle at each of them.  So the window is the centre
 cosine u.v plus two forward walks of m bounces, one from (p, v) and one
 from (p, -u); no inverse step is needed.
+
+The sums at many phase points of one caustic (birkhoff_sums,
+window_sums) are walked at once: the points come from
+caustic_phase_points, every walk (both halves of each window) is a row
+of advance_batch, and each row adds its cosines in bounce order, so
+every sum is bit for bit the scalar walk's.  birkhoff_sum and
+symmetric_sum are their one-row cases.  Every row is checked before
+any is walked, and a batch raises the error of its first failing row,
+the one a loop over the rows would meet first.
 """
 
 import math
@@ -27,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import (_REFLECT_TOL, _walk, caustic_of_line,
-                     caustic_phase_point, reflect, slope_of)
+from .conics import (_BAND_ROWS, _REFLECT_TOL, _tangent_rows,
+                     advance_batch, caustic_phase_point, classify_caustic)
 from .periods import BettiModel
 
 # Distance of n*beta2 from the integers below which a caustic is
@@ -61,26 +70,11 @@ def h_weight(e, p):
     return 1.0 / (1.0 - e.c2 * x * x)
 
 
-def _cos_sum(e, x, y, vx, vy, n):
-    """Sum of v_{i-1}.v_i over the n bounces from (x, y) along (vx, vy),
-    with v_0 = (vx, vy) and v_i the direction after bounce i."""
-    total = 0.0
-    for _, _, wx, wy in _walk(e, x, y, vx, vy, n):
-        total += vx * wx + vy * wy
-        vx, vy = wx, wy
-    return total
-
-
 def birkhoff_sum(e, start, n):
     """Sum of cos alpha_i over the first n bounces from the boundary
     phase point start; alpha_i is the angle between consecutive segment
-    directions at bounce i."""
-    if n < 1:
-        raise ValueError("need at least one bounce")
-    cp = caustic_of_line(e, start.p, slope_of(start.vx, start.vy))
-    if cp.is_degenerate:
-        raise ValueError("Birkhoff sum undefined on a degenerate caustic")
-    return _cos_sum(e, start.x, start.y, start.vx, start.vy, n)
+    directions at bounce i.  The one-row case of birkhoff_sums."""
+    return float(_plain_sums(e, *_one_row(start), n)[0])
 
 
 def symmetric_sum(e, center, m):
@@ -90,21 +84,114 @@ def symmetric_sum(e, center, m):
     With v the outgoing and u = reflect(v) the incoming direction at the
     centre, the sum is u.v plus the m cosines ahead, walked from
     (p, v), plus the m behind, walked forward from the reversed state
-    (p, -u): reversal keeps the angle at every bounce."""
+    (p, -u): reversal keeps the angle at every bounce.  The one-row
+    case of window_sums."""
+    return float(_window_sums(e, *_one_row(center), m)[0])
+
+
+def birkhoff_sums(e, s, thetas, n):
+    """birkhoff_sum at caustic_phase_point(e, s, theta) for every theta
+    of thetas, as a list of floats, all rows walked at once; a failing
+    row raises the ValueError of the first one, as a loop over the rows
+    would."""
+    return _on_caustic(e, s, thetas, _plain_sums, n)
+
+
+def window_sums(e, s, thetas, m):
+    """symmetric_sum at caustic_phase_point(e, s, theta) for every theta
+    of thetas, as birkhoff_sums gives birkhoff_sum."""
+    return _on_caustic(e, s, thetas, _window_sums, m)
+
+
+def _on_caustic(e, s, thetas, sums, n):
+    # The rows before the first unreachable one are checked and summed
+    # first, so their errors come before its own.
+    rows = _tangent_rows(e, s, thetas)
+    k = rows[0].size
+    out = sums(e, *rows, n).tolist() if k else []
+    if k < len(thetas):
+        caustic_phase_point(e, s, thetas[k])  # raises: unreachable
+    return out
+
+
+def _one_row(x):
+    return (np.array([x.x], dtype=float), np.array([x.y], dtype=float),
+            np.array([x.vx], dtype=float), np.array([x.vy], dtype=float))
+
+
+def _plain_sums(e, x, y, vx, vy, n):
+    if n < 1:
+        raise ValueError("need at least one bounce")
+    _check_caustics(e, x, y, vx, vy, "Birkhoff sum")
+    return _cos_sums(e, x, y, vx, vy, n)
+
+
+def _window_sums(e, x, y, vx, vy, m):
     if m < 0:
         raise ValueError("window half-width must be >= 0")
-    cp = caustic_of_line(e, center.p, slope_of(center.vx, center.vy))
-    if cp.is_degenerate:
-        raise ValueError("window sum undefined on a degenerate caustic")
-    x, y, vx, vy = center.x, center.y, center.vx, center.vy
-    ux, uy = reflect(e, (x, y), (vx, vy))
-    return (ux * vx + uy * vy + _cos_sum(e, x, y, vx, vy, m)
-            + _cos_sum(e, x, y, -ux, -uy, m))
+    # reflect on every row: v - (2d) n with d = v.n / n.n, n = (x, y/b2).
+    b2 = e.b2
+    off = np.abs(x * x + y * y / b2 - 1.0) > _REFLECT_TOL
+    _check_caustics(e, x, y, vx, vy, "window sum", off)
+    ny = y / b2
+    d = vx * x + vy * ny
+    d /= x * x + ny * ny
+    d *= 2.0
+    ux = vx - d * x
+    uy = vy - d * ny
+    k = x.size
+    sums = _cos_sums(e, np.concatenate((x, x)), np.concatenate((y, y)),
+                     np.concatenate((vx, -ux)), np.concatenate((vy, -uy)), m)
+    return ux * vx + uy * vy + sums[:k] + sums[k:]
 
 
-def _window_value(e, sv, theta, m):
-    """H1 at the boundary point of angle theta on caustic sv."""
-    return symmetric_sum(e, caustic_phase_point(e, sv, theta), m)
+def _check_caustics(e, x, y, vx, vy, what, off=None):
+    """Raise the error that a loop over the rows meets first: in each
+    row, the caustic of its chord (caustic_of_line) out of range or
+    degenerate, then, where the mask off is set, its point off the
+    boundary.
+
+    Each kind of caustic holds an interval of s, so when the rows with
+    the least and the greatest s share a non-degenerate kind, all rows
+    do and none is classified one by one."""
+    vertical = vx == 0.0
+    slope = vy / np.where(vertical, 1.0, vx)
+    d = slope * x - y
+    s = np.where(vertical, x * x, (e.c2 + d * d) / (slope * slope + 1.0))
+    try:
+        lo, hi = (classify_caustic(e, float(v)) for v in (s.min(), s.max()))
+        fine = lo.kind is hi.kind and not lo.is_degenerate
+    except ValueError:
+        fine = False
+    first_off = s.size
+    if off is not None and off.any():
+        first_off = int(np.flatnonzero(off)[0])
+    if not fine:
+        for sj in s[:first_off + 1].tolist():
+            if classify_caustic(e, sj).is_degenerate:
+                raise ValueError(f"{what} undefined on a degenerate caustic")
+    if first_off < s.size:
+        raise ValueError("reflection point off the boundary")
+
+
+def _cos_sums(e, x, y, vx, vy, n):
+    """Sum of v_{i-1}.v_i over the n bounces from each row (x, y, vx,
+    vy), with v_0 = (vx, vy) and v_i the direction after bounce i,
+    added in bounce order.  The rows step together through
+    advance_batch, at most _BAND_ROWS at a time, so each sum is bit for
+    bit the one of the scalar walk _walk."""
+    out = np.zeros(x.size)
+    for lo in range(0, x.size, _BAND_ROWS):
+        hi = lo + _BAND_ROWS
+        bx, by, bvx, bvy = x[lo:hi], y[lo:hi], vx[lo:hi], vy[lo:hi]
+        total = out[lo:hi]
+        for _ in range(n):
+            bx, by, wx, wy = advance_batch(e, bx, by, bvx, bvy)
+            cos = bvx * wx
+            cos += bvy * wy
+            total += cos
+            bvx, bvy = wx, wy
+    return out
 
 
 def _check_not_periodic(e, sv, n):
@@ -130,10 +217,8 @@ def moebius_fit(e, s, n, samples=20):
     _check_not_periodic(e, s, n)
     m = (n - 1) // 2
     thetas = [math.pi * (j + 0.5) / samples for j in range(samples)]
-    ts, hs = [], []
-    for th in thetas:
-        ts.append(math.cos(th) ** 2)
-        hs.append(_window_value(e, s, th, m))
+    ts = [math.cos(th) ** 2 for th in thetas]
+    hs = window_sums(e, s, thetas, m)
     if max(hs) - min(hs) < 1e-12:
         raise ValueError("window sum is constant; degenerate fit")
     pick = [0, samples // 4, samples // 2, (3 * samples) // 4]
@@ -159,7 +244,7 @@ def value_multiplicity(e, s, n, value):
     # Open the interval slightly: the vertices are extremal points.
     thetas[0] = 1e-9
     thetas[-1] = math.pi - 1e-9
-    vals = [_window_value(e, s, th, m) - value for th in thetas]
+    vals = [h - value for h in window_sums(e, s, thetas, m)]
     count = 0
     for j in range(grid):
         v0, v1 = vals[j], vals[j + 1]

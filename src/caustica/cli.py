@@ -162,7 +162,7 @@ def _cmd_connect(args):
 def _cmd_poncelet(args):
     from fractions import Fraction
 
-    from .conics import Ellipse, caustic_phase_point
+    from .conics import Ellipse, caustic_phase_points
     from .orbits import closure_error
     from .periods import lambda_for_beta2
 
@@ -176,12 +176,11 @@ def _cmd_poncelet(args):
     lam = lambda_for_beta2(e, float(rot))
     s = e.c2 * lam
     rng = random.Random(args.seed)
-    recs = []
-    for _ in range(args.starts):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        x = caustic_phase_point(e, s, theta)
-        err = closure_error(e, (x.x, x.y), (x.vx, x.vy), rot.denominator)
-        recs.append({"theta": theta, "closure_error": err})
+    thetas = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(args.starts)]
+    rows = zip(*(a.tolist() for a in caustic_phase_points(e, s, thetas)))
+    recs = [{"theta": theta, "closure_error": closure_error(
+                e, (x, y), (vx, vy), rot.denominator)}
+            for theta, (x, y, vx, vy) in zip(thetas, rows)]
     _json_out(args, "poncelet", {
         "c": e.c, "rotation": str(rot), "lambda_star": lam, "s_star": s,
         "starts": recs,
@@ -191,8 +190,8 @@ def _cmd_poncelet(args):
 
 
 def _cmd_birkhoff(args):
-    from .birkhoff import birkhoff_sum, symmetric_sum
-    from .conics import Ellipse, caustic_phase_point, classify_caustic
+    from .birkhoff import birkhoff_sums, window_sums
+    from .conics import Ellipse, classify_caustic
 
     e = Ellipse(args.c)
     bounces, window, num = args.bounces, args.window, args.num
@@ -203,16 +202,12 @@ def _cmd_birkhoff(args):
         raise ValueError("--num must be >= 1")
     classify_caustic(e, args.s)  # refuses s outside [0, 1]
     thetas = [math.pi * (j + 0.5) / num for j in range(num)]
-
-    def row(theta):
-        x = caustic_phase_point(e, args.s, theta)
-        if bounces is not None:
-            val = birkhoff_sum(e, x, bounces)
-        else:
-            val = symmetric_sum(e, x, window)
-        return ",".join([_fmt(x.x), _fmt(x.y), _fmt(val)])
-
-    rows = [row(theta) for theta in thetas]
+    if bounces is not None:
+        sums = birkhoff_sums(e, args.s, thetas, bounces)
+    else:
+        sums = window_sums(e, args.s, thetas, window)
+    rows = [",".join([_fmt(x), _fmt(y), _fmt(val)])
+            for (x, y), val in zip(map(e.boundary_point, thetas), sums)]
     _csv(args, "birkhoff", "x,y,sum", rows)
     return 0
 

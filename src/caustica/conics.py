@@ -28,6 +28,7 @@ augmented operations with its masks only on batches that need them.
 """
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,10 @@ DEGENERACY_RTOL = 1e-9
 
 # Largest boundary residual of a point taken to lie on the boundary.
 _REFLECT_TOL = 1e-9
+
+# Rows walked through advance_batch at once (a few MB of state); a
+# larger batch is walked block by block.
+_BAND_ROWS = 1 << 16
 
 
 class CausticKind(enum.Enum):
@@ -389,6 +394,12 @@ def phase_invariant(e, x):
     return e.b2 * x.x * x.vx + x.y * x.vy
 
 
+def tangential(e, x, y, vx, vy):
+    """Tangential component tau = (1 - c^2) x vy - y vx of the direction
+    (vx, vy) at the boundary point (x, y); floats or arrays alike."""
+    return e.b2 * x * vy - y * vx
+
+
 def z_of_point(x, y):
     """Rational boundary parameter z = y/(x - 1); (1,0) maps to inf."""
     if x == 1.0:
@@ -463,8 +474,20 @@ def inward(e, p, slope):
     return vx, vy
 
 
+def caustic_phase_points(e, s, thetas):
+    """caustic_phase_point at every boundary angle of thetas, as four
+    float arrays (x, y, vx, vy); ValueError if the caustic is not
+    reachable from some of the points.  Row i is bit for bit
+    caustic_phase_point(e, s, thetas[i]) (_tangent_rows)."""
+    x, y, vx, vy = rows = _tangent_rows(e, s, thetas)
+    if x.size < len(thetas):
+        raise ValueError("caustic not reachable from this boundary point")
+    return rows
+
+
 def caustic_phase_point(e, s, theta):
-    """PhasePoint at boundary angle theta tangent to the caustic s.
+    """PhasePoint at boundary angle theta tangent to the caustic s: the
+    one-row case of caustic_phase_points.
 
     The two tangents at p are mirror images in the normal, so their
     tangential components tau = (1-c^2) x v2 - y v1 are opposite; the
@@ -476,10 +499,60 @@ def caustic_phase_point(e, s, theta):
     caustic, so the rule holds on both kinds of caustic and never flips
     inside a reachable arc.
     """
-    p = e.boundary_point(theta)
-    slopes = tangent_slopes(e, p, s)
-    if not slopes:
-        raise ValueError("caustic not reachable from this boundary point")
-    vx, vy = min((inward(e, p, xi) for xi in slopes),
-                 key=lambda v: e.b2 * p[0] * v[1] - p[1] * v[0])
-    return PhasePoint(p[0], p[1], vx, vy)
+    x, y, vx, vy = caustic_phase_points(e, s, [theta])
+    return PhasePoint(float(x[0]), float(y[0]), float(vx[0]), float(vy[0]))
+
+
+def _tangent_rows(e, s, thetas):
+    """(x, y, vx, vy) of caustic_phase_points for the leading rows of
+    thetas from which the caustic s is reachable: the arrays stop
+    before the first row that is not.
+
+    Each row computes the floats of boundary_point, tangent_slopes,
+    inward and the choice of tau < 0, in the same order: the point and
+    unit(1, slope) through math.cos, math.sin and math.hypot (np.hypot
+    differs in the last bit), the vertical tangent where |qa| < 1e-14,
+    and the second tangent only where its tau is strictly smaller (the
+    first one wins a tie, as in min).  Both tangents of a row are made
+    at once, the first ones in rows 0..k-1 and the second ones in rows
+    k..2k-1; masked rows get stand-in values that keep the arithmetic
+    finite and quiet.
+    """
+    thetas = [float(th) for th in thetas]
+    k = len(thetas)
+    x = np.fromiter(map(math.cos, thetas), float, k)
+    y = np.fromiter(map(math.sin, thetas), float, k)
+    y *= math.sqrt(e.b2)
+    qa = s - x * x
+    qb = 2.0 * x * y
+    qc = s - y * y - e.c2
+    vertical = np.abs(qa) < 1e-14
+    disc = qb * qb - 4.0 * qa * qc
+    unreachable = np.flatnonzero(~vertical & (disc < 0.0))
+    if unreachable.size:
+        k = unreachable[0]
+        x, y, qa, qb, qc, vertical, disc = (
+            a[:k] for a in (x, y, qa, qb, qc, vertical, disc))
+    # Slopes (-qb +- sq) / (2 qa); on a vertical row the first tangent
+    # is vertical and the second, if |qb| > 1e-14, has slope -qc / qb.
+    sq = np.sqrt(np.where(vertical, 0.0, disc))
+    den = np.where(vertical, 1.0, 2.0 * qa)
+    second = np.abs(qb) > 1e-14
+    slopes = np.concatenate((
+        (-qb + sq) / den,
+        np.where(vertical, -qc / np.where(vertical & second, qb, 1.0),
+                 (-qb - sq) / den)))
+    second |= ~vertical
+    up = np.concatenate((vertical, np.zeros(k, dtype=bool)))
+    h = np.fromiter(map(math.hypot, itertools.repeat(1.0), slopes.tolist()),
+                    float, 2 * k)
+    vx = np.where(up, 0.0, 1.0 / h)
+    vy = np.where(up, 1.0, slopes / h)
+    x2, y2 = np.concatenate((x, x)), np.concatenate((y, y))
+    flip = x2 * vx + y2 * vy / e.b2 > 0.0
+    vx = np.where(flip, -vx, vx)
+    vy = np.where(flip, -vy, vy)
+    tau = tangential(e, x2, y2, vx, vy)
+    take2 = second & (tau[k:] < tau[:k])
+    return (x, y, np.where(take2, vx[k:], vx[:k]),
+            np.where(take2, vy[k:], vy[:k]))

@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .conics import advance, classify_caustic, z_of_point
+from .conics import advance, classify_caustic, tangential, z_of_point
 
 # Separation below which a pair (P, Q) with P ~ -Q is treated as
 # summing to the identity.
@@ -220,7 +220,7 @@ def phase_to_legendre(e, s, x):
     """
     x0 = math.sqrt(s) / e.c
     y0 = cmath.sqrt(e.b2 * (e.c2 - s) / e.c2)
-    tau = e.b2 * x.x * x.vy - x.y * x.vx
+    tau = tangential(e, x.x, x.y, x.vx, x.vy)
     Y_inf = -ETA_SIGN * x0 * (x0 - 1.0) * tau / (e.c * y0)
     z = z_of_point(x.x, x.y)
     if math.isinf(z):

@@ -59,8 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._roots import brentq
-from .conics import (_REFLECT_TOL, CausticParam, PhasePoint, Trajectory,
-                     _step, _walk, advance_batch, caustic_of_line,
+from .conics import (_BAND_ROWS, _REFLECT_TOL, CausticParam, PhasePoint,
+                     Trajectory, _step, _walk, advance_batch, caustic_of_line,
                      classify_caustic, reflect, slope_of, unit)
 from .periods import BettiModel, _beta2_inverse
 
@@ -79,9 +79,6 @@ _GRID_TABLES = 8
 # Largest gap (rad, mod 2 pi) between a direction angle plus alpha and
 # its partner's angle in angle_pair_scan.
 _PAIR_WINDOW = 1e-7
-# Rows (two per candidate direction) walked in one lockstep (a few MB of
-# state); a longer range of n is certified band by band.
-_BAND_ROWS = 1 << 16
 # A connecting-trajectory climb stops once no gradient component exceeds
 # _GTOL (a few hundred times its rounding level), or after _MAX_STEPS
 # steps.

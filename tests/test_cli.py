@@ -353,6 +353,8 @@ BIRKHOFF_ARGV = {
     "window_3.csv": ["birkhoff", "--c", "0.6", "--s", "0.62", "--window", "3"],
     "moebius_fit_7.json": ["moebius-fit", "--c", "0.6", "--s", "0.62",
                            "--n", "7"],
+    "poncelet_7.json": ["poncelet", "--c", "0.6", "--rot", "1/7",
+                        "--starts", "20"],
 }
 
 
@@ -364,6 +366,49 @@ def test_birkhoff_bytes_frozen(tmp_path, name):
     # once it matched a 40-digit mpmath walk (tests/test_oracles.py).
     raw = run_to(tmp_path, name, BIRKHOFF_ARGV[name])
     assert raw == (BIRKHOFF_DATA / name).read_bytes()
+
+
+_DEGENERATE = {"birkhoff --window": "window sum undefined on a degenerate caustic",
+               "birkhoff --bounces": "Birkhoff sum undefined on a degenerate caustic",
+               "moebius-fit --n": "window sum undefined on a degenerate caustic"}
+_UNREACHABLE = "caustic not reachable from this boundary point"
+
+
+@pytest.mark.parametrize("s,command,message", [
+    *(("0.36", cmd, msg) for cmd, msg in _DEGENERATE.items()),
+    *(("1.0", cmd, msg) for cmd, msg in _DEGENERATE.items()
+      if cmd != "moebius-fit --n"),
+    ("1.0", "moebius-fit --n", "caustic is periodic of order dividing n; "
+                               "the window sum degenerates to a constant"),
+    *((repr(1 - 1e-10), cmd, msg) for cmd, msg in _DEGENERATE.items()),
+    ("0.0", "birkhoff --window", _UNREACHABLE),
+    ("0.0", "birkhoff --bounces", _UNREACHABLE),
+    ("0.0", "moebius-fit --n", "lambda must be positive"),
+    *(("0.126", cmd, _UNREACHABLE) for cmd in _DEGENERATE),
+])
+def test_birkhoff_refusals(capsys, s, command, message):
+    # Every row of these caustics is refused; the first row's error is
+    # reported.
+    words = command.split()
+    argv = [words[0], "--c", "0.6", "--s", s, words[1],
+            "5" if words[0] == "moebius-fit" or words[1] == "--bounces" else "2"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--s", "0.62", "--window", "2", "--num", "0"], "--num must be >= 1"),
+    # A bad size is met in the first row, unless that row is unreachable.
+    (["--s", "0.36", "--bounces", "0"], "need at least one bounce"),
+    (["--s", "0.36", "--window", "-1"], "window half-width must be >= 0"),
+    (["--s", "0.126", "--bounces", "0"], _UNREACHABLE),
+    (["--s", "0.126", "--window", "-1"], _UNREACHABLE),
+])
+def test_birkhoff_refusals_in_row_order(capsys, argv, message):
+    assert main(["birkhoff", "--c", "0.6"] + argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": message}
 
 
 def test_count_periodic_range_edges(tmp_path, capsys):
