@@ -436,32 +436,6 @@ def invariant_density(e, s, z):
     return 1.0 / (math.sqrt(abs(r)) * 2.0 * elliprf(0.0, abs(A), abs(B)))
 
 
-def tangent_slopes(e, p, s):
-    """Slopes through p tangent to C_s: roots of the tangency quadratic.
-
-    (s - a^2) xi^2 + 2 a b xi + (s - b^2 - c^2) = 0; a vanishing leading
-    coefficient contributes the vertical line (slope inf).  Returns a
-    list of 0, 1, or 2 slopes.
-    """
-    a, b = p
-    qa = s - a * a
-    qb = 2.0 * a * b
-    qc = s - b * b - e.c2
-    out = []
-    if abs(qa) < 1e-14:
-        out.append(math.inf)
-        if abs(qb) > 1e-14:
-            out.append(-qc / qb)
-        return out
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return out
-    sq = math.sqrt(disc)
-    out.append((-qb + sq) / (2.0 * qa))
-    out.append((-qb - sq) / (2.0 * qa))
-    return out
-
-
 def inward(e, p, slope):
     """Unit direction of given slope at boundary point p, oriented inward."""
     if math.isinf(slope):
@@ -508,15 +482,16 @@ def _tangent_rows(e, s, thetas):
     thetas from which the caustic s is reachable: the arrays stop
     before the first row that is not.
 
-    Each row computes the floats of boundary_point, tangent_slopes,
-    inward and the choice of tau < 0, in the same order: the point and
-    unit(1, slope) through math.cos, math.sin and math.hypot (np.hypot
-    differs in the last bit), the vertical tangent where |qa| < 1e-14,
-    and the second tangent only where its tau is strictly smaller (the
-    first one wins a tie, as in min).  Both tangents of a row are made
-    at once, the first ones in rows 0..k-1 and the second ones in rows
-    k..2k-1; masked rows get stand-in values that keep the arithmetic
-    finite and quiet.
+    Each row computes the floats of boundary_point, the slopes xi of the
+    tangency quadratic qa xi^2 + qb xi + qc = (s - a^2) xi^2 + 2 a b xi
+    + (s - b^2 - c^2) = 0 at the point (a, b), inward and the choice of
+    tau < 0, in that order: the point and unit(1, slope) through
+    math.cos, math.sin and math.hypot (np.hypot differs in the last
+    bit), the vertical tangent where |qa| < 1e-14, and the second
+    tangent only where its tau is strictly smaller (the first one wins a
+    tie, as in min).  Both tangents of a row are made at once, the first
+    ones in rows 0..k-1 and the second ones in rows k..2k-1; masked rows
+    get stand-in values that keep the arithmetic finite and quiet.
     """
     thetas = [float(th) for th in thetas]
     k = len(thetas)

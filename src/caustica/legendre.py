@@ -18,6 +18,14 @@ which differs from the constant-abscissa section (1/c^2, ...) by the
 two sections, the explicit phase-space isomorphism, and the numerical
 check that the billiard map is conjugate to translation by B (the
 executable form of Poncelet's theorem).
+
+Points are homogeneous triples (X : Y : Z), so the identity is the
+point with Z = 0 and a sum near it has a small Z rather than huge
+affine coordinates.  The group law is the chord construction with the
+slope taken from one of two forms (see _add_raw), after the complete
+systems of addition laws of Bosma and Lenstra (J. Number Theory 53
+(1995) 229-240): at every pair of points other than the identity one
+of the two is not 0/0.
 """
 
 import cmath
@@ -26,10 +34,6 @@ from dataclasses import dataclass
 
 from .conics import advance, classify_caustic, tangential, z_of_point
 
-# Separation below which a pair (P, Q) with P ~ -Q is treated as
-# summing to the identity.
-NEAR_EPS = 1e-8
-
 # Global sign of the ordinate eta of the phase-space isomorphism, fixed
 # once so that one bounce with the caustic to the right of the motion is
 # translation by +B.
@@ -37,32 +41,41 @@ ETA_SIGN = -1.0
 
 
 class LegendrePoint:
-    """Affine point (X, Y), or the point at infinity, on a Legendre curve."""
+    """Point (X : Y : Z) of a Legendre curve in homogeneous coordinates,
+    real or complex.  LegendrePoint(X, Y) is the affine point (Z = 1);
+    .X and .Y read X/Z and Y/Z, None at the identity (Z = 0), and ==
+    and hash compare that affine view."""
 
-    __slots__ = ("X", "Y", "inf")
+    __slots__ = ("xyz",)
 
-    def __init__(self, X=None, Y=None, inf=False):
-        self.inf = bool(inf)
-        self.X = None if self.inf else X
-        self.Y = None if self.inf else Y
+    def __init__(self, X, Y, Z=1.0):
+        self.xyz = (X, Y, Z)
+
+    @property
+    def inf(self):
+        return self.xyz[2] == 0
+
+    @property
+    def X(self):
+        return None if self.inf else self.xyz[0] / self.xyz[2]
+
+    @property
+    def Y(self):
+        return None if self.inf else self.xyz[1] / self.xyz[2]
 
     def __repr__(self):
-        if self.inf:
-            return "LegendrePoint(inf)"
-        return f"LegendrePoint({self.X!r}, {self.Y!r})"
+        return "LegendrePoint({!r}, {!r}, {!r})".format(*self.xyz)
 
     def __eq__(self, other):
         if not isinstance(other, LegendrePoint):
             return NotImplemented
-        if self.inf or other.inf:
-            return self.inf and other.inf
-        return self.X == other.X and self.Y == other.Y
+        return (self.X, self.Y) == (other.X, other.Y)
 
     def __hash__(self):
-        return hash((self.inf, self.X, self.Y))
+        return hash((self.X, self.Y))
 
 
-Infinity = LegendrePoint(inf=True)
+Infinity = LegendrePoint(0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -74,13 +87,14 @@ class LegendreCurve:
             raise ValueError("Legendre parameter must avoid 0 and 1")
 
     def residual(self, P):
-        """Relative failure of the curve equation at P."""
-        if P.inf:
+        """Relative failure of the curve equation Y^2 Z = X(X-Z)(X-lambda Z)
+        at P; 0 at the identity."""
+        X, Y, Z = P.xyz
+        lhs = Y * Y * Z
+        scale = max(abs(Z) ** 3, abs(lhs), abs(X) ** 3)
+        if scale == 0:
             return 0.0
-        X, Y = P.X, P.Y
-        rhs = X * (X - 1.0) * (X - self.lam)
-        scale = max(1.0, abs(Y) ** 2, abs(X) ** 3)
-        return abs(Y * Y - rhs) / scale
+        return abs(lhs - X * (X - Z) * (X - self.lam * Z)) / scale
 
     def contains(self, P):
         """Whether P lies on the curve: residual at most 1e-6."""
@@ -97,16 +111,8 @@ def lambda_of(e, s):
 
 
 def neg(P):
-    if P.inf:
-        return Infinity
-    return LegendrePoint(P.X, -P.Y)
-
-
-def _chord_third(L, P, Q, m):
-    """Third intersection of the line through P, Q of slope m, negated."""
-    X3 = m * m + 1.0 + L.lam - P.X - Q.X
-    Y3 = m * (X3 - P.X) + P.Y
-    return LegendrePoint(X3, -Y3)
+    X, Y, Z = P.xyz
+    return LegendrePoint(X, -Y, Z)
 
 
 def _add_raw(L, P, Q):
@@ -114,24 +120,35 @@ def _add_raw(L, P, Q):
         return Q
     if Q.inf:
         return P
-    dx = Q.X - P.X
-    sy = P.Y + Q.Y
-    xscale = max(1.0, abs(P.X), abs(Q.X))
-    yscale = max(1.0, abs(P.Y), abs(Q.Y))
-    if abs(dx) < NEAR_EPS * xscale and abs(sy) < NEAR_EPS * yscale:
-        return Infinity
-    # Two algebraically equal slope formulas with complementary
-    # cancellation: (Y2-Y1)/(X2-X1) degrades as X2 -> X1, while the
-    # conjugate form (f(X2)-f(X1))/((X2-X1)(Y1+Y2)) with the difference
-    # quotient of f(X) = X(X-1)(X-lambda) taken symbolically degrades
-    # only as Q -> -P.  Pick by the relatively larger denominator; at
-    # P = Q the second is exactly the tangent slope.
-    if abs(sy) * xscale >= abs(dx) * yscale:
-        m = (P.X * P.X + P.X * Q.X + Q.X * Q.X
-             - (1.0 + L.lam) * (P.X + Q.X) + L.lam) / sy
+    X1, Y1, Z1 = P.xyz
+    X2, Y2, Z2 = Q.xyz
+    a, b, zz = X1 * Z2, X2 * Z1, Z1 * Z2
+    dx = b - a
+    sy = Y1 * Z2 + Y2 * Z1
+    xscale = max(abs(a), abs(b), abs(zz))
+    yscale = max(abs(Y1 * Z2), abs(Y2 * Z1), abs(zz))
+    # The slope u/v of the line through P and Q, in one of two forms that
+    # agree in exact arithmetic and cancel in complementary places: the
+    # chord form (Y2 Z1 - Y1 Z2)/(X2 Z1 - X1 Z2), 0/0 only at P = Q, and
+    # the conjugate form, the difference quotient of f(X) = X(X-Z)(X-lam Z)
+    # taken symbolically over (Y1 Z2 + Y2 Z1) Z1 Z2, 0/0 only where
+    # Y1/Z1 = -Y2/Z2 and either X1/Z1 != X2/Z2 or f'(X1/Z1) = 0.  The form
+    # with the relatively larger denominator is taken, the conjugate one
+    # on a tie unless it is 0/0.  A vertical line (v = 0) gives Z3 = 0
+    # exactly: P + (-P), and T + T for a 2-torsion point T.
+    conj = (a * a + a * b + b * b - (1.0 + L.lam) * (a + b) * zz
+            + L.lam * zz * zz, sy * zz)
+    if abs(sy) * xscale >= abs(dx) * yscale and any(conj):
+        u, v = conj
     else:
-        m = (Q.Y - P.Y) / dx
-    return _chord_third(L, P, Q, m)
+        u, v = Y2 * Z1 - Y1 * Z2, dx
+    # X3/Z3 = m^2 + 1 + lambda - X1/Z1 - X2/Z2 and
+    # Y3/Z3 = m (X1/Z1 - X3/Z3) - Y1/Z1 with m = u/v, over v^3 Z1 Z2.
+    w = u * u * zz + ((1.0 + L.lam) * zz - a - b) * v * v
+    X3, Y3, Z3 = v * w, u * (a * v * v - w) - v ** 3 * Y1 * Z2, v ** 3 * zz
+    # An exact power of two keeps chains of sums in range without rounding.
+    f = 2.0 ** -math.frexp(max(abs(X3), abs(Y3), abs(Z3)))[1]
+    return LegendrePoint(X3 * f, Y3 * f, Z3 * f)
 
 
 def add(L, P, Q):
@@ -195,7 +212,13 @@ def phase_to_legendre(e, s, x):
 
         Y = -ETA_SIGN x0 (x0 - 1) tau (z^2 + 1 - c^2) / (c y0 (z - z4)^2),
 
-    with z4 = y0/(x0 + 1); at z = inf, Y = -ETA_SIGN x0 (x0 - 1) tau / (c y0).
+    with z4 = y0/(x0 + 1); at z = inf, Y = -ETA_SIGN x0 (x0 - 1) tau / (c y0)
+    = Y_inf.  Over den^2 with den = (x0 + 1) z - y0 = (x0 + 1)(z - z4),
+    the point is
+
+        (x0 ((x0 + 1) z + y0) den : Y_inf (z^2 + 1 - c^2)(x0 + 1)^2 : den^2),
+
+    the identity exactly where den = 0.
 
     Derivation: w is linear in the dual coordinate t of the chord
     t x + u y = 1,
@@ -214,8 +237,8 @@ def phase_to_legendre(e, s, x):
     u are infinite; tau is not.  The two tangents at p are mirror images
     in the normal, so their tau are opposite and they map to P and -P.
 
-    Ramification points land on 2-torsion, with P4 = (-x0, -y0) at
-    Infinity; elliptic caustics give complex output of constant
+    Ramification points land on 2-torsion, with P4 = (-x0, -y0), where
+    z = z4, at Infinity; elliptic caustics give complex output of constant
     |X| = sqrt(lambda).
     """
     x0 = math.sqrt(s) / e.c
@@ -226,11 +249,8 @@ def phase_to_legendre(e, s, x):
     if math.isinf(z):
         return LegendrePoint(complex(x0), Y_inf)
     den = (x0 + 1.0) * z - y0
-    if abs(den) < 1e-13 * max(1.0, abs(z)):
-        return Infinity
-    X = x0 * ((x0 + 1.0) * z + y0) / den
-    z4 = y0 / (x0 + 1.0)
-    return LegendrePoint(X, Y_inf * (z * z + e.b2) / (z - z4) ** 2)
+    return LegendrePoint(x0 * ((x0 + 1.0) * z + y0) * den,
+                         Y_inf * (z * z + e.b2) * (x0 + 1.0) ** 2, den * den)
 
 
 def point_distance(P, Q):
@@ -240,10 +260,8 @@ def point_distance(P, Q):
     homogeneous vectors; the wedge form stays accurate for nearly equal
     points where 1 - cos^2 would lose everything below sqrt(eps).
     """
-    a = (0.0, 1.0, 0.0) if P.inf else (P.X, P.Y, 1.0)
-    b = (0.0, 1.0, 0.0) if Q.inf else (Q.X, Q.Y, 1.0)
-    a = [complex(t) for t in a]
-    b = [complex(t) for t in b]
+    a = [complex(t) for t in P.xyz]
+    b = [complex(t) for t in Q.xyz]
     na = math.sqrt(sum(abs(t) ** 2 for t in a))
     nb = math.sqrt(sum(abs(t) ** 2 for t in b))
     wedge = 0.0
@@ -261,8 +279,8 @@ class ConjugationChecker:
     chosen (measured on all 25,760 phase points of c in {0.25, 0.3,
     0.45, 0.6, 0.75, 0.85, 0.9}, with s/c^2 in {0.2, 0.35, 0.6, 0.9}
     and s = c^2 + f (1 - c^2), f in {0.1, 0.35, 0.6, 0.9}, theta =
-    2 pi k/304 where tangent_slopes gives two tangents, and both
-    tangents: worst defect 5.4e-12).
+    2 pi k/304 where the tangency quadratic has two roots, and both
+    tangents: worst defect 2.6e-12).
     """
 
     def __init__(self, e, s):

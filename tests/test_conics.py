@@ -13,7 +13,7 @@ from caustica import conics
 from caustica import Ellipse, Shot, caustic_phase_point, classify_caustic, first_hit, inward, simulate
 from caustica.conics import (CausticParam, CausticKind, PhasePoint, _step, _walk, advance,
                              advance_batch, caustic_of_line, invariant_density,
-                             phase_invariant, reflect, slope_of, tangent_slopes, unit,
+                             phase_invariant, reflect, slope_of, unit,
                              z_of_point)
 
 E = Ellipse(0.6)
@@ -358,15 +358,6 @@ def test_chord_dual_represents_the_chord():
         assert t * q2[0] + u * q2[1] == pytest.approx(1.0, abs=1e-9)
     # A diameter has no dual coordinates.
     assert chord_dual((0.5, 0.2), (-0.5, -0.2)) is None
-
-
-def test_tangent_slopes_produce_the_caustic():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        p = random_interior(rng)
-        for s in (0.2, 0.8):
-            for xi in tangent_slopes(E, p, s):
-                assert caustic_of_line(E, p, xi).s == pytest.approx(s, abs=1e-9)
 
 
 def test_inward_points_into_table():

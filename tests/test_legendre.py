@@ -13,9 +13,25 @@ from caustica.legendre import (ConjugationChecker, Infinity, LegendreCurve,
                                conjugation_defect, j_invariant, lambda_of,
                                masser_point, phase_to_legendre)
 from caustica.conics import (PhasePoint, caustic_of_line, caustic_phase_point, inward,
-                             slope_of, tangent_slopes)
+                             slope_of)
 
 E = Ellipse(0.6)
+
+
+def tangent_slopes(e, p, s):
+    """Slopes of both lines through the boundary point p = (a, b) tangent
+    to the caustic s: the roots xi of the tangency quadratic
+    (s - a^2) xi^2 + 2 a b xi + (s - b^2 - c^2) = 0, with the vertical
+    line (slope inf) where the leading coefficient vanishes."""
+    a, b = p
+    qa, qb, qc = s - a * a, 2.0 * a * b, s - b * b - e.c2
+    if abs(qa) < 1e-14:
+        return [math.inf] + ([-qc / qb] if abs(qb) > 1e-14 else [])
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    return [(-qb + sq) / (2.0 * qa), (-qb - sq) / (2.0 * qa)]
 
 
 def random_point(L, rng):
@@ -137,14 +153,19 @@ def test_group_law_properties(lam, specs):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="affine chord law loses Y of (P + Q) + R when P ~ -Q")
+                   reason="P ~ -Q: rounding puts P + Q off the curve near the "
+                          "identity, and adding R amplifies it")
 def test_group_law_near_inverse_draw():
     # A draw of test_group_law_properties with P and Q nearly opposite.
-    # P + Q lands at (6.36e10, 1.6e16), 2e-11 off in relative terms;
-    # adding R then forms Y3 = -(Y1 + m (X3 - X1)) from two terms of
-    # size 1.6e16 and returns Y = -2.0 where 50-digit arithmetic gives
-    # (0.0468746, 0.0457632), so the two routes differ by 0.914 against
-    # the bound 0.64.
+    # The float P and Q are off the curve by rounding, and so the sum of
+    # these two inputs is defined only to ~2e-11 relative: exact
+    # arithmetic on them gives X = 63629317644.63 by the chord slope and
+    # 63629317643.60 by the conjugate one, which add takes here.  The
+    # float P + Q then sits off the curve by 2e-16 relative, near the
+    # identity, and the chord to R turns that into Y = 3.36 (2.29 in
+    # exact arithmetic on the float P + Q) where P + (Q + R) and
+    # 50-digit arithmetic give (0.0468746, 0.0457632): the two routes
+    # differ by 0.944 against the bound 0.64.
     lam = 0.09375
     specs = [(False, 0.19962459945589212, 1.0),
              (False, 0.19962770092025212, -1.0),
@@ -201,6 +222,23 @@ def test_near_inverse_pairs_are_stable():
         R = add(L, P, Q)
         if not R.inf:
             assert L.residual(R) < 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7, 1.8])
+def test_near_inverse_sum_is_not_the_identity(lam):
+    # Q sits at X (1 + 10^-k) with the opposite sign of Y, so P + Q is a
+    # point far out on the curve, never the identity: there is no
+    # threshold below which a nearly inverse pair is rounded to it.
+    L = LegendreCurve(lam)
+    for X in (0.5 * min(1.0, lam), max(1.0, lam) + 0.7, max(1.0, lam) + 3.0):
+        for sign in (1.0, -1.0):
+            P = LegendrePoint(X, sign * math.sqrt(X * (X - 1.0) * (X - lam)))
+            for k in range(9, 15):
+                X2 = X * (1.0 + 10.0 ** -k)
+                Q = LegendrePoint(X2, -sign * math.sqrt(X2 * (X2 - 1.0) * (X2 - lam)))
+                R = add(L, P, Q)
+                assert not R.inf, (X, sign, k)
+                assert L.residual(R) < 1e-8, (X, sign, k)
 
 
 def test_mul_matches_repeated_add():

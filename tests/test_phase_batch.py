@@ -2,8 +2,8 @@
 replace, bit for bit.
 
 The references below are local copies of the scalar rules:
-caustic_phase_point as tangent_slopes, inward and the choice of the
-tangent with the smaller tau = (1-c^2) x v2 - y v1 (the first on a tie,
+caustic_phase_point as the roots of the tangency quadratic, inward and
+the choice of the tangent with the smaller tau = (1-c^2) x v2 - y v1 (the first on a tie,
 as min does), and the cosine sums as a loop over the scalar walk _walk.
 A row that the scalar loop refuses must make the batch raise the same
 ValueError, the first row's first.
