@@ -26,9 +26,14 @@ window_sums) are walked at once: the points come from
 caustic_phase_points, every walk (both halves of each window) is a row
 of advance_batch, and each row adds its cosines in bounce order, so
 every sum is bit for bit the scalar walk's.  birkhoff_sum and
-symmetric_sum are their one-row cases.  Every row is checked before
-any is walked, and a batch raises the error of its first failing row,
-the one a loop over the rows would meet first.
+symmetric_sum are their one-row cases.
+
+A batch is refused by its caustic, not by the angles sampled on it, and
+before any row is walked: an s outside [0, 1] first; then, if the first
+row is reachable, a bad size and a degenerate s (classify_caustic(e, s));
+then the first row from which the caustic is not reachable.  A single
+phase point is refused by the caustic of its chord (caustic_of_line),
+and a window centre also off the boundary.
 """
 
 import math
@@ -37,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conics import (_BAND_ROWS, _REFLECT_TOL, _tangent_rows,
-                     advance_batch, caustic_phase_point, classify_caustic)
+                     advance_batch, caustic_of_line, classify_caustic,
+                     slope_of)
 from .periods import BettiModel
 
 # Distance of n*beta2 from the integers below which a caustic is
@@ -73,8 +79,10 @@ def h_weight(e, p):
 def birkhoff_sum(e, start, n):
     """Sum of cos alpha_i over the first n bounces from the boundary
     phase point start; alpha_i is the angle between consecutive segment
-    directions at bounce i.  The one-row case of birkhoff_sums."""
-    return float(_plain_sums(e, *_one_row(start), n)[0])
+    directions at bounce i.  The one-row case of birkhoff_sums, refused
+    by the caustic of the start's chord."""
+    _check_plain(n, lambda: _chord_caustic(e, start))
+    return float(_cos_sums(e, *_one_row(start), n)[0])
 
 
 def symmetric_sum(e, center, m):
@@ -85,33 +93,58 @@ def symmetric_sum(e, center, m):
     centre, the sum is u.v plus the m cosines ahead, walked from
     (p, v), plus the m behind, walked forward from the reversed state
     (p, -u): reversal keeps the angle at every bounce.  The one-row
-    case of window_sums."""
+    case of window_sums, refused by the caustic of the centre's chord,
+    then by a centre off the boundary."""
+    _check_window(m, lambda: _chord_caustic(e, center))
+    if abs(e.boundary_residual(center.x, center.y)) > _REFLECT_TOL:
+        raise ValueError("reflection point off the boundary")
     return float(_window_sums(e, *_one_row(center), m)[0])
 
 
 def birkhoff_sums(e, s, thetas, n):
     """birkhoff_sum at caustic_phase_point(e, s, theta) for every theta
-    of thetas, as a list of floats, all rows walked at once; a failing
-    row raises the ValueError of the first one, as a loop over the rows
-    would."""
-    return _on_caustic(e, s, thetas, _plain_sums, n)
+    of thetas, as a list of floats, all rows walked at once.  A batch is
+    refused by s, as _on_caustic sets out."""
+    return _on_caustic(e, s, thetas, _check_plain, _cos_sums, n)
 
 
 def window_sums(e, s, thetas, m):
     """symmetric_sum at caustic_phase_point(e, s, theta) for every theta
     of thetas, as birkhoff_sums gives birkhoff_sum."""
-    return _on_caustic(e, s, thetas, _window_sums, m)
+    return _on_caustic(e, s, thetas, _check_window, _window_sums, m)
 
 
-def _on_caustic(e, s, thetas, sums, n):
-    # The rows before the first unreachable one are checked and summed
-    # first, so their errors come before its own.
+def _on_caustic(e, s, thetas, check, sums, n):
+    # The refusals, before any row is walked: s outside [0, 1]; then,
+    # if the leading row is reachable, a bad size and a degenerate s;
+    # then the first unreachable row.
+    caustic = classify_caustic(e, s)
     rows = _tangent_rows(e, s, thetas)
     k = rows[0].size
-    out = sums(e, *rows, n).tolist() if k else []
+    if k:
+        check(n, lambda: caustic)
     if k < len(thetas):
-        caustic_phase_point(e, s, thetas[k])  # raises: unreachable
-    return out
+        raise ValueError("caustic not reachable from this boundary point")
+    return sums(e, *rows, n).tolist()
+
+
+def _check_plain(n, caustic):
+    # caustic makes the CausticParam, so a bad size comes first.
+    if n < 1:
+        raise ValueError("need at least one bounce")
+    if caustic().is_degenerate:
+        raise ValueError("Birkhoff sum undefined on a degenerate caustic")
+
+
+def _check_window(m, caustic):
+    if m < 0:
+        raise ValueError("window half-width must be >= 0")
+    if caustic().is_degenerate:
+        raise ValueError("window sum undefined on a degenerate caustic")
+
+
+def _chord_caustic(e, x):
+    return caustic_of_line(e, x.p, slope_of(x.vx, x.vy))
 
 
 def _one_row(x):
@@ -119,21 +152,9 @@ def _one_row(x):
             np.array([x.vx], dtype=float), np.array([x.vy], dtype=float))
 
 
-def _plain_sums(e, x, y, vx, vy, n):
-    if n < 1:
-        raise ValueError("need at least one bounce")
-    _check_caustics(e, x, y, vx, vy, "Birkhoff sum")
-    return _cos_sums(e, x, y, vx, vy, n)
-
-
 def _window_sums(e, x, y, vx, vy, m):
-    if m < 0:
-        raise ValueError("window half-width must be >= 0")
     # reflect on every row: v - (2d) n with d = v.n / n.n, n = (x, y/b2).
-    b2 = e.b2
-    off = np.abs(x * x + y * y / b2 - 1.0) > _REFLECT_TOL
-    _check_caustics(e, x, y, vx, vy, "window sum", off)
-    ny = y / b2
+    ny = y / e.b2
     d = vx * x + vy * ny
     d /= x * x + ny * ny
     d *= 2.0
@@ -143,35 +164,6 @@ def _window_sums(e, x, y, vx, vy, m):
     sums = _cos_sums(e, np.concatenate((x, x)), np.concatenate((y, y)),
                      np.concatenate((vx, -ux)), np.concatenate((vy, -uy)), m)
     return ux * vx + uy * vy + sums[:k] + sums[k:]
-
-
-def _check_caustics(e, x, y, vx, vy, what, off=None):
-    """Raise the error that a loop over the rows meets first: in each
-    row, the caustic of its chord (caustic_of_line) out of range or
-    degenerate, then, where the mask off is set, its point off the
-    boundary.
-
-    Each kind of caustic holds an interval of s, so when the rows with
-    the least and the greatest s share a non-degenerate kind, all rows
-    do and none is classified one by one."""
-    vertical = vx == 0.0
-    slope = vy / np.where(vertical, 1.0, vx)
-    d = slope * x - y
-    s = np.where(vertical, x * x, (e.c2 + d * d) / (slope * slope + 1.0))
-    try:
-        lo, hi = (classify_caustic(e, float(v)) for v in (s.min(), s.max()))
-        fine = lo.kind is hi.kind and not lo.is_degenerate
-    except ValueError:
-        fine = False
-    first_off = s.size
-    if off is not None and off.any():
-        first_off = int(np.flatnonzero(off)[0])
-    if not fine:
-        for sj in s[:first_off + 1].tolist():
-            if classify_caustic(e, sj).is_degenerate:
-                raise ValueError(f"{what} undefined on a degenerate caustic")
-    if first_off < s.size:
-        raise ValueError("reflection point off the boundary")
 
 
 def _cos_sums(e, x, y, vx, vy, n):

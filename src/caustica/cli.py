@@ -191,7 +191,7 @@ def _cmd_poncelet(args):
 
 def _cmd_birkhoff(args):
     from .birkhoff import birkhoff_sums, window_sums
-    from .conics import Ellipse, classify_caustic
+    from .conics import Ellipse
 
     e = Ellipse(args.c)
     bounces, window, num = args.bounces, args.window, args.num
@@ -200,7 +200,6 @@ def _cmd_birkhoff(args):
                          "--window (symmetric sum half-width)")
     if num < 1:
         raise ValueError("--num must be >= 1")
-    classify_caustic(e, args.s)  # refuses s outside [0, 1]
     thetas = [math.pi * (j + 0.5) / num for j in range(num)]
     if bounces is not None:
         sums = birkhoff_sums(e, args.s, thetas, bounces)

@@ -224,12 +224,12 @@ def _step(b2, x, y, vx, vy):
         return x, y, vx, vy
     sq = math.sqrt(disc)
     # Stable pair of roots: the subtraction-free one first, its partner
-    # from the product of roots.
+    # from the product of roots; |t1| >= sq / (2A) > 0.
     if B >= 0.0:
         t1 = (-B - sq) / (2.0 * A)
     else:
         t1 = (-B + sq) / (2.0 * A)
-    t2 = C / (A * t1) if t1 != 0.0 else 0.0
+    t2 = C / (A * t1)
     if t1 > TANGENCY_EPS:
         t = min(t1, t2) if t2 > TANGENCY_EPS else t1
     elif t2 > TANGENCY_EPS:

@@ -737,7 +737,8 @@ def _exponential_candidates(hits, bases, least):
     integer system M (A, B, C) = Y, with rows (u_x, x v_x, v_x) of M
     and entries y v_x of Y, by Cramer's rule: (a, b, c) = adj(M) Y and
     d = det M give (A, B, C) = (a, b, c) / d.  Collinear triples are
-    skipped: they fit only with A = 0, which is discarded.  A point is
+    skipped: a fit with A = 0 puts its three points on the line
+    y = B x + C, so every fit of the others has A != 0.  A point is
     covered exactly when a u_x + (b x + c - d y) v_x = 0, which is the
     determinant of the 4 x 4 rows of the point and the triple.
 
@@ -802,8 +803,6 @@ def _exponential_candidates(hits, bases, least):
             continue
         yv = [y * pw[x][1] for x, y in fit]
         a, b, c = (_dot(r, yv) for r in _adjugate(M))
-        if a == 0:
-            continue
         g = math.gcd(a, b, c, d) * (1 if d > 0 else -1)
         a, b, c, d = a // g, b // g, c // g, d // g
         idx = [i for i, (x, y) in enumerate(xy)

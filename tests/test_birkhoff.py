@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from caustica import Ellipse, lambda_for_beta2
-from caustica.birkhoff import (birkhoff_sum, h_weight, moebius_fit,
-                               symmetric_sum, value_multiplicity)
-from caustica.conics import Shot, advance, caustic_phase_point, first_hit
+from caustica.birkhoff import (birkhoff_sum, birkhoff_sums, h_weight,
+                               moebius_fit, symmetric_sum, value_multiplicity,
+                               window_sums)
+from caustica.conics import (Shot, advance, caustic_phase_point,
+                             classify_caustic, first_hit)
 
 E = Ellipse(0.6)
 S_PERIODIC = lambda_for_beta2(E, 1.0 / 7.0) * E.c2  # 7-periodic caustic
@@ -115,6 +119,61 @@ def test_value_multiplicity_two_per_semi_ellipse():
     v0, v1 = fit(0.0), fit(1.0)
     outside = max(v0, v1) + 0.5
     assert value_multiplicity(E, S_GENERIC, 7, outside) == 0
+
+
+def test_value_multiplicity_at_a_grid_value():
+    # A value equal to the window sum at a grid node makes that node an
+    # exact zero, counted once; the mirror point x -> -x is a sign
+    # change.  At the last node, the vertex x = -1, the other vertex
+    # x = 1 attains the value up to rounding in the first cell.
+    m = 3
+    thetas = np.linspace(0.0, math.pi, 1025)
+    thetas[0], thetas[-1] = 1e-9, math.pi - 1e-9
+    hs = window_sums(E, S_GENERIC, thetas, m)
+    assert value_multiplicity(E, S_GENERIC, 2 * m + 1, hs[100]) == 2
+    assert value_multiplicity(E, S_GENERIC, 2 * m + 1, hs[-1]) == 2
+
+
+README_THETAS = [math.pi * (j + 0.5) / 64 for j in range(64)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(0.05, 0.95), edge=st.sampled_from(["below focal",
+       "above focal", "below boundary"]), ulps=st.integers(-4, 4),
+       thetas=st.lists(st.floats(0.0, 2.0 * math.pi), max_size=4))
+@example(c=0.6, edge="above focal", ulps=0, thetas=[])
+@example(c=0.6, edge="above focal", ulps=1, thetas=[])
+def test_degenerate_refusal_is_a_property_of_the_caustic(c, edge, ulps, thetas):
+    # Within a few ulps of the edges of the 1e-9 degeneracy band a batch
+    # is refused as degenerate exactly when classify_caustic calls s
+    # degenerate, whichever reachable angles it samples.
+    e = Ellipse(c)
+    s = {"below focal": e.c2 * (1.0 - 1e-9), "above focal": e.c2 * (1.0 + 1e-9),
+         "below boundary": 1.0 - 1e-9}[edge]
+    for _ in range(abs(ulps)):
+        s = math.nextafter(s, math.copysign(math.inf, ulps))
+    degenerate = classify_caustic(e, s).is_degenerate
+    batches = [[th] for th in README_THETAS + thetas] + [thetas]
+    for batch in batches:
+        for sums, what in ((birkhoff_sums, "Birkhoff sum"),
+                           (window_sums, "window sum")):
+            try:
+                sums(e, s, batch, 1)
+            except ValueError as exc:
+                if "not reachable" in str(exc):
+                    continue
+                assert str(exc) == f"{what} undefined on a degenerate caustic"
+                assert degenerate
+            else:
+                assert not degenerate or not batch
+
+
+def test_batch_refuses_s_outside_the_unit_interval():
+    # The range of s is checked before any row is walked.
+    with pytest.raises(ValueError, match=r"confocal parameter s=1\.5 outside"):
+        birkhoff_sums(Ellipse(0.6), 1.5, [0.3], 3)
+    with pytest.raises(ValueError, match=r"confocal parameter s=-0\.1 outside"):
+        window_sums(Ellipse(0.6), -0.1, [], 1)
 
 
 def test_h_weight():

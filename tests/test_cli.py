@@ -411,6 +411,15 @@ def test_birkhoff_refusals_in_row_order(capsys, argv, message):
         "error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("s", ["0.36000000036", "0.36000000036000024"])
+def test_birkhoff_just_above_the_focal_band(tmp_path, s):
+    # classify_caustic calls these s elliptic, so every row is summed,
+    # whatever the caustic of each row's rounded chord.
+    raw = run_to(tmp_path, "b.csv", ["birkhoff", "--c", "0.6", "--s", s,
+                                     "--bounces", "3"])
+    assert len(raw.decode().splitlines()) == 2 + 64
+
+
 def test_count_periodic_range_edges(tmp_path, capsys):
     argv = ["count-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3"]
     assert main(argv + ["--nmin", "1", "--nmax", "5"]) == 2
@@ -470,6 +479,22 @@ def test_render_svg(tmp_path):
     assert "<ellipse" in svg and "<polyline" in svg
     assert "steelblue" in svg  # the caustic is drawn
     assert svg.rstrip().endswith("</svg>")
+
+
+def test_render_draws_elliptic_and_focal_caustics(tmp_path):
+    # A horizontal chord through (0, 0.5) is tangent to the confocal
+    # ellipse s = c^2 + 0.25; a chord through the focus has the foci as
+    # its caustic.
+    argv = ["render", "--c", "0.6", "--bounces", "3"]
+    svg = run_to(tmp_path, "e.svg", argv + ["--x", "0", "--y", "0.5",
+                                            "--slope", "0"]).decode()
+    assert (f'<ellipse cx="0" cy="0" rx="{math.sqrt(0.61):.6f}" ry="0.500000" '
+            'stroke="steelblue"') in svg
+    svg = run_to(tmp_path, "f.svg", argv + ["--x", "0.6", "--y", "0",
+                                            "--slope", "0.7"]).decode()
+    for cx in ("0.600000", "-0.600000"):
+        assert (f'<circle cx="{cx}" cy="0" r="0.015" fill="steelblue"/>'
+                in svg)
 
 
 def test_invalid_parameters_exit_two(capsys):

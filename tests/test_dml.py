@@ -498,6 +498,12 @@ def test_classify_quadratic_spectra():
     assert classify(ProjectiveMap([[2, 1, 0], [1, 1, 0], [0, 0, 1]])).kind is GroupKind.GM
     # Generic quadratic ratios are independent.
     assert classify(ProjectiveMap([[1, 2, 0], [3, 4, 0], [0, 0, 1]])).kind is GroupKind.GM2
+    # (t - 1)(t^2 - 2t + 2): the ratios (1 +- i)/1 have trace 2 and norm
+    # 2, so tau = trace^2/norm - 2 = 0; their quotient i is torsion and
+    # the group is one torus.
+    g = classify(ProjectiveMap([[0, 0, 2], [1, 0, -4], [0, 1, 3]]))
+    assert g.kind is GroupKind.GM
+    assert (g.witness["ratio_trace"], g.witness["ratio_norm"]) == ("2", "2")
 
 
 def companion(c2, c1, c0):
@@ -1002,6 +1008,13 @@ def test_fixed_point_check_diagonal():
     assert fixed_point_check(M, ProjectiveLine([1, 1, 1])) == []
     pts = fixed_point_check(M, ProjectiveLine([1, 0, 0]))  # line x=0
     assert (0, 1, 0) in pts and (0, 0, 1) in pts and len(pts) == 2
+    # diag(2, 2, 1) fixes the line z = 0 pointwise; x + y + z = 0 meets
+    # it at (1 : -1 : 0) and misses the isolated fixed point (0 : 0 : 1).
+    M = ProjectiveMap([[2, 0, 0], [0, 2, 0], [0, 0, 1]])
+    assert fixed_point_check(M, ProjectiveLine([1, 1, 1])) == [(1, -1, 0)]
+    with pytest.raises(ValueError, match="beta is scalar"):
+        fixed_point_check(ProjectiveMap([[3, 0, 0], [0, 3, 0], [0, 0, 3]]),
+                          ProjectiveLine([1, 1, 1]))
 
 
 def test_fixed_point_check_paper_instances():

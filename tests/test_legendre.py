@@ -302,6 +302,18 @@ def test_phase_to_legendre_lands_on_curve():
             assert L.residual(P) < 1e-8
 
 
+def test_phase_to_legendre_at_the_vertex():
+    # z = inf at (1, 0): the point is (x0 : Y_inf : 1), on the curve, and
+    # the bounce from it is translation by the section.
+    s = 0.62
+    x = caustic_phase_point(E, s, 0.0)
+    assert x.p == (1.0, 0.0)
+    P = phase_to_legendre(E, s, x)
+    assert P.xyz[2] == 1.0 and P.X == complex(math.sqrt(s) / E.c)
+    assert lambda_of(E, s).residual(P) < 1e-15
+    assert ConjugationChecker(E, s).defect(x) < 1e-13
+
+
 def test_bounce_is_translation_by_section():
     # One billiard bounce corresponds to adding B(lambda); the defect
     # is the distance between the two routes around the square.
