@@ -226,7 +226,13 @@ def value_multiplicity(e, s, n, value):
     """Number of boundary points per semi-ellipse where the window sum
     attains the given value, by counting sign changes (and exact zeros)
     of the window sum on a grid of 1024 theta cells over the upper
-    semi-ellipse."""
+    semi-ellipse.
+
+    The count is defined for values strictly between the extreme window
+    sums.  An extreme value, attained at a vertex, has no sign change
+    around it, so its count follows rounding: at c = 0.6, s = 0.62,
+    n = 7, the window sum at the first node (x ~ +1) counts 1, and its
+    value at the last node (x ~ -1), 3.6e-15 away, counts 2."""
     if n < 1 or n % 2 == 0:
         raise ValueError("window length n must be odd")
     _check_not_periodic(e, s, n)

@@ -8,7 +8,8 @@ and seed produce byte-identical files and numeric CSV columns carry 17
 significant digits.  _COMMANDS declares each subcommand once: its
 words, handler, help line and flags, each flag with its type and its
 default, _REQUIRED for a flag that main demands; build_parser builds
-the argparse parser from it.  A JSON config file (--config) can supply
+the argparse parser from it, and a run builds the parser of its own
+subcommand only.  A JSON config file (--config) can supply
 any flag: main parses each entry as the flag it names, so a config
 value gets the flag's type, and explicit flags take precedence.
 --threads is validated (>= 1) and changes no byte: every scan runs in
@@ -487,17 +488,30 @@ _COMMANDS = (
 )
 
 
+# The top-level subcommand names, in --help order.
+_NAMES = tuple(words[0] for words, *_ in _COMMANDS if len(words) == 1)
+
+
 @functools.cache
-def build_parser():
+def build_parser(command=None):
     """The caustica argument parser, built once per process from
     _COMMANDS: it holds no append actions or mutable defaults, so parses
     do not share state.  Each subcommand's flags, the common ones first,
-    are its `flags` default, which main and _with_config read."""
+    are its `flags` default, which main and _with_config read.  Given a
+    command, the first word of a subcommand, the parser holds that
+    subcommand alone; its usage line still lists every command."""
     ap = argparse.ArgumentParser(
         prog="caustica",
         description="Elliptical billiards, caustics and exact orbit search")
-    subs = {(): ap.add_subparsers(dest="command", required=True)}
+    # The full parser keeps the default metavar, which its errors use
+    # to name the action; a one-command parser lists every command in
+    # its usage line, as the full one does.
+    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
+    subs = {(): ap.add_subparsers(dest="command", required=True,
+                                  metavar=metavar)}
     for words, func, line, flags in _COMMANDS:
+        if command not in (None, words[0]):
+            continue
         sp = subs[words[:-1]].add_parser(words[-1], help=line)
         if func is None:
             subs[words] = sp.add_subparsers(dest=f"{words[-1]}_command",
@@ -531,7 +545,9 @@ def _with_config(ap, argv, args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
+    # Help, a missing command and an unknown one need the full parser.
+    ap = (build_parser(argv[0]) if argv and argv[0] in _NAMES
+          else build_parser())
     args = ap.parse_args(argv)
     try:
         if args.config:

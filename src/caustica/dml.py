@@ -52,7 +52,6 @@ exactly.
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -163,19 +162,22 @@ def _adjugate(A):
                      _cross(A[0], A[1])))
 
 
-@dataclass(frozen=True)
-class ProjectiveMap:
-    """3x3 invertible matrix of exact rationals, up to scale."""
-
+class _Matrix(NamedTuple):
     matrix: tuple
 
-    def __init__(self, rows):
+
+class ProjectiveMap(_Matrix):
+    """3x3 invertible matrix of exact rationals, up to scale."""
+
+    __slots__ = ()  # no instance __dict__: no attribute can be set
+
+    def __new__(cls, rows):
         m = tuple(_row(r) for r in rows)
         if len(m) != 3 or any(len(r) != 3 for r in m):
             raise ValueError("need a 3x3 matrix")
         if _det3(m) == 0:
             raise ValueError("projective map must be invertible")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
     def power(self, k):
         """beta^k up to scale, by square-and-multiply with gcd stripping
@@ -197,17 +199,20 @@ class ProjectiveMap:
         return tuple(tuple(Fraction(x) for x in r) for r in out)
 
 
-@dataclass(frozen=True)
-class ProjectiveLine:
-    """Coefficient triple of an exact rational linear form, up to scale."""
-
+class _Coeffs(NamedTuple):
     coeffs: tuple
 
-    def __init__(self, coeffs):
+
+class ProjectiveLine(_Coeffs):
+    """Coefficient triple of an exact rational linear form, up to scale."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
         c = _row(coeffs)
         if len(c) != 3 or all(x == 0 for x in c):
             raise ValueError("line needs a nonzero coefficient triple")
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, c)
 
     def canonical(self):
         return _canon(self.coeffs)
@@ -221,8 +226,7 @@ class GroupKind(enum.Enum):
     GM2 = "Gm2"
 
 
-@dataclass(frozen=True)
-class GroupClass:
+class GroupClass(NamedTuple):
     kind: GroupKind
     witness: dict
 
@@ -250,8 +254,7 @@ class FiniteSet(NamedTuple):
     size: int
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     pattern: object
     hits: tuple
 

@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, error reporting."""
 
+import argparse
 import json
 import math
 import os
@@ -628,7 +629,8 @@ with_cli = loaded()
 rc = caustica.cli.main(json.loads(sys.argv[1]))
 scipy = ("scipy", "scipy.special", "scipy.optimize", "scipy.integrate")
 print(json.dumps([rc, [m for m in scipy if m in sys.modules],
-                  [bare, with_cli, loaded()], "numpy" in sys.modules]))
+                  [bare, with_cli, loaded()], "numpy" in sys.modules,
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
@@ -636,7 +638,8 @@ def _guarded_run(argv, src):
     """(exit code, which of scipy and its special/optimize/integrate
     modules are loaded, the caustica submodules loaded after `import
     caustica`, after `import caustica.cli` and after the run, whether
-    numpy is loaded) for one CLI run in a fresh interpreter."""
+    numpy is loaded, which of dataclasses and inspect are loaded) for
+    one CLI run in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _GUARD, json.dumps(argv)],
         capture_output=True, text=True, check=True,
@@ -665,11 +668,11 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
     # Two interpreters at a time; each job writes only its own artifact.
     with ThreadPoolExecutor(max_workers=2) as pool:
         report = list(pool.map(lambda job: _guarded_run(job, src), jobs))
-    for argv, (rc, _, (bare, with_cli, after), _) in zip(argvs, report):
+    for argv, (rc, _, (bare, with_cli, after), _, _) in zip(argvs, report):
         assert rc == 0, argv
         assert bare == [] and with_cli == ["cli"], argv
         assert after == LOADS[argv[0]], argv
-    for argv, (_, loaded, _, numpy) in zip(README_ARGV, report):
+    for argv, (_, loaded, _, numpy, _) in zip(README_ARGV, report):
         assert loaded == (["scipy", "scipy.special"] if argv[0] in R_F_USERS else []), argv
         if argv[:2] == ["dml", "classify"]:
             assert not numpy, argv
@@ -677,9 +680,64 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
     assert report[len(README_ARGV) + 1][3] is False, cubic
     # connect climbs by in-repo Newton steps; betti-scan evaluates the
     # closed form, not the quadrature reference.
-    (_, after_connect, _, _), (_, after_betti, _, _) = report[-2:]
+    (_, after_connect, *_), (_, after_betti, *_) = report[-2:]
     assert after_connect == []
     assert after_betti == ["scipy", "scipy.special"]
+
+
+def test_dml_starts_without_dataclasses(tmp_path):
+    # dml's records are named tuples, so a cold dml run on the standard
+    # library loads neither dataclasses nor the inspect module it imports.
+    cubic = tmp_path / "cubic.json"
+    cubic.write_text(json.dumps({"matrix": [[0, 0, 2], [1, 0, 0], [0, 1, 0]]}))
+    src = Path(caustica.__file__).resolve().parents[1]
+    for i, argv in enumerate((
+            ["dml", "search", "--input", str(DML_DATA / "sparse.input.json")],
+            ["dml", "classify", "--input", str(cubic)])):
+        rc, _, _, numpy, stdlib = _guarded_run(
+            argv + ["--out", str(tmp_path / f"{i}.json")], src)
+        assert (rc, numpy, stdlib) == (0, False, []), argv
+
+
+def _subparsers(ap):
+    """The parsers of ap's subcommands, by name."""
+    return next(a.choices for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("word", cli._NAMES)
+def test_one_command_parser_prints_as_the_full_parser(word, monkeypatch):
+    # main parses a run with the parser of its command alone.  Its usage
+    # line, and the usage and help of the command and of its own
+    # subcommands, are those of the full parser; the top-level help,
+    # which lists every command, comes only from the full parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    full, one = build_parser(), build_parser(word)
+    assert one is not full and list(_subparsers(one)) == [word]
+    assert one.format_usage() == full.format_usage()
+    todo = [(_subparsers(full)[word], _subparsers(one)[word])]
+    while todo:
+        want, got = todo.pop()
+        assert got.format_usage() == want.format_usage()
+        assert got.format_help() == want.format_help()
+        if got._subparsers is not None:
+            todo.extend(zip(_subparsers(want).values(),
+                            _subparsers(got).values()))
+
+
+def test_unknown_flag_after_a_command_prints_the_full_usage(capsys,
+                                                            monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(["count-periodic", "--bogus", "1"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: caustica [-h]\n"
+        "                {simulate,betti-scan,count-periodic,find-periodic,"
+        "connect,poncelet,birkhoff,moebius-fit,scan-boomerang,scan-hole,"
+        "scan-angle-pair,lattice-pairs,dml,render}\n"
+        "                ...\n"
+        "caustica: error: unrecognized arguments: --bogus 1\n")
 
 
 def test_dropping_a_required_flag_exits_two(capsys):

@@ -73,6 +73,27 @@ def test_map_validation_and_input_forms():
         ProjectiveLine([0, 0, 0])
 
 
+def test_records_are_immutable_values():
+    # Equal inputs give equal, equally hashed maps and lines, whatever
+    # form each entry is written in; no attribute can be assigned.
+    M = ProjectiveMap([["1/2", 0, 0], [0, 1, 0], [0, 0, [3, 4]]])
+    assert M == ProjectiveMap([[[1, 2], 0.0, 0], [0, "1", 0], [0, 0, "3/4"]])
+    assert hash(M) == hash(ProjectiveMap(M.matrix))
+    L = ProjectiveLine([1, 2, 3])
+    assert L == ProjectiveLine(["1", 2.0, [3, 1]])
+    assert hash(L) == hash(ProjectiveLine(L.coeffs))
+    assert L != ProjectiveLine([2, 4, 6])  # equal as values, not up to scale
+    assert repr(L) == ("ProjectiveLine(coeffs=(Fraction(1, 1), "
+                       "Fraction(2, 1), Fraction(3, 1)))")
+    gc = classify(BETA_EXP)
+    rep = family_detect(triple_orbit_search(BETA_EXP, *L_EXP, 6), BETA_EXP)
+    for record, name in ((M, "matrix"), (M, "scale"), (L, "coeffs"),
+                         (gc, "kind"), (gc, "witness"), (rep, "pattern"),
+                         (rep, "hits")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_power_strips_to_coprime_integers():
     M = ProjectiveMap([["1/2", 0, 0], [0, "1/2", 0], [0, 0, "3/2"]])
     assert M.power(1) == ((1, 0, 0), (0, 1, 0), (0, 0, 3))
