@@ -37,11 +37,11 @@ and a window centre also off the boundary.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .conics import (_BAND_ROWS, _REFLECT_TOL, _tangent_rows,
+from .conics import (_BAND_ROWS, _require_boundary, _tangent_rows,
                      advance_batch, caustic_of_line, classify_caustic,
                      slope_of)
 from .periods import BettiModel
@@ -52,8 +52,7 @@ from .periods import BettiModel
 PERIOD_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
-class MoebiusFit:
+class MoebiusFit(NamedTuple):
     a: float
     b: float
     c: float
@@ -70,10 +69,8 @@ class MoebiusFit:
 
 def h_weight(e, p):
     """Boundary weight h(p) = 1/(1 - c^2 x^2)."""
-    x, y = p
-    if abs(e.boundary_residual(x, y)) > _REFLECT_TOL:
-        raise ValueError("h_weight needs a boundary point")
-    return 1.0 / (1.0 - e.c2 * x * x)
+    _require_boundary(e, p, "h_weight needs a boundary point")
+    return 1.0 / (1.0 - e.c2 * p[0] * p[0])
 
 
 def birkhoff_sum(e, start, n):
@@ -96,8 +93,7 @@ def symmetric_sum(e, center, m):
     case of window_sums, refused by the caustic of the centre's chord,
     then by a centre off the boundary."""
     _check_window(m, lambda: _chord_caustic(e, center))
-    if abs(e.boundary_residual(center.x, center.y)) > _REFLECT_TOL:
-        raise ValueError("reflection point off the boundary")
+    _require_boundary(e, center.p, "reflection point off the boundary")
     return float(_window_sums(e, *_one_row(center), m)[0])
 
 
@@ -144,12 +140,11 @@ def _check_window(m, caustic):
 
 
 def _chord_caustic(e, x):
-    return caustic_of_line(e, x.p, slope_of(x.vx, x.vy))
+    return caustic_of_line(e, x.p, slope_of(*x.v))
 
 
 def _one_row(x):
-    return (np.array([x.x], dtype=float), np.array([x.y], dtype=float),
-            np.array([x.vx], dtype=float), np.array([x.vy], dtype=float))
+    return [np.array([v], dtype=float) for v in x]
 
 
 def _window_sums(e, x, y, vx, vy, m):

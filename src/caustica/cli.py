@@ -56,7 +56,8 @@ def _refuse(exc):
 def _json_out(args, command, payload):
     doc = {"command": command, "seed": args.seed}
     doc.update(payload)
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    # Strict JSON: a non-finite value refuses the run (exit status 2).
+    _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +76,8 @@ def _cmd_simulate(args):
     traj = simulate(e, Shot(x, y, vx, vy), args.bounces)
     rows = []
     for i, pt in enumerate(traj.points, start=1):
-        seg = caustic_of_line(e, (pt.x, pt.y), slope_of(pt.vx, pt.vy))
-        rows.append(",".join([str(i), _fmt(pt.x), _fmt(pt.y),
-                              _fmt(pt.vx), _fmt(pt.vy), _fmt(seg.s)]))
+        seg = caustic_of_line(e, pt.p, slope_of(*pt.v))
+        rows.append(",".join([str(i), *map(_fmt, pt), _fmt(seg.s)]))
     _csv(args, "simulate", "step,x,y,vx,vy,s", rows)
     return 0
 
@@ -124,9 +124,7 @@ def _cmd_find_periodic(args):
     e = Ellipse(args.c)
     p = (args.px, args.py)
     dirs = find_periodic_directions(e, p, args.n)
-    recs = [{"direction": list(d.direction), "period": d.period,
-             "caustic": _caustic_json(d.caustic),
-             "closure_error": d.closure_error} for d in dirs]
+    recs = [{**d._asdict(), "caustic": _caustic_json(d.caustic)} for d in dirs]
     _json_out(args, "find-periodic",
               {"c": e.c, "point": list(p), "n": args.n, "results": recs})
     return 0
@@ -151,8 +149,7 @@ def _cmd_connect(args):
                  for j in range(len(verts))]
     _json_out(args, "connect", {
         "c": e.c, "p1": list(p1), "p2": list(p2), "segments": n,
-        "bounces": [{"x": pt.x, "y": pt.y, "vx": pt.vx, "vy": pt.vy}
-                    for pt in traj.points],
+        "bounces": [pt._asdict() for pt in traj.points],
         "reflection_residuals": residuals,
         "segment_caustics": segment_caustics(e, full),
         "caustic": _caustic_json(traj.caustic),
@@ -234,11 +231,9 @@ def _cmd_scan_boomerang(args):
     p = (args.px, args.py)
     grid = DEFAULT_GRID if args.grid is None else args.grid
     hits = boomerang_scan(e, p, args.nmax, args.tol, grid)
-    recs = [{"direction": list(h.direction), "bounce": h.bounce,
-             "kind": h.kind, "miss": h.miss} for h in hits]
     _json_out(args, "scan-boomerang",
               {"c": e.c, "point": list(p), "nmax": args.nmax, "tol": args.tol,
-               "grid": grid, "results": recs})
+               "grid": grid, "results": [h._asdict() for h in hits]})
     return 0
 
 
@@ -252,12 +247,10 @@ def _cmd_scan_hole(args):
     h = (args.hx, args.hy)
     grid = DEFAULT_GRID if args.grid is None else args.grid
     hits = hole_scan(e, p1, p2, h, args.nmax, args.tol, grid)
-    recs = [{"direction": list(t.direction), "m": t.m, "n": t.n,
-             "miss_p": t.miss_p, "miss_h": t.miss_h} for t in hits]
     _json_out(args, "scan-hole",
               {"c": e.c, "p1": list(p1), "p2": list(p2), "hole": list(h),
                "nmax": args.nmax, "tol": args.tol, "grid": grid,
-               "results": recs})
+               "results": [t._asdict() for t in hits]})
     return 0
 
 
@@ -268,11 +261,10 @@ def _cmd_scan_angle_pair(args):
     e = Ellipse(args.c)
     p = (args.px, args.py)
     pairs = angle_pair_scan(e, p, args.alpha, args.nmax, args.tol)
-    recs = [{"dir1": list(t.dir1), "dir2": list(t.dir2),
-             "period1": t.period1, "period2": t.period2} for t in pairs]
     _json_out(args, "scan-angle-pair",
               {"c": e.c, "point": list(p), "alpha": args.alpha,
-               "nmax": args.nmax, "tol": args.tol, "results": recs})
+               "nmax": args.nmax, "tol": args.tol,
+               "results": [t._asdict() for t in pairs]})
     return 0
 
 
@@ -342,7 +334,7 @@ def _cmd_dml_search(args):
     _json_out(args, "dml search", {
         "range": N,
         "classification": _class_json(classify(beta)),
-        "hits": [{"m": h.m, "n": h.n, "P": list(h.P)} for h in hits],
+        "hits": [h._asdict() for h in hits],
         "family": _family_json(rep),
     })
     return 0

@@ -30,7 +30,7 @@ augmented operations with its masks only on batches that need them.
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,18 +57,21 @@ class CausticKind(enum.Enum):
     DEGENERATE_CENTER = "center"
 
 
-@dataclass(frozen=True)
-class Ellipse:
-    """Billiard table x^2 + y^2/(1-c^2) = 1 with focal parameter c."""
-
+class _Focal(NamedTuple):
     c: float
 
-    def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
+
+class Ellipse(_Focal):
+    """Billiard table x^2 + y^2/(1-c^2) = 1 with focal parameter c."""
+
+    __slots__ = ()  # no instance __dict__: no attribute can be set
+
+    def __new__(cls, c):
+        if not 0.0 < c < 1.0:
             raise ValueError("focal parameter must satisfy 0 < c < 1")
         # A Python float, so that a numpy float32 c does not make the
         # library compute in float32.
-        object.__setattr__(self, "c", float(self.c))
+        return super().__new__(cls, float(c))
 
     @property
     def c2(self):
@@ -91,8 +94,14 @@ class Ellipse:
         return math.cos(theta), math.sqrt(self.b2) * math.sin(theta)
 
 
-@dataclass(frozen=True)
-class CausticParam:
+def _require_boundary(e, p, message):
+    """ValueError(message) unless the point p lies within _REFLECT_TOL
+    (1e-9) of the boundary; a NaN coordinate lies off it."""
+    if not abs(e.boundary_residual(p[0], p[1])) <= _REFLECT_TOL:
+        raise ValueError(message)
+
+
+class CausticParam(NamedTuple):
     s: float
     kind: CausticKind
 
@@ -118,9 +127,9 @@ def classify_caustic(e, s):
     raise ValueError(f"confocal parameter s={s} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Boundary point plus inward unit direction."""
+class PhasePoint(NamedTuple):
+    """Point of the closed table plus unit direction: a bounce state on
+    the boundary, or a Shot, a start anywhere in the table."""
 
     x: float
     y: float
@@ -139,20 +148,26 @@ class PhasePoint:
         return PhasePoint(self.x, self.y, -self.vx, -self.vy)
 
 
-@dataclass(frozen=True)
-class Shot:
-    """Starting point in the closed table plus unit direction."""
-
-    x: float
-    y: float
-    vx: float
-    vy: float
+Shot = PhasePoint
 
 
-@dataclass
 class Trajectory:
-    points: list
-    caustic: CausticParam
+    """The points of an orbit and the caustic of its first chord; len,
+    iteration and indexing read the points."""
+
+    __slots__ = ("points", "caustic")
+
+    def __init__(self, points, caustic):
+        self.points = points
+        self.caustic = caustic
+
+    def __repr__(self):
+        return f"Trajectory(points={self.points!r}, caustic={self.caustic!r})"
+
+    def __eq__(self, other):  # with no __hash__: unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.caustic) == (other.points, other.caustic)
 
     def __len__(self):
         return len(self.points)
@@ -194,9 +209,8 @@ def caustic_of_line(e, p, slope):
 def reflect(e, q, v_in):
     """Specular reflection of v_in at boundary point q, which must lie
     within _REFLECT_TOL (1e-9) of the boundary."""
+    _require_boundary(e, q, "reflection point off the boundary")
     x, y = q
-    if abs(e.boundary_residual(x, y)) > _REFLECT_TOL:
-        raise ValueError("reflection point off the boundary")
     nx, ny = x, y / e.b2
     nn = nx * nx + ny * ny
     d = (v_in[0] * nx + v_in[1] * ny) / nn
@@ -362,13 +376,14 @@ def _walk(e, x, y, vx, vy, n):
 
 def advance(e, x):
     """One step of the billiard map: the PhasePoint at the next bounce
-    of a PhasePoint, or at the first boundary hit of a Shot from an
-    interior point (first_hit is this same function).
+    of a boundary PhasePoint, or at the first boundary hit of a Shot
+    (the same record) from an interior point (first_hit is this same
+    function).
 
     The next point is the root of the chord quadratic distinct from the
     current one; a tangent shot returns the same point unchanged.
     """
-    return PhasePoint(*_step(e.b2, x.x, x.y, x.vx, x.vy))
+    return PhasePoint(*_step(e.b2, *x))
 
 
 first_hit = advance
@@ -380,12 +395,14 @@ def simulate(e, sh, n):
     rejected."""
     if n < 1:
         raise ValueError("need at least one bounce")
-    if e.boundary_residual(sh.x, sh.y) > _REFLECT_TOL:
+    if e.boundary_residual(*sh.p) > _REFLECT_TOL:
         raise ValueError("shot starts outside the table")
-    if sh.vx == 0.0 and sh.vy == 0.0:
-        raise ValueError("shot direction must be nonzero")
-    caustic = caustic_of_line(e, (sh.x, sh.y), slope_of(sh.vx, sh.vy))
-    pts = [PhasePoint(*st) for st in _walk(e, sh.x, sh.y, sh.vx, sh.vy, n)]
+    # Rejects a zero, an infinite or a NaN direction, and one too short
+    # to square: each would leave every bounce at the start.
+    if not 0.0 < sh.vx * sh.vx + sh.vy * sh.vy < math.inf:
+        raise ValueError("shot direction must be nonzero and finite")
+    caustic = caustic_of_line(e, sh.p, slope_of(*sh.v))
+    pts = [PhasePoint(*st) for st in _walk(e, *sh, n)]
     return Trajectory(pts, caustic)
 
 

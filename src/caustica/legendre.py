@@ -30,7 +30,7 @@ of the two is not 0/0.
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conics import advance, classify_caustic, tangential, z_of_point
 
@@ -78,13 +78,19 @@ class LegendrePoint:
 Infinity = LegendrePoint(0.0, 1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class LegendreCurve:
+class _Lambda(NamedTuple):
     lam: complex
 
-    def __post_init__(self):
-        if self.lam == 0 or self.lam == 1:
+
+class LegendreCurve(_Lambda):
+    """Legendre curve Y^2 = X(X - 1)(X - lambda), lambda real or complex."""
+
+    __slots__ = ()  # no instance __dict__: no attribute can be set
+
+    def __new__(cls, lam):
+        if lam == 0 or lam == 1:
             raise ValueError("Legendre parameter must avoid 0 and 1")
+        return super().__new__(cls, lam)
 
     def residual(self, P):
         """Relative failure of the curve equation Y^2 Z = X(X-Z)(X-lambda Z)
@@ -243,7 +249,7 @@ def phase_to_legendre(e, s, x):
     """
     x0 = math.sqrt(s) / e.c
     y0 = cmath.sqrt(e.b2 * (e.c2 - s) / e.c2)
-    tau = tangential(e, x.x, x.y, x.vx, x.vy)
+    tau = tangential(e, *x)
     Y_inf = -ETA_SIGN * x0 * (x0 - 1.0) * tau / (e.c * y0)
     z = z_of_point(x.x, x.y)
     if math.isinf(z):

@@ -53,15 +53,15 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._roots import brentq
-from .conics import (_BAND_ROWS, _REFLECT_TOL, CausticParam, PhasePoint,
-                     Trajectory, _step, _walk, advance_batch, caustic_of_line,
-                     classify_caustic, reflect, slope_of, unit)
+from .conics import (_BAND_ROWS, CausticParam, PhasePoint, Trajectory,
+                     _require_boundary, _step, _walk, advance_batch,
+                     caustic_of_line, classify_caustic, reflect, slope_of,
+                     unit)
 from .periods import BettiModel, _beta2_inverse
 
 # Certification bound on the phase-space closure defect of a returned
@@ -86,14 +86,12 @@ _GTOL = 1e-13
 _MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class CausticExtrema:
+class CausticExtrema(NamedTuple):
     M: float
     m: float
 
 
-@dataclass(frozen=True)
-class PeriodicDirection:
+class PeriodicDirection(NamedTuple):
     direction: tuple
     period: int
     caustic: CausticParam
@@ -108,16 +106,14 @@ class CountBreakdown(NamedTuple):
     rejected: int
 
 
-@dataclass(frozen=True)
-class BoomerangHit:
+class BoomerangHit(NamedTuple):
     direction: tuple
     bounce: int
     kind: int
     miss: float
 
 
-@dataclass(frozen=True)
-class HoleHit:
+class HoleHit(NamedTuple):
     direction: tuple
     m: int
     n: int
@@ -125,8 +121,7 @@ class HoleHit:
     miss_h: float
 
 
-@dataclass(frozen=True)
-class AnglePair:
+class AnglePair(NamedTuple):
     dir1: tuple
     dir2: tuple
     period1: int
@@ -140,6 +135,11 @@ def _interior(e, p):
 def _require_interior(e, p):
     if not _interior(e, p):
         raise ValueError("point must be strictly interior")
+
+
+def _require_angle(alpha):
+    if not 0.0 < alpha < math.pi:  # NaN included
+        raise ValueError("alpha must lie in (0, pi)")
 
 
 def caustic_extrema(e, p):
@@ -778,8 +778,7 @@ def hole_scan(e, p1, p2, h, n_max, tol, grid=DEFAULT_GRID):
     if (math.hypot(p1[0] - e.c, p1[1]) < 1e-9 and math.hypot(p2[0] + e.c, p2[1]) < 1e-9) or \
        (math.hypot(p1[0] + e.c, p1[1]) < 1e-9 and math.hypot(p2[0] - e.c, p2[1]) < 1e-9):
         raise ValueError("p1, p2 are the foci: excluded exceptional case")
-    if abs(e.boundary_residual(h[0], h[1])) > _REFLECT_TOL:
-        raise ValueError("h must lie on the boundary")
+    _require_boundary(e, h, "h must lie on the boundary")
     _require_interior(e, p1)
     _require_interior(e, p2)
 
@@ -802,8 +801,7 @@ def angle_pair_scan(e, p, alpha, n_max, tol):
     both members close within tol.  A direction of period n is found
     again, bit for bit, at every multiple of n (see _line_roots), and
     counts once, with its smallest period: the first n that finds it."""
-    if not 0.0 < alpha < math.pi:
-        raise ValueError("alpha must lie in (0, pi)")
+    _require_angle(alpha)
     if n_max < 2:
         raise ValueError("angle-pair scan needs n_max >= 2")
     if not tol > 0.0:
@@ -850,7 +848,9 @@ def parallelogram_angle_pairs(tau, alpha, H):
     """Lattice pairs (lambda, delta) in (Z tau + Z)^2 with
     arg(lambda/delta) = +-alpha (mod pi), coefficients bounded by H,
     deduplicated up to real scaling; also reports whether tau satisfies
-    a small rational quadratic (complex-multiplication proxy)."""
+    a small rational quadratic (complex-multiplication proxy); 0 < alpha
+    < pi, as in angle_pair_scan."""
+    _require_angle(alpha)
     if H < 1:
         raise ValueError("H must be >= 1")
     H = int(H)
@@ -872,7 +872,7 @@ def parallelogram_angle_pairs(tau, alpha, H):
                     rho = lam / dl
                     arg = cmath.phase(rho) % math.pi
                     ok = False
-                    for tgt in (alpha % math.pi, (-alpha) % math.pi):
+                    for tgt in (alpha, math.pi - alpha):
                         d1 = abs(arg - tgt)
                         if min(d1, math.pi - d1) <= 1e-10:
                             ok = True

@@ -236,8 +236,7 @@ def rotation_number(e, s, n_iter):
         raise ValueError("rotation_number needs n_iter >= 1000")
     if classify_caustic(e, s).kind is not CausticKind.ELLIPTIC:
         raise ValueError("rotation number needs an elliptic caustic")
-    x = caustic_phase_point(e, s, 0.3)
-    qx, qy, vx, vy = x.x, x.y, x.vx, x.vy
+    qx, qy, vx, vy = caustic_phase_point(e, s, 0.3)
     b2 = e.b2
     rb2 = math.sqrt(b2)
     th_prev = math.atan2(qy / rb2, qx)

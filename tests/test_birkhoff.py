@@ -179,5 +179,6 @@ def test_batch_refuses_s_outside_the_unit_interval():
 def test_h_weight():
     q = E.boundary_point(0.9)
     assert h_weight(E, q) == pytest.approx(1.0 / (1.0 - E.c2 * q[0] ** 2))
-    with pytest.raises(ValueError):
-        h_weight(E, (0.2, 0.2))
+    for p in ((0.2, 0.2), (1.0, math.nan)):  # a NaN residual is off too
+        with pytest.raises(ValueError, match="h_weight needs a boundary point"):
+            h_weight(E, p)

@@ -524,6 +524,23 @@ def test_invalid_parameters_exit_two(capsys):
                      "--slope", "0", "--bounces", "3"]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": "shot starts outside the table"}
+    # Non-finite input: a NaN angle or hole, a NaN or infinite direction
+    # or one whose squared length underflows to zero.
+    for argv, message in (
+            (["lattice-pairs", "--tau-re", "0.0", "--tau-im", "1.0",
+              "--alpha", "nan"], "alpha must lie in (0, pi)"),
+            (SCAN_ARGV["hole"] + ["--hx", "nan"], "h must lie on the boundary"),
+            *((["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3",
+                "--vx", vx, "--vy", vy], "shot direction must be nonzero and finite")
+              for vx, vy in (("inf", "1"), ("nan", "1"), ("1e-200", "0")))):
+        assert main(argv) == 2, argv
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": message}, argv
+    # JSON artifacts are strict: a tolerance echoed as Infinity refuses
+    # the run, and nothing is written.
+    assert main(SCAN_ARGV["boomerang"] + ["--tol", "inf"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and json.loads(out.err)["error"] == "ValueError"
 
 
 def test_connect_that_does_not_converge_exits_two(monkeypatch, capsys):
@@ -678,6 +695,11 @@ def test_readme_invocations_skip_optimize_and_integrate(tmp_path):
             assert not numpy, argv
     assert report[len(README_ARGV)][3] is False, sparse
     assert report[len(README_ARGV) + 1][3] is False, cubic
+    # Every library record is a named tuple; numpy does not import
+    # dataclasses and scipy.special does, so a run without scipy loads none.
+    for argv, (_, loaded, _, _, stdlib) in zip(argvs, report):
+        if not loaded:
+            assert "dataclasses" not in stdlib, argv
     # connect climbs by in-repo Newton steps; betti-scan evaluates the
     # closed form, not the quadrature reference.
     (_, after_connect, *_), (_, after_betti, *_) = report[-2:]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from caustica import conics
 from caustica import Ellipse, Shot, caustic_phase_point, classify_caustic, first_hit, inward, simulate
-from caustica.conics import (CausticParam, CausticKind, PhasePoint, _step, _walk, advance,
+from caustica.conics import (CausticParam, CausticKind, PhasePoint, Trajectory, _step, _walk, advance,
                              advance_batch, caustic_of_line, invariant_density,
                              phase_invariant, reflect, slope_of, unit,
                              z_of_point)
@@ -134,8 +134,9 @@ def test_reflection_preserves_angle_and_norm():
         assert v[0] * nx + v[1] * ny == pytest.approx(-(w[0] * nx + w[1] * ny), abs=1e-12)
         tx, ty = -ny, nx
         assert v[0] * tx + v[1] * ty == pytest.approx(w[0] * tx + w[1] * ty, abs=1e-12)
-    with pytest.raises(ValueError):
-        reflect(E, (0.5, 0.5), (1.0, 0.0))
+    for q in ((0.5, 0.5), (math.nan, 0.0)):  # a NaN residual is off too
+        with pytest.raises(ValueError, match="reflection point off the boundary"):
+            reflect(E, q, (1.0, 0.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -413,6 +414,59 @@ def test_caustic_phase_point_orientation_consistent():
             reached += 1
             assert e.b2 * x.x * x.vy - x.y * x.vx < 0.0, (c, theta)
         assert reached > 1000
+
+
+def test_records_are_immutable_named_tuples():
+    # Every library record is a named tuple: repr Name(field=value, ...),
+    # equality and hash with the tuple of its fields, unpacking, and no
+    # attribute can be set.  Shot is PhasePoint under a second name.
+    from caustica import (AnglePair, BoomerangHit, CausticExtrema, HoleHit,
+                          LegendreCurve, MoebiusFit, PeriodicDirection)
+
+    assert Shot is PhasePoint
+    cp = classify_caustic(E, 0.62)
+    x = PhasePoint(1.0, 0.0, -0.6, 0.8)
+    caustic = "CausticParam(s=0.62, kind=<CausticKind.ELLIPTIC: 'elliptic'>)"
+    records = {
+        "Ellipse(c=0.6)": Ellipse(c=0.6),
+        caustic: cp,
+        "PhasePoint(x=1.0, y=0.0, vx=-0.6, vy=0.8)": x,
+        "CausticExtrema(M=0.5, m=0.25)": CausticExtrema(0.5, 0.25),
+        f"PeriodicDirection(direction=(0.6, 0.8), period=7, caustic={caustic}, "
+        "closure_error=1e-12)": PeriodicDirection((0.6, 0.8), 7, cp, 1e-12),
+        "BoomerangHit(direction=(0.6, 0.8), bounce=3, kind=2, miss=1e-10)":
+            BoomerangHit((0.6, 0.8), 3, 2, 1e-10),
+        "HoleHit(direction=(0.6, 0.8), m=1, n=4, miss_p=1e-10, miss_h=0.01)":
+            HoleHit((0.6, 0.8), 1, 4, 1e-10, 0.01),
+        "AnglePair(dir1=(0.6, 0.8), dir2=(-0.8, 0.6), period1=5, period2=7)":
+            AnglePair((0.6, 0.8), (-0.8, 0.6), 5, 7),
+        "MoebiusFit(a=0.5, b=-0.5, c=0.5, d=0.5, residual=1e-09)":
+            MoebiusFit(0.5, -0.5, 0.5, 0.5, 1e-9),
+        "LegendreCurve(lam=(0.5+0.25j))": LegendreCurve(0.5 + 0.25j),
+    }
+    for text, record in records.items():
+        assert repr(record) == text
+        assert record == tuple(record) and hash(record) == hash(tuple(record))
+        for name in record._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    vx, vy = x.v
+    assert tuple(x) == (*x.p, vx, vy) and x.reversed() == (1.0, 0.0, 0.6, -0.8)
+    assert MoebiusFit(1.0, 2.0, 3.0, 4.0, 0.0).det == -2.0
+    with pytest.raises(ValueError, match="Legendre parameter must avoid 0 and 1"):
+        LegendreCurve(1)
+    # Trajectory is a sequence of its points, compared by value and
+    # mutable, so unhashable.
+    traj = Trajectory([x, x.reversed()], cp)
+    assert len(traj) == 2 and list(traj) == traj.points
+    assert traj[1] == x.reversed() and traj[-2:] == traj.points
+    assert traj == Trajectory(points=[x, x.reversed()], caustic=cp)
+    assert traj != Trajectory([x], cp) and traj != traj.points
+    assert repr(Trajectory([x], cp)) == (
+        f"Trajectory(points=[PhasePoint(x=1.0, y=0.0, vx=-0.6, vy=0.8)], "
+        f"caustic={caustic})")
+    with pytest.raises(TypeError):
+        hash(traj)
 
 
 def test_phase_point_reversed():

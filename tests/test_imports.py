@@ -1,7 +1,8 @@
 """Static check of the library sources: no module imports a name it does
-not use, no function imports a name it does not read itself, and no
-module uses scipy.optimize.  No linter is assumed; the check walks each
-module's syntax tree with the standard ast module."""
+not use, no function imports a name it does not read itself, no module
+uses scipy.optimize, and none imports dataclasses (every record is a
+named tuple).  No linter is assumed; the check walks each module's
+syntax tree with the standard ast module."""
 
 import ast
 from pathlib import Path
@@ -76,9 +77,9 @@ def test_the_check_sees_an_unused_local_import():
         "    return g\n") == []
 
 
-def _optimize_uses(source):
-    """Lines where the module imports scipy.optimize or reads it as the
-    attribute scipy.optimize, in any form."""
+def _uses(source, module):
+    """Lines where the source imports the dotted module or a name from
+    it, or reads it as an attribute, in any form."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -90,7 +91,7 @@ def _optimize_uses(source):
             names = [f"{node.value.id}.{node.attr}"]
         else:
             continue
-        if any(f"{name}.".startswith("scipy.optimize.") for name in names):
+        if any(f"{name}.".startswith(f"{module}.") for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -101,14 +102,30 @@ def test_the_check_sees_scipy_optimize():
                    "from scipy import optimize\n",
                    "import scipy\nscipy.optimize.brentq\n",
                    "def f():\n    from scipy.optimize._zeros import brentq\n"):
-        assert _optimize_uses(source), source
-    assert _optimize_uses('"""A port of scipy.optimize.brentq."""\n'
-                          "from scipy.special import elliprf\n") == []
+        assert _uses(source, "scipy.optimize"), source
+    assert _uses('"""A port of scipy.optimize.brentq."""\n'
+                 "from scipy.special import elliprf\n", "scipy.optimize") == []
+
+
+def test_the_check_sees_dataclasses():
+    for source in ("import dataclasses\n",
+                   "from dataclasses import dataclass\n",
+                   "import dataclasses as dc\n",
+                   "def f():\n    from dataclasses import field\n"):
+        assert _uses(source, "dataclasses"), source
+    assert _uses("from typing import NamedTuple\n"
+                 "import dataclasses_json\n", "dataclasses") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_uses_scipy_optimize(path):
-    assert _optimize_uses(path.read_text()) == []
+    assert _uses(path.read_text(), "scipy.optimize") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # legendre is loaded by no subcommand, so only this check covers it.
+    assert _uses(path.read_text(), "dataclasses") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -580,6 +580,10 @@ def test_parallelogram_angle_pairs():
         parallelogram_angle_pairs(1j, 1.0, 0)
     with pytest.raises(ValueError):
         parallelogram_angle_pairs(1.0 - 1j, 1.0, 2)
+    # alpha lies in (0, pi), as for angle_pair_scan; NaN is refused.
+    for alpha in (math.nan, 0.0, math.pi, -1.0):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, pi\)"):
+            parallelogram_angle_pairs(1j, alpha, 1)
 
 
 def test_convergence_error_carries_best_candidate():
