@@ -23,7 +23,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
+import stat
 import sys
 
 
@@ -33,11 +35,27 @@ def _fmt(v):
 
 
 def _emit(args, text):
+    """Write the finished artifact to standard output or to --out.
+
+    An existing --out file is written over in place and then cut to the
+    new length, not truncated when it is opened: ext4 (auto_da_alloc)
+    starts writeback on closing a file that was truncated to 0 bytes,
+    which made a rewrite several times slower than writing in place.
+    The text is complete before the file is opened, so a refused run
+    leaves an existing file as it was.  The bytes, the mode of a new
+    file (0o666 less the umask) and the following of symlinks and hard
+    links are as with open(out, "w"); a device or FIFO (/dev/stdout,
+    /dev/null) is never cut.  Nothing is fsynced: the CLI makes no
+    durability promise.
+    """
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        return
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _csv(args, command, header, rows):

@@ -395,7 +395,7 @@ def simulate(e, sh, n):
     rejected."""
     if n < 1:
         raise ValueError("need at least one bounce")
-    if e.boundary_residual(*sh.p) > _REFLECT_TOL:
+    if not e.boundary_residual(*sh.p) <= _REFLECT_TOL:  # NaN included
         raise ValueError("shot starts outside the table")
     # Rejects a zero, an infinite or a NaN direction, and one too short
     # to square: each would leave every bounce at the start.

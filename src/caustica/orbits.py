@@ -849,12 +849,14 @@ def parallelogram_angle_pairs(tau, alpha, H):
     arg(lambda/delta) = +-alpha (mod pi), coefficients bounded by H,
     deduplicated up to real scaling; also reports whether tau satisfies
     a small rational quadratic (complex-multiplication proxy); 0 < alpha
-    < pi, as in angle_pair_scan."""
+    < pi, as in angle_pair_scan, and tau finite with Im tau > 0."""
     _require_angle(alpha)
     if H < 1:
         raise ValueError("H must be >= 1")
     H = int(H)
     tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise ValueError("tau must be finite")
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
     pairs = []

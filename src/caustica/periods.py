@@ -154,10 +154,10 @@ class BettiModel:
         if lam == 1.0:
             # Continuous limit from both sides (the period diverges).
             return 0.5
-        if lam <= 0.0:
+        if not lam > 0.0:  # NaN included
             raise ValueError("lambda must be positive")
         U = self.U
-        if lam - U > 1e-12:
+        if not lam - U <= 1e-12:
             raise ValueError("lambda must not exceed 1/c^2")
         if lam < 1.0:
             half_w2 = self._rf(1.0, 0.0, 1.0 - lam)

@@ -131,6 +131,61 @@ def test_stdout_is_default_sink(capsys):
     assert capsys.readouterr().out.startswith("# caustica simulate seed=0")
 
 
+# --out is written over in place and cut to the new length (cli._emit).
+_LONG = ["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7",
+         "--bounces", "40"]
+_SHORT = _LONG[:-1] + ["3"]
+
+
+def test_rewrite_holds_only_the_new_artifact(tmp_path, capsys):
+    assert main(_SHORT) == 0
+    short = capsys.readouterr().out.encode()
+    out = tmp_path / "a.csv"
+    long = run_to(tmp_path, "a.csv", _LONG)
+    assert len(long) > len(short)
+    assert run_to(tmp_path, "a.csv", _SHORT) == short
+    assert run_to(tmp_path, "a.csv", _LONG) == long
+    assert out.stat().st_size == len(long)
+
+
+def test_out_to_a_device_is_not_cut():
+    assert main(_SHORT + ["--out", os.devnull]) == 0
+
+
+def test_refused_run_leaves_the_existing_file(tmp_path, capsys):
+    before = run_to(tmp_path, "s.json", _LONG)
+    out = tmp_path / "s.json"
+    assert main(SCAN_ARGV["boomerang"] + ["--tol", "inf", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_file_mode_is_that_of_a_plain_open(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        with open(tmp_path / "plain", "w") as fh:
+            fh.write("x")
+        run_to(tmp_path, "a.csv", _SHORT)
+    finally:
+        os.umask(old)
+    assert ((tmp_path / "a.csv").stat().st_mode
+            == (tmp_path / "plain").stat().st_mode)
+
+
+def test_links_are_written_through(tmp_path):
+    target = tmp_path / "target.csv"
+    long = run_to(tmp_path, "target.csv", _LONG)
+    (tmp_path / "sym.csv").symlink_to(target)
+    os.link(target, tmp_path / "hard.csv")
+    short = run_to(tmp_path, "sym.csv", _SHORT)
+    assert (tmp_path / "sym.csv").is_symlink()
+    assert target.read_bytes() == short != long
+    assert run_to(tmp_path, "hard.csv", _LONG) == long
+    assert target.read_bytes() == long
+    assert os.path.samefile(target, tmp_path / "hard.csv")
+
+
 def test_count_periodic_frozen_counts(tmp_path):
     raw = run_to(tmp_path, "n.csv", [
         "count-periodic", "--c", "0.6", "--px", "0.2", "--py", "0.3",
@@ -520,15 +575,22 @@ def test_invalid_parameters_exit_two(capsys):
     assert main(["poncelet", "--c", "0.6", "--rot", "1/0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
     for command in ("simulate", "render"):  # a start outside the table
-        assert main([command, "--c", "0.6", "--x", "2", "--y", "0",
-                     "--slope", "0", "--bounces", "3"]) == 2
-        assert json.loads(capsys.readouterr().err) == {
-            "error": "ValueError", "message": "shot starts outside the table"}
-    # Non-finite input: a NaN angle or hole, a NaN or infinite direction
-    # or one whose squared length underflows to zero.
+        for x in ("2", "nan"):
+            assert main([command, "--c", "0.6", "--x", x, "--y", "0",
+                         "--slope", "0", "--bounces", "3"]) == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ValueError",
+                "message": "shot starts outside the table"}, (command, x)
+    # Non-finite input: a NaN angle, tau, caustic or hole, a NaN or
+    # infinite direction or one whose squared length underflows to zero.
     for argv, message in (
             (["lattice-pairs", "--tau-re", "0.0", "--tau-im", "1.0",
               "--alpha", "nan"], "alpha must lie in (0, pi)"),
+            *((["lattice-pairs", "--tau-re", re, "--tau-im", im, "--alpha",
+                "1.0"], "tau must be finite")
+              for re, im in (("nan", "1.0"), ("0.0", "nan"), ("0.0", "inf"))),
+            (["moebius-fit", "--c", "0.6", "--s", "nan", "--n", "7"],
+             "lambda must be positive"),
             (SCAN_ARGV["hole"] + ["--hx", "nan"], "h must lie on the boundary"),
             *((["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3",
                 "--vx", vx, "--vy", vy], "shot direction must be nonzero and finite")
