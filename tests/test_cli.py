@@ -391,13 +391,24 @@ PERIODIC_ARGV = {
     "angle_pair.json": ["scan-angle-pair", "--c", "0.6", "--px", "0.2",
                         "--py", "0.3", "--alpha", "2.155641747208",
                         "--nmax", "12"],
+    "lattice_square.json": ["lattice-pairs", "--tau-re", "0.0", "--tau-im", "1.0",
+                            "--alpha", "1.5707963267948966", "--hmax", "3"],
+    "lattice_hexagonal.json": ["lattice-pairs", "--tau-re", "0.5",
+                               "--tau-im", "0.8660254037844386",
+                               "--alpha", "1.0471975511965976", "--hmax", "3"],
+    # alpha = phase((tau + 1)/(2 tau - 1)) % pi at tau = 0.123 + 1.456i.
+    "lattice_generic.json": ["lattice-pairs", "--tau-re", "0.123",
+                             "--tau-im", "1.456",
+                             "--alpha", "2.2312396280594724", "--hmax", "3"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(PERIODIC_ARGV))
 def test_periodic_bytes_frozen(tmp_path, name):
-    # The expected bytes were written by one certification walk per n,
-    # the reference for the retiring lockstep over a range of n.
+    # The count and angle-pair bytes were written by one certification
+    # walk per n, the reference for the retiring lockstep over a range
+    # of n; the lattice bytes by the search that enumerated the lattice
+    # once for lambda and again for delta.
     raw = run_to(tmp_path, name, PERIODIC_ARGV[name])
     assert raw == (PERIODIC_DATA / name).read_bytes()
 
@@ -676,8 +687,7 @@ README_ARGV = [
     SCAN_ARGV["boomerang"],
     SCAN_ARGV["hole"],
     PERIODIC_ARGV["angle_pair.json"],
-    ["lattice-pairs", "--tau-re", "0.0", "--tau-im", "1.0",
-     "--alpha", "1.5707963267948966", "--hmax", "3"],
+    PERIODIC_ARGV["lattice_square.json"],
     ["render", "--c", "0.6", "--x", "0.2", "--y", "0.3", "--slope", "0.7"],
     ["dml", "classify", "--input", "{input}"],
     ["dml", "search", "--input", "{input}"],
