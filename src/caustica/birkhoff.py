@@ -33,7 +33,8 @@ before any row is walked: an s outside [0, 1] first; then, if the first
 row is reachable, a bad size and a degenerate s (classify_caustic(e, s));
 then the first row from which the caustic is not reachable.  A single
 phase point is refused by the caustic of its chord (caustic_of_line),
-and a window centre also off the boundary.
+a window centre also off the boundary, and then a point from which the
+walk never moves: one pointing out of the table or along its tangent.
 """
 
 import math
@@ -41,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conics import (_BAND_ROWS, _require_boundary, _tangent_rows,
-                     advance_batch, caustic_of_line, classify_caustic,
-                     slope_of)
+from .conics import (_BAND_ROWS, _require_boundary, _require_entry,
+                     _tangent_rows, advance_batch, caustic_of_line,
+                     classify_caustic, slope_of)
 from .periods import BettiModel
 
 # Distance of n*beta2 from the integers below which a caustic is
@@ -77,8 +78,10 @@ def birkhoff_sum(e, start, n):
     """Sum of cos alpha_i over the first n bounces from the boundary
     phase point start; alpha_i is the angle between consecutive segment
     directions at bounce i.  The one-row case of birkhoff_sums, refused
-    by the caustic of the start's chord."""
+    by the caustic of the start's chord, then by a start whose first
+    step leaves it in place (_require_entry)."""
     _check_plain(n, lambda: _chord_caustic(e, start))
+    _require_entry(e, start)
     return float(_cos_sums(e, *_one_row(start), n)[0])
 
 
@@ -91,9 +94,11 @@ def symmetric_sum(e, center, m):
     (p, v), plus the m behind, walked forward from the reversed state
     (p, -u): reversal keeps the angle at every bounce.  The one-row
     case of window_sums, refused by the caustic of the centre's chord,
-    then by a centre off the boundary."""
+    then by a centre off the boundary, then by one whose first step
+    leaves it in place (_require_entry)."""
     _check_window(m, lambda: _chord_caustic(e, center))
     _require_boundary(e, center.p, "reflection point off the boundary")
+    _require_entry(e, center)
     return float(_window_sums(e, *_one_row(center), m)[0])
 
 
@@ -227,9 +232,12 @@ def value_multiplicity(e, s, n, value):
     sums.  An extreme value, attained at a vertex, has no sign change
     around it, so its count follows rounding: at c = 0.6, s = 0.62,
     n = 7, the window sum at the first node (x ~ +1) counts 1, and its
-    value at the last node (x ~ -1), 3.6e-15 away, counts 2."""
+    value at the last node (x ~ -1), 3.6e-15 away, counts 2.  A NaN or
+    infinite value is refused."""
     if n < 1 or n % 2 == 0:
         raise ValueError("window length n must be odd")
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
     _check_not_periodic(e, s, n)
     m = (n - 1) // 2
     grid = 1024
@@ -237,14 +245,9 @@ def value_multiplicity(e, s, n, value):
     # Open the interval slightly: the vertices are extremal points.
     thetas[0] = 1e-9
     thetas[-1] = math.pi - 1e-9
-    vals = [h - value for h in window_sums(e, s, thetas, m)]
-    count = 0
-    for j in range(grid):
-        v0, v1 = vals[j], vals[j + 1]
-        if v0 == 0.0:
-            count += 1
-        elif v0 * v1 < 0.0:
-            count += 1
-    if vals[-1] == 0.0:
-        count += 1
-    return count
+    vals = np.array(window_sums(e, s, thetas, m)) - value
+    # An overflowing product is inf, with no warning; a zero's product
+    # is 0.0, not negative, so no node counts twice.
+    with np.errstate(over="ignore"):
+        changes = vals[:-1] * vals[1:] < 0.0
+    return int(np.count_nonzero(vals == 0.0) + np.count_nonzero(changes))

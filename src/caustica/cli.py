@@ -9,7 +9,7 @@ significant digits.  _COMMANDS declares each subcommand once: its
 words, handler, help line and flags, each flag with its type and its
 default, _REQUIRED for a flag that main demands; build_parser builds
 the argparse parser from it, and a run builds the parser of its own
-subcommand only.  A JSON config file (--config) can supply
+subcommand only.  An artifact names its subcommand by those words.  A JSON config file (--config) can supply
 any flag: main parses each entry as the flag it names, so a config
 value gets the flag's type, and explicit flags take precedence.
 --threads is validated (>= 1) and changes no byte: every scan runs in
@@ -58,8 +58,8 @@ def _emit(args, text):
             fh.truncate()
 
 
-def _csv(args, command, header, rows):
-    lines = [f"# caustica {command} seed={args.seed}", header]
+def _csv(args, header, rows):
+    lines = [f"# caustica {' '.join(args.words)} seed={args.seed}", header]
     lines.extend(rows)
     _emit(args, "\n".join(lines) + "\n")
 
@@ -71,8 +71,8 @@ def _refuse(exc):
     return 2
 
 
-def _json_out(args, command, payload):
-    doc = {"command": command, "seed": args.seed}
+def _json_out(args, payload):
+    doc = {"command": " ".join(args.words), "seed": args.seed}
     doc.update(payload)
     # Strict JSON: a non-finite value refuses the run (exit status 2).
     _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
@@ -96,7 +96,7 @@ def _cmd_simulate(args):
     for i, pt in enumerate(traj.points, start=1):
         seg = caustic_of_line(e, pt.p, slope_of(*pt.v))
         rows.append(",".join([str(i), *map(_fmt, pt), _fmt(seg.s)]))
-    _csv(args, "simulate", "step,x,y,vx,vy,s", rows)
+    _csv(args, "step,x,y,vx,vy,s", rows)
     return 0
 
 
@@ -112,7 +112,7 @@ def _cmd_betti_scan(args):
     coords = betti_scan(e, lams)
     rows = [",".join([_fmt(lam), _fmt(bc.beta1), _fmt(bc.beta2)])
             for lam, bc in zip(lams, coords)]
-    _csv(args, "betti-scan", "lambda,beta1,beta2", rows)
+    _csv(args, "lambda,beta1,beta2", rows)
     return 0
 
 
@@ -127,7 +127,7 @@ def _cmd_count_periodic(args):
     rows = [",".join([str(n), "odd" if n % 2 else "even", str(bd.total),
                       _fmt(predicted_count(e, p, n))])
             for n, bd in zip(ns, count_periodic_range(e, p, ns))]
-    _csv(args, "count-periodic", "n,parity,count,predicted", rows)
+    _csv(args, "n,parity,count,predicted", rows)
     return 0
 
 
@@ -143,8 +143,8 @@ def _cmd_find_periodic(args):
     p = (args.px, args.py)
     dirs = find_periodic_directions(e, p, args.n)
     recs = [{**d._asdict(), "caustic": _caustic_json(d.caustic)} for d in dirs]
-    _json_out(args, "find-periodic",
-              {"c": e.c, "point": list(p), "n": args.n, "results": recs})
+    _json_out(args, {"c": e.c, "point": list(p), "n": args.n,
+                     "results": recs})
     return 0
 
 
@@ -165,7 +165,7 @@ def _cmd_connect(args):
     full = [p1] + verts + [p2]
     residuals = [reflection_residual(e, full[j], full[j + 1], full[j + 2])
                  for j in range(len(verts))]
-    _json_out(args, "connect", {
+    _json_out(args, {
         "c": e.c, "p1": list(p1), "p2": list(p2), "segments": n,
         "bounces": [pt._asdict() for pt in traj.points],
         "reflection_residuals": residuals,
@@ -197,7 +197,7 @@ def _cmd_poncelet(args):
     recs = [{"theta": theta, "closure_error": closure_error(
                 e, (x, y), (vx, vy), rot.denominator)}
             for theta, (x, y, vx, vy) in zip(thetas, rows)]
-    _json_out(args, "poncelet", {
+    _json_out(args, {
         "c": e.c, "rotation": str(rot), "lambda_star": lam, "s_star": s,
         "starts": recs,
         "max_closure_error": max(r["closure_error"] for r in recs),
@@ -223,7 +223,7 @@ def _cmd_birkhoff(args):
         sums = window_sums(e, args.s, thetas, window)
     rows = [",".join([_fmt(x), _fmt(y), _fmt(val)])
             for (x, y), val in zip(map(e.boundary_point, thetas), sums)]
-    _csv(args, "birkhoff", "x,y,sum", rows)
+    _csv(args, "x,y,sum", rows)
     return 0
 
 
@@ -233,7 +233,7 @@ def _cmd_moebius_fit(args):
 
     e = Ellipse(args.c)
     fit = moebius_fit(e, args.s, args.n, samples=args.samples)
-    _json_out(args, "moebius-fit", {
+    _json_out(args, {
         "c": e.c, "s": args.s, "n": args.n, "samples": args.samples,
         "a": fit.a, "b": fit.b, "coef_c": fit.c, "d": fit.d,
         "det": fit.det, "residual": fit.residual,
@@ -249,9 +249,9 @@ def _cmd_scan_boomerang(args):
     p = (args.px, args.py)
     grid = DEFAULT_GRID if args.grid is None else args.grid
     hits = boomerang_scan(e, p, args.nmax, args.tol, grid)
-    _json_out(args, "scan-boomerang",
-              {"c": e.c, "point": list(p), "nmax": args.nmax, "tol": args.tol,
-               "grid": grid, "results": [h._asdict() for h in hits]})
+    _json_out(args, {"c": e.c, "point": list(p), "nmax": args.nmax,
+                     "tol": args.tol, "grid": grid,
+                     "results": [h._asdict() for h in hits]})
     return 0
 
 
@@ -265,10 +265,9 @@ def _cmd_scan_hole(args):
     h = (args.hx, args.hy)
     grid = DEFAULT_GRID if args.grid is None else args.grid
     hits = hole_scan(e, p1, p2, h, args.nmax, args.tol, grid)
-    _json_out(args, "scan-hole",
-              {"c": e.c, "p1": list(p1), "p2": list(p2), "hole": list(h),
-               "nmax": args.nmax, "tol": args.tol, "grid": grid,
-               "results": [t._asdict() for t in hits]})
+    _json_out(args, {"c": e.c, "p1": list(p1), "p2": list(p2),
+                     "hole": list(h), "nmax": args.nmax, "tol": args.tol,
+                     "grid": grid, "results": [t._asdict() for t in hits]})
     return 0
 
 
@@ -279,10 +278,9 @@ def _cmd_scan_angle_pair(args):
     e = Ellipse(args.c)
     p = (args.px, args.py)
     pairs = angle_pair_scan(e, p, args.alpha, args.nmax, args.tol)
-    _json_out(args, "scan-angle-pair",
-              {"c": e.c, "point": list(p), "alpha": args.alpha,
-               "nmax": args.nmax, "tol": args.tol,
-               "results": [t._asdict() for t in pairs]})
+    _json_out(args, {"c": e.c, "point": list(p), "alpha": args.alpha,
+                     "nmax": args.nmax, "tol": args.tol,
+                     "results": [t._asdict() for t in pairs]})
     return 0
 
 
@@ -292,9 +290,8 @@ def _cmd_lattice_pairs(args):
     tau = complex(args.tau_re, args.tau_im)
     pairs, cm = parallelogram_angle_pairs(tau, args.alpha, args.hmax)
     recs = [{"lambda": list(lc), "delta": list(dc)} for lc, dc in pairs]
-    _json_out(args, "lattice-pairs",
-              {"tau": [tau.real, tau.imag], "alpha": args.alpha,
-               "hmax": args.hmax, "cm": bool(cm), "pairs": recs})
+    _json_out(args, {"tau": [tau.real, tau.imag], "alpha": args.alpha,
+                     "hmax": args.hmax, "cm": bool(cm), "pairs": recs})
     return 0
 
 
@@ -334,8 +331,7 @@ def _cmd_dml_classify(args):
     from .dml import classify
 
     beta, _, _ = _load_dml_input(args)
-    _json_out(args, "dml classify",
-              {"classification": _class_json(classify(beta))})
+    _json_out(args, {"classification": _class_json(classify(beta))})
     return 0
 
 
@@ -349,7 +345,7 @@ def _cmd_dml_search(args):
         raise ValueError("dml search needs a positive range")
     hits = triple_orbit_search(beta, lines[0], lines[1], lines[2], N)
     rep = family_detect(hits, beta)
-    _json_out(args, "dml search", {
+    _json_out(args, {
         "range": N,
         "classification": _class_json(classify(beta)),
         "hits": [h._asdict() for h in hits],
@@ -374,7 +370,7 @@ def _cmd_render(args):
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         'viewBox="-1.15 -1.15 2.3 2.3" width="600" height="600">',
-        f'<!-- caustica render seed={args.seed} -->',
+        f'<!-- caustica {" ".join(args.words)} seed={args.seed} -->',
         '<g transform="scale(1,-1)" fill="none">',
         f'<ellipse cx="0" cy="0" rx="1" ry="{_svg_fmt(b)}" '
         'stroke="black" stroke-width="0.008"/>',
@@ -507,7 +503,8 @@ def build_parser(command=None):
     """The caustica argument parser, built once per process from
     _COMMANDS: it holds no append actions or mutable defaults, so parses
     do not share state.  Each subcommand's flags, the common ones first,
-    are its `flags` default, which main and _with_config read.  Given a
+    are its `flags` default, which main and _with_config read, and its
+    words its `words` default, which names its artifact.  Given a
     command, the first word of a subcommand, the parser holds that
     subcommand alone; its usage line still lists every command."""
     ap = argparse.ArgumentParser(
@@ -532,14 +529,14 @@ def build_parser(command=None):
             sp.add_argument(f"--{name}", type=kind,
                             default=None if default is _REQUIRED else default,
                             help=text[0] if text else None)
-        sp.set_defaults(func=func, flags=flags)
+        sp.set_defaults(func=func, flags=flags, words=words)
     return ap
 
 
 def _with_config(ap, argv, args):
     """Parse argv again with each entry of the --config file that names a
     flag of the subcommand written as --key=value right after the
-    subcommand name: every config value gets its flag's type, and the
+    subcommand's words: every config value gets its flag's type, and the
     explicit flags, later on the line, win.  Keys may use dashes or
     underscores; a key that names no flag, or a null value, is ignored."""
     with open(args.config) as fh:
@@ -549,8 +546,8 @@ def _with_config(ap, argv, args):
     flags = {name.replace("-", "_") for name, *_ in args.flags}
     tokens = [f"--{key.replace('_', '-')}={val}" for key, val in cfg.items()
               if val is not None and key.replace("-", "_") in flags]
-    names = 2 if args.command == "dml" else 1
-    return ap.parse_args(argv[:names] + tokens + argv[names:])
+    n = len(args.words)
+    return ap.parse_args(argv[:n] + tokens + argv[n:])
 
 
 def main(argv=None):

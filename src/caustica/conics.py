@@ -362,6 +362,15 @@ def advance_batch(e, x, y, vx, vy):
             np.where(moving, wx, vx), np.where(moving, wy, vy))
 
 
+def _require_entry(e, x):
+    """ValueError unless the first step from the state x moves it: _step
+    leaves a state in place only when no root of its chord quadratic
+    lies ahead, as for a boundary start pointing out of the table or
+    along its tangent."""
+    if _step(e.b2, *x) == x:
+        raise ValueError("shot never enters the table")
+
+
 def _walk(e, x, y, vx, vy, n):
     """The n states (x, y, vx, vy) that n billiard steps from (x, y)
     along the unit (vx, vy) pass through, as float tuples: the one
@@ -391,8 +400,8 @@ first_hit = advance
 
 def simulate(e, sh, n):
     """Trajectory of n bounces from a start in the closed table (its
-    boundary residual at most _REFLECT_TOL); focal shots are tagged, not
-    rejected."""
+    boundary residual at most _REFLECT_TOL) that enters it
+    (_require_entry); focal shots are tagged, not rejected."""
     if n < 1:
         raise ValueError("need at least one bounce")
     if not e.boundary_residual(*sh.p) <= _REFLECT_TOL:  # NaN included
@@ -401,6 +410,7 @@ def simulate(e, sh, n):
     # to square: each would leave every bounce at the start.
     if not 0.0 < sh.vx * sh.vx + sh.vy * sh.vy < math.inf:
         raise ValueError("shot direction must be nonzero and finite")
+    _require_entry(e, sh)
     caustic = caustic_of_line(e, sh.p, slope_of(*sh.v))
     pts = [PhasePoint(*st) for st in _walk(e, *sh, n)]
     return Trajectory(pts, caustic)

@@ -859,36 +859,27 @@ def parallelogram_angle_pairs(tau, alpha, H):
         raise ValueError("tau must be finite")
     if tau.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
-    pairs = []
-    seen = set()
-    for aa in range(-H, H + 1):
-        for bb in range(-H, H + 1):
-            lam = aa * tau + bb
-            if lam == 0:
+    # Each lattice vector once; Im tau > 0, so aa tau + bb is zero only
+    # at aa = bb = 0.
+    vecs = [((aa, bb), aa * tau + bb) for aa in range(-H, H + 1)
+            for bb in range(-H, H + 1) if aa or bb]
+    pairs, seen = [], set()
+    for lc, lam in vecs:
+        for dc, dl in vecs:
+            rho = lam / dl
+            arg = cmath.phase(rho) % math.pi
+            # Within 1e-10 of alpha or of pi - alpha, modulo pi; a NaN
+            # arg matches neither.
+            d1, d2 = abs(arg - alpha), abs(arg - (math.pi - alpha))
+            if not (min(d1, math.pi - d1) <= 1e-10
+                    or min(d2, math.pi - d2) <= 1e-10):
                 continue
-            for dd in range(-H, H + 1):
-                for ee in range(-H, H + 1):
-                    dl = dd * tau + ee
-                    if dl == 0:
-                        continue
-                    rho = lam / dl
-                    arg = cmath.phase(rho) % math.pi
-                    ok = False
-                    for tgt in (alpha, math.pi - alpha):
-                        d1 = abs(arg - tgt)
-                        if min(d1, math.pi - d1) <= 1e-10:
-                            ok = True
-                            break
-                    if not ok:
-                        continue
-                    key = (round(rho.real / 1e-8), round(rho.imag / 1e-8),
-                           rho.imag >= 0)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    pairs.append(((aa, bb), (dd, ee)))
-    cm = _is_quadratic(tau)
-    return pairs, cm
+            key = (round(rho.real / 1e-8), round(rho.imag / 1e-8),
+                   rho.imag >= 0)
+            if key not in seen:
+                seen.add(key)
+                pairs.append((lc, dc))
+    return pairs, _is_quadratic(tau)
 
 
 def _is_quadratic(tau):

@@ -254,24 +254,26 @@ def rotation_number(e, s, n_iter):
 
 
 def _gamma_operator(f, lam, h):
-    """Signed Gauss-Legendre residual of f at lambda by central differences."""
-    fp, fm, f0 = f(lam + h), f(lam - h), f(lam)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
-    d1 = (fp - fm) / (2.0 * h)
-    return lam * (1.0 - lam) * d2 + (1.0 - 2.0 * lam) * d1 - 0.25 * f0
+    """Signed Gauss-Legendre residual of f at lambda: central differences
+    with steps h and h/2, then one Richardson level, (4 r(h/2) - r(h))/3,
+    which cancels the O(h^2) term."""
+    r = []
+    for step in (h, 0.5 * h):
+        fp, fm, f0 = f(lam + step), f(lam - step), f(lam)
+        d2 = (fp - 2.0 * f0 + fm) / (step * step)
+        d1 = (fp - fm) / (2.0 * step)
+        r.append(lam * (1.0 - lam) * d2 + (1.0 - 2.0 * lam) * d1 - 0.25 * f0)
+    return (4.0 * r[1] - r[0]) / 3.0
 
 
 def picard_fuchs_residual(lam):
-    """|Gamma omega2| at lambda by central differences with the fixed
-    step h = 1e-4; one Richardson level (steps h and h/2) cancels the
-    O(h^2) term.
+    """|Gamma omega2| at lambda by _gamma_operator with the fixed step
+    h = 1e-4.
     """
     h = 1e-4
     if not (0.0 < lam - 2.0 * h and lam + 2.0 * h < 1.0):
         raise ValueError("lambda +- 2h (h = 1e-4) must stay inside (0, 1)")
-    r1 = _gamma_operator(omega2, lam, h)
-    r2 = _gamma_operator(omega2, lam, 0.5 * h)
-    return abs((4.0 * r2 - r1) / 3.0)
+    return abs(_gamma_operator(omega2, lam, h))
 
 
 def manin_residual(e, lam):
@@ -285,8 +287,7 @@ def manin_residual(e, lam):
     between the bare Gauss-Legendre image and the corrected Manin map is
     constant in (c, lambda) and was pinned at 40-digit precision.  A
     nonzero value certifies the section is non-torsion.  Gamma(ell) is
-    taken by central differences with the fixed step h = 1e-3 and one
-    Richardson level (steps h and h/2).
+    taken by _gamma_operator with the fixed step h = 1e-3.
     """
     h = 1e-3
     U = 1.0 / e.c2
@@ -298,8 +299,6 @@ def manin_residual(e, lam):
     def ell(t):
         return elliprf(t, t - 1.0, 0.0) - elliprf(U, U - 1.0, U - t)
 
-    r1 = _gamma_operator(ell, lam, h)
-    r2 = _gamma_operator(ell, lam, 0.5 * h)
-    gamma = (4.0 * r2 - r1) / 3.0
+    gamma = _gamma_operator(ell, lam, h)
     expected = 2.0 * e.c * math.sqrt(e.b2) * (1.0 - e.c2 * lam) ** -1.5
     return abs(8.0 * gamma - expected)

@@ -1,6 +1,7 @@
 """Cosine sums along orbits: constancy, window symmetrization, Moebius model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from caustica import Ellipse, lambda_for_beta2
 from caustica.birkhoff import (birkhoff_sum, birkhoff_sums, h_weight,
                                moebius_fit, symmetric_sum, value_multiplicity,
                                window_sums)
-from caustica.conics import (Shot, advance, caustic_phase_point,
+from caustica.conics import (PhasePoint, Shot, advance, caustic_phase_point,
                              classify_caustic, first_hit)
 
 E = Ellipse(0.6)
@@ -132,6 +133,39 @@ def test_value_multiplicity_at_a_grid_value():
     hs = window_sums(E, S_GENERIC, thetas, m)
     assert value_multiplicity(E, S_GENERIC, 2 * m + 1, hs[100]) == 2
     assert value_multiplicity(E, S_GENERIC, 2 * m + 1, hs[-1]) == 2
+    assert value_multiplicity(E, S_GENERIC, 2 * m + 1, hs[0]) == 1
+
+
+def test_value_multiplicity_refuses_a_non_finite_value():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="value must be finite"):
+            value_multiplicity(E, S_GENERIC, 7, value)
+
+
+def test_value_multiplicity_of_a_far_value_is_quiet():
+    # Products of window sums less -1e300 overflow to inf, with no
+    # warning, and never change sign.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert value_multiplicity(E, S_GENERIC, 7, -1e300) == 0
+
+
+def test_scalar_sums_refuse_a_start_that_never_enters():
+    # From the boundary point (0.6, 0.64) the direction (0.6, 0.8) points
+    # out of the table: every step would leave it in place.  The size is
+    # refused first.
+    out = PhasePoint(0.6, 0.64, 0.6, 0.8)
+    with pytest.raises(ValueError, match="need at least one bounce"):
+        birkhoff_sum(E, out, 0)
+    with pytest.raises(ValueError, match="shot never enters the table"):
+        birkhoff_sum(E, out, 5)
+    with pytest.raises(ValueError, match="half-width must be >= 0"):
+        symmetric_sum(E, out, -1)
+    with pytest.raises(ValueError, match="shot never enters the table"):
+        symmetric_sum(E, out, 3)
+    back = PhasePoint(0.6, 0.64, -0.6, -0.8)
+    assert birkhoff_sum(E, back, 5) == -4.265464282374068
+    assert symmetric_sum(E, back, 3) == -6.169579893921244
 
 
 README_THETAS = [math.pi * (j + 0.5) / 64 for j in range(64)]

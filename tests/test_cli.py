@@ -1,6 +1,8 @@
 """Command-line interface: formats, determinism, error reporting."""
 
 import argparse
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -594,6 +596,10 @@ def test_invalid_parameters_exit_two(capsys):
                 "message": "shot starts outside the table"}, (command, x)
     # Non-finite input: a NaN angle, tau, caustic or hole, a NaN or
     # infinite direction or one whose squared length underflows to zero.
+    # A start that never enters the table: from the boundary point
+    # (0.6, 0.64) the direction (0.6, 0.8) points out of it, and at
+    # (1, 0) the vertical is tangent (render's inward orientation leaves
+    # a tangent as it is).
     for argv, message in (
             (["lattice-pairs", "--tau-re", "0.0", "--tau-im", "1.0",
               "--alpha", "nan"], "alpha must lie in (0, pi)"),
@@ -605,7 +611,13 @@ def test_invalid_parameters_exit_two(capsys):
             (SCAN_ARGV["hole"] + ["--hx", "nan"], "h must lie on the boundary"),
             *((["simulate", "--c", "0.6", "--x", "0.2", "--y", "0.3",
                 "--vx", vx, "--vy", vy], "shot direction must be nonzero and finite")
-              for vx, vy in (("inf", "1"), ("nan", "1"), ("1e-200", "0")))):
+              for vx, vy in (("inf", "1"), ("nan", "1"), ("1e-200", "0"))),
+            *(([command, "--c", "0.6", "--x", x, "--y", y, *direction,
+                "--bounces", "3"], "shot never enters the table")
+              for command, x, y, direction in (
+                  ("simulate", "0.6", "0.64", ["--vx", "0.6", "--vy", "0.8"]),
+                  ("simulate", "1", "0", ["--vx", "0", "--vy", "1"]),
+                  ("render", "1", "0", ["--slope", "inf"])))):
         assert main(argv) == 2, argv
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": message}, argv
@@ -614,6 +626,19 @@ def test_invalid_parameters_exit_two(capsys):
     assert main(SCAN_ARGV["boomerang"] + ["--tol", "inf"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and json.loads(out.err)["error"] == "ValueError"
+
+
+def test_an_inward_start_from_the_boundary_keeps_its_bytes(tmp_path):
+    # The digests of these artifacts before starts were tested for entry.
+    for argv, digest in (
+            (["simulate", "--c", "0.6", "--x", "0.6", "--y", "0.64",
+              "--vx", "-0.6", "--vy", "-0.8", "--bounces", "3"],
+             "ec10e66a3bd7f6950654ee8c21f62611ba775bfc5663645343508c8d7470d7ba"),
+            (["render", "--c", "0.6", "--x", "0.6", "--y", "0.64",
+              "--slope", "1.3333333333333333", "--bounces", "3"],
+             "a0ca68a42af73334f6eaa3c89710430cd560ee73556f244a8990f51aba6fe626")):
+        raw = run_to(tmp_path, "a.out", argv)
+        assert hashlib.sha256(raw).hexdigest() == digest, argv
 
 
 def test_connect_that_does_not_converge_exits_two(monkeypatch, capsys):
@@ -855,6 +880,29 @@ def test_dropping_a_required_flag_exits_two(capsys):
                 "error": "ValueError",
                 "message": f"missing required option --{name}"}, (argv, name)
     assert covered == flags.keys()
+
+
+def test_every_readme_artifact_names_its_words(tmp_path):
+    # An artifact names its subcommand by the words _COMMANDS declares:
+    # the CSV comment line, the JSON "command" and the SVG comment.
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps({
+        "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]],
+        "lines": [[0, 1, -1], [1, 1, 0], [1, 1, 1]], "range": 25}))
+    table = {words for words, func, _, _ in _COMMANDS if func}
+    for i, argv in enumerate(README_ARGV):
+        argv = [a.format(input=inp) for a in argv]
+        words = tuple(itertools.takewhile(lambda a: not a.startswith("--"),
+                                          argv))
+        assert words in table, argv
+        name = " ".join(words)
+        text = run_to(tmp_path, f"{i}.out", argv).decode()
+        if text.startswith("{"):
+            assert json.loads(text)["command"] == name, argv
+        elif text.startswith("#"):
+            assert text.splitlines()[0] == f"# caustica {name} seed=0", argv
+        else:
+            assert f"<!-- caustica {name} seed=0 -->" in text, argv
 
 
 def test_every_handler_is_declared_once():

@@ -184,6 +184,19 @@ def test_simulate_stays_on_boundary_and_conserves_caustic(c, r, theta, ang):
         assert cp.s == pytest.approx(s0, abs=1e-10)
 
 
+def test_simulate_refuses_a_start_that_never_enters():
+    # _step leaves each of these in place: a boundary start pointing out
+    # of the table and two along the tangent at a vertex.
+    for sh in (Shot(0.6, 0.64, 0.6, 0.8), Shot(1.0, 0.0, 0.0, 1.0),
+               Shot(0.0, 0.8, -1.0, 0.0)):
+        assert _step(E.b2, *sh) == sh
+        with pytest.raises(ValueError, match="shot never enters the table"):
+            simulate(E, sh, 3)
+    # Reversed, the first start enters and is walked.
+    traj = simulate(E, Shot(0.6, 0.64, -0.6, -0.8), 3)
+    assert traj.points[0] != (0.6, 0.64, -0.6, -0.8)
+
+
 def test_every_chord_tangent_to_caustic():
     rng = np.random.default_rng(4)
     for _ in range(10):
